@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ellipse as el, morphology
 from .errors import EmptyShapeError, MissingStructureError, OverlapError
-from .raster import FH, PS, Point, centroid, class_mask, validate_label_mask
+from .raster import FH, PS, Point, boundary_mask, centroid, class_mask, pixel_centers, validate_label_mask
 from .refine import RefineParams, RefinedShape, refine
 
 _AXIS_TIE_TOL = 1e-9
@@ -52,19 +52,9 @@ class BiometryResult:
 
 def boundary_points(mask: np.ndarray) -> np.ndarray:
     """Centers of foreground pixels with a background 4-neighbor or on the border."""
-    m = mask.astype(bool)
-    if not m.any():
+    if not mask.any():
         raise EmptyShapeError("mask has no foreground")
-    interior = m.copy()
-    interior[1:, :] &= m[:-1, :]
-    interior[:-1, :] &= m[1:, :]
-    interior[:, 1:] &= m[:, :-1]
-    interior[:, :-1] &= m[:, 1:]
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
-    border = m & ~interior
-    ys, xs = np.nonzero(border)
-    return np.column_stack([xs + 0.5, ys + 0.5])
+    return pixel_centers(boundary_mask(mask))
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -138,8 +128,9 @@ def _apex_inside(fh: RefinedShape, apex: Point) -> bool:
     return 0 <= xi < w and 0 <= yi < h and bool(fh.closed_mask[yi, xi])
 
 
-def compute_aop(ps: RefinedShape, fh: RefinedShape) -> tuple[float, Point]:
-    """Angle of progression in degrees and its tangent contact point."""
+def compute_aop(ps: RefinedShape, fh: RefinedShape) -> tuple[float, Point, Point, Point]:
+    """Angle of progression in degrees, its tangent contact point, and the
+    (proximal, apex) symphysis axis it was measured from."""
     fh_centroid = centroid(fh.closed_mask)
     proximal, apex = ps_axis_endpoints(ps, fh_centroid)
     if _apex_inside(fh, apex):
@@ -159,7 +150,7 @@ def compute_aop(ps: RefinedShape, fh: RefinedShape) -> tuple[float, Point]:
     angle = _angle_at(apex, proximal, tangent)
     if angle <= 0.0:
         angle = 180.0  # collinear rays: fold the degenerate 0 onto the (0, 180] range
-    return angle, Point(float(tangent[0]), float(tangent[1]))
+    return angle, Point(float(tangent[0]), float(tangent[1])), proximal, apex
 
 
 def compute_hsd(ps_closed: np.ndarray, fh_closed: np.ndarray, apex: Point) -> tuple[float, Point]:
@@ -190,13 +181,14 @@ def measure_frame_detailed(
     ps_ref = refine(morphology.largest_component(ps_raw), params)
     fh_ref = refine(morphology.largest_component(fh_raw), params)
 
-    aop, tangent = compute_aop(ps_ref, fh_ref)
-    fh_centroid = centroid(fh_ref.closed_mask)
-    proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)
+    aop, tangent, proximal, apex = compute_aop(ps_ref, fh_ref)
 
-    # HSD landmarks always come from the hole-closed masks
-    mask_shape = RefinedShape(ps_ref.closed_mask, None, None, False, 0, 0.0)
-    _, hsd_apex = ps_axis_endpoints(mask_shape, fh_centroid)
+    # HSD landmarks always come from the hole-closed masks, which the AoP axis
+    # already used unless the PS ellipse was accepted
+    hsd_apex = apex
+    if ps_ref.used_ellipse:
+        mask_shape = RefinedShape(ps_ref.closed_mask, None, None, False, 0, 0.0)
+        _, hsd_apex = ps_axis_endpoints(mask_shape, centroid(fh_ref.closed_mask))
     hsd, head_point = compute_hsd(ps_ref.closed_mask, fh_ref.closed_mask, hsd_apex)
 
     result = BiometryResult(

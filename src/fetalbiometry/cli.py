@@ -8,6 +8,7 @@ Machine output goes to files; diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -53,7 +54,7 @@ def _refine_params(config: dict, args) -> RefineParams:
     return RefineParams.from_dict(d)
 
 
-def _load_labels(path, threshold):
+def _load_labels(path):
     p = str(path)
     if p.endswith(".fpm"):
         prob = io_formats.read_prob_map(p)
@@ -64,14 +65,13 @@ def _load_labels(path, threshold):
 def cmd_measure(args) -> int:
     config = _load_config(args.config)
     params = _refine_params(config, args)
-    threshold = args.threshold if args.threshold is not None else config.get("classification_threshold", 0.5)
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
         return EXIT_USAGE
 
     def work(path):
-        labels = _load_labels(path, threshold)
+        labels = _load_labels(path)
         return measure_frame_detailed(labels, params), labels
 
     failures = []
@@ -251,6 +251,12 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
+def _add_refine_flags(parser) -> None:
+    """One optional flag per RefineParams field, typed like its default."""
+    for f in dataclasses.fields(RefineParams):
+        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="fetalbiometry")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -260,13 +266,8 @@ def build_parser() -> _Parser:
     m.add_argument("--config")
     m.add_argument("--out", required=True)
     m.add_argument("--jobs", type=int, default=1)
-    m.add_argument("--threshold", type=float)
     m.add_argument("--emit-overlays", metavar="DIR")
-    for key, typ in (
-        ("kernel_w", int), ("kernel_h", int), ("canny_min", float), ("canny_max", float),
-        ("prune_distance", float), ("max_prune", int), ("ellipse_accept_ratio", float),
-    ):
-        m.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
+    _add_refine_flags(m)
     m.set_defaults(func=cmd_measure)
 
     e = sub.add_parser("ensemble", help="average (or vote) probability-map members")
@@ -283,11 +284,7 @@ def build_parser() -> _Parser:
     t.add_argument("--scores", help="CSV of video_id,frame_index,score,label")
     t.add_argument("--config")
     t.add_argument("--out", required=True)
-    for key, typ in (
-        ("kernel_w", int), ("kernel_h", int), ("canny_min", float), ("canny_max", float),
-        ("prune_distance", float), ("max_prune", int), ("ellipse_accept_ratio", float),
-    ):
-        t.add_argument(f"--{key.replace('_', '-')}", dest=key, type=typ)
+    _add_refine_flags(t)
     t.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("phantom", help="generate synthetic scenes with analytic biometry")

@@ -31,51 +31,29 @@ class EdgeChain:
         return len(self.points)
 
 
-def _shift(m: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    out = np.zeros_like(m)
-    h, w = m.shape
-    ys0, ys1 = max(dy, 0), min(h + dy, h)
-    xs0, xs1 = max(dx, 0), min(w + dx, w)
-    if ys0 >= ys1 or xs0 >= xs1:
-        return out
-    out[ys0:ys1, xs0:xs1] = m[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
-    return out
-
-
 def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """3x3 Sobel derivatives with zero padding; returns (gx, gy, magnitude)."""
-    img = np.asarray(img, dtype=np.float64)
+    p = np.pad(np.asarray(img, dtype=np.float64), 1)
     # separable Sobel: smooth [1,2,1] across, difference [-1,0,1] along
-    def smooth(a, axis):
-        return _shift_axis(a, 1, axis) + 2 * a + _shift_axis(a, -1, axis)
-
-    def diff(a, axis):
-        return _shift_axis(a, -1, axis) - _shift_axis(a, 1, axis)
-
-    gx = diff(smooth(img, 0), 1)
-    gy = diff(smooth(img, 1), 0)
+    sy = p[:-2, :] + 2 * p[1:-1, :] + p[2:, :]
+    sx = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
+    gx = sy[:, 2:] - sy[:, :-2]
+    gy = sx[2:, :] - sx[:-2, :]
     return gx, gy, np.hypot(gx, gy)
 
 
-def _shift_axis(a: np.ndarray, d: int, axis: int) -> np.ndarray:
-    if axis == 0:
-        return _shift(a, 0, d)
-    return _shift(a, d, 0)
-
-
 def _nonmax_suppress(gx: np.ndarray, gy: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    angle = np.degrees(np.arctan2(gy, gx)) % 360.0
+    ys, xs = np.nonzero(mag > 0)
+    angle = np.degrees(np.arctan2(gy[ys, xs], gx[ys, xs])) % 360.0
     bins = np.rint(angle / 45.0).astype(int) % 8
+    dx, dy = np.asarray(_DIR_OFFSETS)[bins].T
+    m = mag[ys, xs]
+    p = np.pad(mag, 1)
+    fwd = p[ys + 1 + dy, xs + 1 + dx]  # value at p + u (toward brighter side)
+    bwd = p[ys + 1 - dy, xs + 1 - dx]
     keep = np.zeros(mag.shape, dtype=bool)
-    nonzero = mag > 0
-    for k, (dx, dy) in enumerate(_DIR_OFFSETS):
-        sel = nonzero & (bins == k)
-        if not sel.any():
-            continue
-        fwd = _shift(mag, -dx, -dy)  # value at p + u (toward brighter side)
-        bwd = _shift(mag, dx, dy)
-        # strict toward the gradient so tied pairs resolve to the foreground side
-        keep |= sel & (mag > fwd) & (mag >= bwd)
+    # strict toward the gradient so tied pairs resolve to the foreground side
+    keep[ys, xs] = (m > fwd) & (m >= bwd)
     return keep
 
 

@@ -57,8 +57,8 @@ class MeasurementReport:
             raise ValueError(f"AoP must lie in (0, 180], got {self.aop_deg}")
         if self.hsd_px < 0.0:
             raise ValueError("HSD must be >= 0")
-        if not (0 <= self.prune_iters_ps <= 15 and 0 <= self.prune_iters_fh <= 15):
-            raise ValueError("prune iterations must lie in [0, 15]")
+        if self.prune_iters_ps < 0 or self.prune_iters_fh < 0:
+            raise ValueError("prune iterations must be >= 0")
 
 
 def _read_pnm_header(data: bytes, magic: bytes):

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import MetricError
-from .raster import require_same_shape, validate_binary_mask
+from .raster import boundary_mask, pixel_centers, require_same_shape, validate_binary_mask
 
 POSITIVE_THRESHOLD = 0.5  # inclusive
 
@@ -91,19 +91,6 @@ def dice(a: np.ndarray, b: np.ndarray) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def _boundary_coords(mask: np.ndarray) -> np.ndarray:
-    m = mask.astype(bool)
-    interior = m.copy()
-    interior[1:, :] &= m[:-1, :]
-    interior[:-1, :] &= m[1:, :]
-    interior[:, 1:] &= m[:, :-1]
-    interior[:, :-1] &= m[:, 1:]
-    interior[0, :] = interior[-1, :] = False
-    interior[:, 0] = interior[:, -1] = False
-    ys, xs = np.nonzero(m & ~interior)
-    return np.column_stack([xs, ys]).astype(np.float64)
-
-
 def surface_distances(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """(average symmetric surface distance, exact Hausdorff distance).
 
@@ -113,8 +100,8 @@ def surface_distances(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     a = validate_binary_mask(a)
     b = validate_binary_mask(b)
     require_same_shape(a, b)
-    pa = _boundary_coords(a)
-    pb = _boundary_coords(b)
+    pa = pixel_centers(boundary_mask(a))
+    pb = pixel_centers(boundary_mask(b))
     if len(pa) == 0 or len(pb) == 0:
         raise MetricError("surface distances are undefined for empty masks")
     dab = cKDTree(pb).query(pa)[0]

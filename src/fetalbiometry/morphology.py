@@ -102,15 +102,10 @@ def connected_components(m: np.ndarray) -> list[tuple[int, np.ndarray, int]]:
 def largest_component(m: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected component (ties: smallest row-major pixel)."""
     m = validate_binary_mask(m)
-    comps = connected_components(m)
-    if not comps:
+    labels, n = ndimage.label(m, structure=_EIGHT_CONN)
+    if n == 0:
         return np.zeros_like(m)
-    best = None
-    best_key = None
-    for _, comp, size in comps:
-        first = int(np.flatnonzero(comp.ravel())[0])
-        key = (-size, first)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = comp
-    return best.astype(np.uint8)
+    # labels follow row-major order of each component's first pixel, so the
+    # first maximum is the documented tie winner
+    best = np.bincount(labels.ravel())[1:].argmax() + 1
+    return (labels == best).astype(np.uint8)

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import ellipse as el
 from .errors import InfeasiblePerturbationError, OverlapError
-from .raster import FH, PS, Point, validate_label_mask
+from .morphology import StructuringElement, erode
+from .raster import FH, PS, Point, boundary_mask, validate_label_mask
 
 
 @dataclass(frozen=True)
@@ -225,18 +226,14 @@ def _disk_offsets(r: float) -> np.ndarray:
 def _carve_hole(labels: np.ndarray, cid: int, rng, radius_range) -> None:
     h, w = labels.shape
     r = rng.uniform(*radius_range)
-    struct = labels == cid
     # candidate centers where the hole stays strictly interior
     margin = int(math.ceil(r)) + 2
-    ok = struct.copy()
-    for dx, dy in ((margin, 0), (-margin, 0), (0, margin), (0, -margin), (margin, margin), (-margin, -margin), (margin, -margin), (-margin, margin)):
-        shifted = np.zeros_like(struct)
-        ys0, ys1 = max(dy, 0), min(h + dy, h)
-        xs0, xs1 = max(dx, 0), min(w + dx, w)
-        if ys0 < ys1 and xs0 < xs1:
-            shifted[ys0:ys1, xs0:xs1] = struct[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
-        ok &= shifted
-    ys, xs = np.nonzero(ok)
+    probe = StructuringElement(
+        2 * margin + 1,
+        2 * margin + 1,
+        tuple((dx, dy) for dy in (-margin, 0, margin) for dx in (-margin, 0, margin)),
+    )
+    ys, xs = np.nonzero(erode(labels == cid, probe))
     if xs.size == 0:
         raise InfeasiblePerturbationError(f"no room for a radius-{r:.1f} hole in class {cid}")
     i = int(rng.integers(0, xs.size))
@@ -248,13 +245,10 @@ def _carve_hole(labels: np.ndarray, cid: int, rng, radius_range) -> None:
 
 
 def _structure_boundary(labels: np.ndarray, cid: int) -> tuple[np.ndarray, np.ndarray]:
-    m = labels == cid
-    interior = m.copy()
-    interior[1:, :] &= m[:-1, :]
-    interior[:-1, :] &= m[1:, :]
-    interior[:, 1:] &= m[:, :-1]
-    interior[:, :-1] &= m[:, 1:]
-    return np.nonzero(m & ~interior)
+    """(ys, xs) of the class's boundary pixels; unlike ``raster.boundary_mask``,
+    the image border alone does not make a pixel boundary."""
+    m = np.pad(labels == cid, 1, mode="edge")
+    return np.nonzero(boundary_mask(m)[1:-1, 1:-1])
 
 
 def _attach_protrusion(labels: np.ndarray, cid: int, rng, size_range) -> None:

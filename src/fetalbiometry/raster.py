@@ -104,6 +104,14 @@ def pixel_centers(mask: np.ndarray) -> np.ndarray:
     return np.column_stack([xs + 0.5, ys + 0.5])
 
 
+def boundary_mask(mask: np.ndarray) -> np.ndarray:
+    """Foreground pixels with a background 4-neighbor or on the image border."""
+    m = np.asarray(mask, dtype=bool)
+    interior = np.zeros_like(m)
+    interior[1:-1, 1:-1] = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
+    return m & ~interior
+
+
 def centroid(mask: np.ndarray) -> Point:
     ys, xs = np.nonzero(mask)
     if xs.size == 0:

@@ -5,7 +5,7 @@ fitting, iterative protrusion pruning, and the ellipse-vs-mask decision rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -40,15 +40,7 @@ class RefineParams:
         return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
 
     def to_dict(self) -> dict:
-        return {
-            "kernel_w": self.kernel_w,
-            "kernel_h": self.kernel_h,
-            "canny_min": self.canny_min,
-            "canny_max": self.canny_max,
-            "prune_distance": self.prune_distance,
-            "max_prune": self.max_prune,
-            "ellipse_accept_ratio": self.ellipse_accept_ratio,
-        }
+        return asdict(self)
 
 
 @dataclass

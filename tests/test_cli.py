@@ -70,6 +70,18 @@ class TestMeasure:
         rc = main(["measure", str(inp), "--config", str(cfg), "--max-prune", "15", "--out", str(out)])
         assert rc == EXIT_OK
 
+    def test_max_prune_above_default_cap_reported(self, tmp_path):
+        # this frame's PS protrusion needs more than 15 prune rounds
+        labels = phantom.render(phantom.random_scene(0, 256, 256))
+        labels = phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0))
+        inp = tmp_path / "frame0.pgm"
+        write_label_mask(labels, inp)
+        out = tmp_path / "r.csv"
+        assert main(["measure", str(inp), "--max-prune", "40", "--out", str(out)]) == EXIT_OK
+        header, row = out.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert int(fields["prune_iters_ps"]) > 15
+
 
 class TestEnsemble:
     @staticmethod

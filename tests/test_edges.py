@@ -1,9 +1,105 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
+from fetalbiometry import phantom
 from fetalbiometry.edges import canny, extract_chains, gradient, longest_chain
 from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import NoEdgesError
+
+# Reference implementation: full-frame shifted copies, one masked pass per
+# quantized direction.  The production code must match it bit for bit.
+_REF_DIRS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+def _ref_shift(m, dx, dy):
+    out = np.zeros_like(m)
+    h, w = m.shape
+    ys0, ys1 = max(dy, 0), min(h + dy, h)
+    xs0, xs1 = max(dx, 0), min(w + dx, w)
+    if ys0 >= ys1 or xs0 >= xs1:
+        return out
+    out[ys0:ys1, xs0:xs1] = m[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
+    return out
+
+
+def _ref_shift_axis(a, d, axis):
+    return _ref_shift(a, 0, d) if axis == 0 else _ref_shift(a, d, 0)
+
+
+def ref_gradient(img):
+    img = np.asarray(img, dtype=np.float64)
+
+    def smooth(a, axis):
+        return _ref_shift_axis(a, 1, axis) + 2 * a + _ref_shift_axis(a, -1, axis)
+
+    def diff(a, axis):
+        return _ref_shift_axis(a, -1, axis) - _ref_shift_axis(a, 1, axis)
+
+    gx = diff(smooth(img, 0), 1)
+    gy = diff(smooth(img, 1), 0)
+    return gx, gy, np.hypot(gx, gy)
+
+
+def ref_nonmax_suppress(gx, gy, mag):
+    angle = np.degrees(np.arctan2(gy, gx)) % 360.0
+    bins = np.rint(angle / 45.0).astype(int) % 8
+    keep = np.zeros(mag.shape, dtype=bool)
+    nonzero = mag > 0
+    for k, (dx, dy) in enumerate(_REF_DIRS):
+        sel = nonzero & (bins == k)
+        if not sel.any():
+            continue
+        fwd = _ref_shift(mag, -dx, -dy)
+        bwd = _ref_shift(mag, dx, dy)
+        keep |= sel & (mag > fwd) & (mag >= bwd)
+    return keep
+
+
+def ref_canny(m, min_val, max_val):
+    gx, gy, mag = ref_gradient(m.astype(np.float64) * 255.0)
+    keep = ref_nonmax_suppress(gx, gy, mag)
+    labels, n = ndimage.label(keep & (mag >= min_val), structure=np.ones((3, 3), np.uint8))
+    if n == 0:
+        return np.zeros_like(m)
+    strong_ids = np.unique(labels[keep & (mag > max_val)])
+    return np.isin(labels, strong_ids[strong_ids > 0]).astype(np.uint8)
+
+
+class TestMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 12), st.integers(1, 12)),
+            elements=st.floats(-1e6, 1e6, allow_nan=False),
+        )
+    )
+    def test_gradient_bit_identical(self, img):
+        for got, want in zip(gradient(img), ref_gradient(img)):
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20)), elements=st.integers(0, 1)),
+        st.sampled_from([(2.0, 5.0), (0.0, 0.0), (300.0, 900.0)]),
+    )
+    def test_canny_bit_identical_on_masks(self, m, thresholds):
+        # random masks put foreground on the image border in most examples
+        assert np.array_equal(canny(m, *thresholds), ref_canny(m, *thresholds))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_canny_bit_identical_on_phantoms(self, seed):
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(seed, 256, 256)),
+            phantom.Perturbation(holes=1, protrusions=1, boundary_noise=1.5, seed=seed),
+        )
+        for cid in (1, 2):
+            m = (labels == cid).astype(np.uint8)
+            assert np.array_equal(canny(m, 2, 5), ref_canny(m, 2, 5))
 
 
 class TestGradient:

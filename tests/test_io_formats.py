@@ -119,7 +119,7 @@ class TestReportCsv:
         with pytest.raises(ValueError):
             MeasurementReport("f", 200.0, 1.0, False, False, 0, 0)
         with pytest.raises(ValueError):
-            MeasurementReport("f", 150.0, 1.0, False, False, 16, 0)
+            MeasurementReport("f", 150.0, 1.0, False, False, -1, 0)
 
 
 class TestFrameScores:

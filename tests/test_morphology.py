@@ -147,3 +147,6 @@ class TestComponents:
         else:
             assert out.sum() == max(c[2] for c in comps)
             assert len(connected_components(out)) <= 1
+            # ties go to the component with the smallest row-major pixel
+            _, want, _ = min(comps, key=lambda c: (-c[2], int(np.flatnonzero(c[1])[0])))
+            assert np.array_equal(out, want.astype(np.uint8))

@@ -9,6 +9,7 @@ from fetalbiometry.errors import OverlapError
 from fetalbiometry.phantom import (
     Perturbation,
     PhantomScene,
+    _structure_boundary,
     analytic_biometry,
     perturb,
     point_ellipse_distance,
@@ -17,7 +18,7 @@ from fetalbiometry.phantom import (
     render,
     validate_scene,
 )
-from fetalbiometry.raster import FH, PS
+from fetalbiometry.raster import FH, PS, boundary_mask
 
 
 def circle_scene():
@@ -166,3 +167,19 @@ class TestPerturb:
             Perturbation(holes=-1)
         with pytest.raises(ValueError):
             Perturbation(hole_radius=(5.0, 2.0))
+
+
+def test_structure_boundary_ignores_image_border():
+    labels = np.zeros((6, 7), np.uint8)
+    labels[0:4, 0:5] = PS  # touches the top and left image borders
+    with_border = np.zeros(labels.shape, bool)
+    with_border[0:4, 0:5] = True
+    with_border[1:3, 1:4] = False
+    assert np.array_equal(boundary_mask(labels == PS), with_border)
+    # perturbations attach only where the shape meets background
+    without_border = np.zeros(labels.shape, bool)
+    without_border[3, 0:5] = without_border[0:4, 4] = True
+    ys, xs = _structure_boundary(labels, PS)
+    got = np.zeros(labels.shape, bool)
+    got[ys, xs] = True
+    assert np.array_equal(got, without_border)
