@@ -97,21 +97,28 @@ def _diameter_endpoints(points: np.ndarray) -> tuple[Point, Point]:
     return Point(*a), Point(*b)
 
 
-def ps_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
-    """(proximal, apex) of the symphysis axis; apex is the end nearer the head."""
-    if ps.used_ellipse:
-        e = ps.ellipse
-        theta = 0.0 if (e.a - e.b) / e.a < _AXIS_TIE_TOL else math.radians(e.theta_deg)
-        dx, dy = e.a * math.cos(theta), e.a * math.sin(theta)
-        p1 = Point(e.cx - dx, e.cy - dy)
-        p2 = Point(e.cx + dx, e.cy + dy)
-    else:
-        p1, p2 = _diameter_endpoints(boundary_points(ps.closed_mask))
+def _orient(p1: Point, p2: Point, fh_centroid: Point) -> tuple[Point, Point]:
+    """(proximal, apex) of an axis; the apex is the end nearer the head."""
     d1 = math.hypot(p1.x - fh_centroid.x, p1.y - fh_centroid.y)
     d2 = math.hypot(p2.x - fh_centroid.x, p2.y - fh_centroid.y)
     if d1 < d2:
         return p2, p1
     return p1, p2
+
+
+def _mask_axis_endpoints(mask: np.ndarray, fh_centroid: Point) -> tuple[Point, Point]:
+    """(proximal, apex) of the symphysis axis taken as the mask's diameter."""
+    return _orient(*_diameter_endpoints(boundary_points(mask)), fh_centroid)
+
+
+def ps_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
+    """(proximal, apex) of the symphysis axis; apex is the end nearer the head."""
+    if not ps.used_ellipse:
+        return _mask_axis_endpoints(ps.closed_mask, fh_centroid)
+    e = ps.ellipse
+    theta = 0.0 if (e.a - e.b) / e.a < _AXIS_TIE_TOL else math.radians(e.theta_deg)
+    dx, dy = e.a * math.cos(theta), e.a * math.sin(theta)
+    return _orient(Point(e.cx - dx, e.cy - dy), Point(e.cx + dx, e.cy + dy), fh_centroid)
 
 
 def _angle_at(apex: Point, back: Point, target) -> float:
@@ -128,11 +135,9 @@ def _apex_inside(fh: RefinedShape, apex: Point) -> bool:
     return 0 <= xi < w and 0 <= yi < h and bool(fh.closed_mask[yi, xi])
 
 
-def compute_aop(ps: RefinedShape, fh: RefinedShape) -> tuple[float, Point, Point, Point]:
-    """Angle of progression in degrees, its tangent contact point, and the
-    (proximal, apex) symphysis axis it was measured from."""
-    fh_centroid = centroid(fh.closed_mask)
-    proximal, apex = ps_axis_endpoints(ps, fh_centroid)
+def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, Point]:
+    """Angle of progression in degrees at the apex of the (proximal, apex)
+    symphysis axis, and its tangent contact point on the fetal head."""
     if _apex_inside(fh, apex):
         raise OverlapError("symphysis apex lies inside the fetal-head shape")
     if fh.used_ellipse:
@@ -150,10 +155,10 @@ def compute_aop(ps: RefinedShape, fh: RefinedShape) -> tuple[float, Point, Point
     angle = _angle_at(apex, proximal, tangent)
     if angle <= 0.0:
         angle = 180.0  # collinear rays: fold the degenerate 0 onto the (0, 180] range
-    return angle, Point(float(tangent[0]), float(tangent[1])), proximal, apex
+    return angle, Point(float(tangent[0]), float(tangent[1]))
 
 
-def compute_hsd(ps_closed: np.ndarray, fh_closed: np.ndarray, apex: Point) -> tuple[float, Point]:
+def compute_hsd(fh_closed: np.ndarray, apex: Point) -> tuple[float, Point]:
     """Min distance from the apex to the fetal-head boundary, and the arg-min point."""
     pts = boundary_points(fh_closed)
     d = np.hypot(pts[:, 0] - apex.x, pts[:, 1] - apex.y)
@@ -181,15 +186,16 @@ def measure_frame_detailed(
     ps_ref = refine(morphology.largest_component(ps_raw), params)
     fh_ref = refine(morphology.largest_component(fh_raw), params)
 
-    aop, tangent, proximal, apex = compute_aop(ps_ref, fh_ref)
+    fh_centroid = centroid(fh_ref.closed_mask)
+    proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)
+    aop, tangent = compute_aop(proximal, apex, fh_ref)
 
     # HSD landmarks always come from the hole-closed masks, which the AoP axis
     # already used unless the PS ellipse was accepted
     hsd_apex = apex
     if ps_ref.used_ellipse:
-        mask_shape = RefinedShape(ps_ref.closed_mask, None, None, False, 0, 0.0)
-        _, hsd_apex = ps_axis_endpoints(mask_shape, centroid(fh_ref.closed_mask))
-    hsd, head_point = compute_hsd(ps_ref.closed_mask, fh_ref.closed_mask, hsd_apex)
+        _, hsd_apex = _mask_axis_endpoints(ps_ref.closed_mask, fh_centroid)
+    hsd, head_point = compute_hsd(fh_ref.closed_mask, hsd_apex)
 
     result = BiometryResult(
         aop_deg=aop,

@@ -34,24 +34,28 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_config(path):
+def _load_config(path) -> dict:
     if path is None:
         return {}
     try:
         with open(path) as f:
-            return json.load(f)
+            config = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        print(f"error: cannot read config {path}: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_DATA)
+        raise FormatError(f"cannot read config {path}: {e}")
+    if not isinstance(config, dict):
+        raise FormatError(f"config {path} must hold a JSON object, got {type(config).__name__}")
+    return config
 
 
 def _refine_params(config: dict, args) -> RefineParams:
-    d = dict(config.get("refine", {}))
-    for key in RefineParams.__dataclass_fields__:
-        val = getattr(args, key, None)
-        if val is not None:
-            d[key] = val
-    return RefineParams.from_dict(d)
+    """The config's "refine" object, then the refine flags given on top of it."""
+    params = RefineParams.from_dict(config.get("refine", {}))
+    flags = {f.name: v for f in dataclasses.fields(RefineParams) if (v := getattr(args, f.name)) is not None}
+    try:
+        return dataclasses.replace(params, **flags)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _load_labels(path):
@@ -113,6 +117,8 @@ def cmd_measure(args) -> int:
 def cmd_ensemble(args) -> int:
     config = _load_config(args.config)
     members_paths = list(args.members) or config.get("ensemble_members", [])
+    if not isinstance(members_paths, list) or not all(isinstance(p, str) for p in members_paths):
+        raise FormatError("config ensemble_members must be a list of paths")
     if not members_paths:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
@@ -150,6 +156,7 @@ def cmd_metrics(args) -> int:
             scores, labels = zip(*labelled)
             acc, f1, auc, mcc = metrics.classification_metrics(scores, labels)
             out.update(acc=acc, f1=f1, auc=auc, mcc=mcc)
+    failed = False
     if args.pred:
         if len(args.pred) != len(args.gt or []):
             print("error: --pred and --gt must pair up", file=sys.stderr)
@@ -157,9 +164,14 @@ def cmd_metrics(args) -> int:
         seg_scores = {"dsc": [], "asd": [], "hd": []}
         d_aops, d_hsds = [], []
         for pp, gp in zip(args.pred, args.gt):
-            pred = io_formats.read_label_mask(pp)
-            gt = io_formats.read_label_mask(gp)
-            s = metrics.segmentation_scores(pred, gt)
+            try:
+                pred = io_formats.read_label_mask(pp)
+                gt = io_formats.read_label_mask(gp)
+                s = metrics.segmentation_scores(pred, gt)
+            except (FetalBiometryError, OSError) as e:
+                failed = True
+                print(f"warning: pair skipped for {pp}: {e}", file=sys.stderr)
+                continue
             for k in seg_scores:
                 seg_scores[k].append(s["mean"][k])
             try:
@@ -169,18 +181,16 @@ def cmd_metrics(args) -> int:
                 d_aops.append(da)
                 d_hsds.append(dh)
             except FetalBiometryError as e:
+                failed = True
                 print(f"warning: biometry skipped for {pp}: {e}", file=sys.stderr)
-        out.update(
-            dsc=float(np.mean(seg_scores["dsc"])),
-            asd=float(np.mean(seg_scores["asd"])),
-            hd=float(np.mean(seg_scores["hd"])),
-        )
+        if seg_scores["dsc"]:
+            out.update({k: float(np.mean(v)) for k, v in seg_scores.items()})
         if d_aops:
             out.update(d_aop=float(np.mean(d_aops)), d_hsd=float(np.mean(d_hsds)))
     with open(args.out, "w") as f:
         json.dump(out, f, indent=2, sort_keys=True)
         f.write("\n")
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def _parse_perturb(spec: str) -> dict:
@@ -221,7 +231,7 @@ def cmd_phantom(args) -> int:
 
 def cmd_augment(args) -> int:
     config = _load_config(args.config)
-    p = dataprep.AugmentParams.from_dict({**config.get("augment", {}), "seed": args.seed})
+    p = dataclasses.replace(dataprep.AugmentParams.from_dict(config.get("augment", {})), seed=args.seed)
     img = dataprep.normalize_intensity(io_formats.read_greymap(args.image))
     mask = io_formats.read_label_mask(args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, p, args.index)
@@ -319,10 +329,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except FetalBiometryError as e:
+    except (FetalBiometryError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
 

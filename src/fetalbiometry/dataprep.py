@@ -16,6 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionMismatchError
+from .io_formats import dataclass_from_json
 from .raster import validate_label_mask
 
 _TRANSFORM_IDS = {"flip": 1, "noise": 2, "gamma": 3, "contrast": 4, "affine": 5}
@@ -46,11 +47,8 @@ class AugmentParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentParams":
-        kwargs = {k: d[k] for k in cls.__dataclass_fields__ if k in d}
-        for k in ("noise_sigma_range", "gamma_range", "contrast_range", "scale_range"):
-            if k in kwargs:
-                kwargs[k] = tuple(kwargs[k])
-        return cls(**kwargs)
+        """Parse a config object; unknown keys and mistyped values raise FormatError."""
+        return dataclass_from_json(cls, d)
 
 
 @dataclass

@@ -5,12 +5,15 @@ palette {0 -> 0, 127 -> 1, 255 -> 2}; raw {0, 1, 2} values are also accepted
 on read.  Probability maps use a one-line header ``FPM <width> <height>
 <channels>`` followed by little-endian float32, row-major and
 channel-interleaved.  CSVs use ``\n`` line endings and ``.`` decimals.
+JSON config objects map onto parameter dataclasses with strict keys and types.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +64,46 @@ class MeasurementReport:
             raise ValueError("prune iterations must be >= 0")
 
 
+def dataclass_from_json(cls, obj):
+    """An instance of the dataclass cls from a decoded JSON object.
+
+    Each value must have the type of its field's default: an int field takes
+    an int that is not a bool, a float field a finite int or float, and a
+    tuple field a list of as many such numbers.  Unknown keys, mistyped values
+    and values the class rejects raise FormatError.
+    """
+    name = cls.__name__
+    if not isinstance(obj, dict):
+        raise FormatError(f"{name} config must be a JSON object, got {type(obj).__name__}")
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    unknown = [k for k in obj if k not in defaults]
+    if unknown:
+        raise FormatError(f"unknown {name} config key(s): {', '.join(map(str, unknown))}")
+    kwargs = {}
+    for key, value in obj.items():
+        default = defaults[key]
+        if not isinstance(default, tuple):
+            kwargs[key] = _json_number(f"{name}.{key}", value, type(default))
+        elif isinstance(value, (list, tuple)) and len(value) == len(default):
+            kwargs[key] = tuple(_json_number(f"{name}.{key}", v, type(d)) for v, d in zip(value, default))
+        else:
+            raise FormatError(f"{name}.{key} must be a list of {len(default)} numbers, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as e:
+        raise FormatError(f"{name}: {e}")
+
+
+def _json_number(key: str, value, kind: type):
+    if kind is int:
+        ok = isinstance(value, int)
+    else:  # a chained comparison is exact for ints and false for nan
+        ok = isinstance(value, (int, float)) and -sys.float_info.max <= value <= sys.float_info.max
+    if isinstance(value, bool) or not ok:
+        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
+    return kind(value)
+
+
 def _read_pnm_header(data: bytes, magic: bytes):
     """Parse a netpbm-style header; returns (fields, payload offset)."""
     if not data.startswith(magic):
@@ -89,7 +132,8 @@ def _read_pnm_header(data: bytes, magic: bytes):
     return fields, i + 1
 
 
-def read_label_mask(path) -> np.ndarray:
+def _read_p5(path) -> tuple[np.ndarray, int]:
+    """Pixels of an 8-bit P5 file as a writable array, and the payload offset."""
     with open(path, "rb") as f:
         data = f.read()
     (width, height, maxval), off = _read_pnm_header(data, b"P5")
@@ -104,35 +148,26 @@ def read_label_mask(path) -> np.ndarray:
             f"truncated payload: expected {expected} bytes, got {len(payload)}",
             byte_offset=off + len(payload),
         )
-    raw = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    valid = np.isin(raw, list(_PALETTE))
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy(), off
+
+
+def read_label_mask(path) -> np.ndarray:
+    out, off = _read_p5(path)
+    valid = np.isin(out, list(_PALETTE))
     if not valid.all():
         flat = int(np.flatnonzero(~valid.ravel())[0])
         raise FormatError(
-            f"pixel value {int(raw.ravel()[flat])} outside palette {{0,127,255}} / {{0,1,2}}",
+            f"pixel value {int(out.ravel()[flat])} outside palette {{0,127,255}} / {{0,1,2}}",
             byte_offset=off + flat,
         )
-    out = raw.copy()
-    out[raw == 127] = 1
-    out[raw == 255] = 2
+    out[out == 127] = 1
+    out[out == 255] = 2
     return validate_label_mask(out)
 
 
 def read_greymap(path) -> np.ndarray:
     """Generic 8-bit P5 image (any values 0-255), for raw ultrasound frames."""
-    with open(path, "rb") as f:
-        data = f.read()
-    (width, height, maxval), off = _read_pnm_header(data, b"P5")
-    if maxval != 255:
-        raise FormatError(f"maxval must be 255, got {maxval}")
-    expected = width * height
-    payload = data[off : off + expected]
-    if len(payload) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            byte_offset=off + len(payload),
-        )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    return _read_p5(path)[0]
 
 
 def write_greymap(img: np.ndarray, path) -> None:

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
+from .io_formats import dataclass_from_json
 from .raster import mask_set_counts, require_same_shape, validate_binary_mask
 
 
@@ -37,7 +38,8 @@ class RefineParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RefineParams":
-        return cls(**{k: d[k] for k in cls.__dataclass_fields__ if k in d})
+        """Parse a config object; unknown keys and mistyped values raise FormatError."""
+        return dataclass_from_json(cls, d)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -146,8 +146,6 @@ class TestHsdFunction:
     def test_point_to_square(self):
         fh = np.zeros((40, 40), np.uint8)
         fh[10:30, 20:35] = 1
-        ps = np.zeros((40, 40), np.uint8)
-        ps[19:22, 2:6] = 1
-        d, pt = compute_hsd(ps, fh, Point(5.0, 20.5))
+        d, pt = compute_hsd(fh, Point(5.0, 20.5))
         assert abs(d - 15.5) < 1e-9  # nearest boundary pixel center is (20.5, 20.5)
         assert pt.x == 20.5

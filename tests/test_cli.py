@@ -70,6 +70,25 @@ class TestMeasure:
         rc = main(["measure", str(inp), "--config", str(cfg), "--max-prune", "15", "--out", str(out)])
         assert rc == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"refine": {"max_prune": "3"}}, {"refine": [1, 2]}, [1], {"refine": {"max_prun": 3}}],
+    )
+    def test_bad_config_data_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        inp = make_scene_file(tmp_path)
+        rc = main(["measure", str(inp), "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_bad_flag_value_usage(self, tmp_path):
+        inp = make_scene_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", str(inp), "--max-prune", "0", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == EXIT_USAGE
+
     def test_max_prune_above_default_cap_reported(self, tmp_path):
         # this frame's PS protrusion needs more than 15 prune rounds
         labels = phantom.render(phantom.random_scene(0, 256, 256))
@@ -119,6 +138,14 @@ class TestEnsemble:
     def test_no_members_usage(self, tmp_path):
         assert main(["ensemble", "--out", str(tmp_path / "x.fpm")]) == EXIT_USAGE
 
+    def test_missing_member_data_error(self, tmp_path):
+        assert main(["ensemble", str(tmp_path / "absent.fpm"), "--out", str(tmp_path / "a.fpm")]) == EXIT_DATA
+
+    def test_bad_members_config_data_error(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ensemble_members": 5}))
+        assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a.fpm")]) == EXIT_DATA
+
     def test_corrupt_member_data_error(self, tmp_path):
         bad = tmp_path / "bad.fpm"
         bad.write_bytes(b"FPM 2 2 3\n" + b"\x00" * 5)
@@ -147,6 +174,23 @@ class TestMetrics:
         got = json.loads(out.read_text())
         assert got["acc"] == 1.0 and got["auc"] == 1.0 and got["mcc"] == 1.0
         assert got["dsc"] is None
+
+    def test_pair_without_ps_skipped(self, tmp_path, capsys):
+        gt = make_scene_file(tmp_path, "gt.pgm", seed=2)
+        labels = read_label_mask(gt)
+        write_label_mask(labels, tmp_path / "good.pgm")
+        write_label_mask(np.where(labels == 1, 0, labels).astype(np.uint8), tmp_path / "no_ps.pgm")
+        out = tmp_path / "metrics.json"
+        pairs = ["--pred", str(tmp_path / "good.pgm"), str(tmp_path / "no_ps.pgm"), "--gt", str(gt), str(gt)]
+        assert main(["metrics", *pairs, "--out", str(out)]) == EXIT_PARTIAL
+        assert "no_ps.pgm" in capsys.readouterr().err
+        got = json.loads(out.read_text())
+        assert got["dsc"] == 1.0 and got["d_aop"] == 0.0  # the good pair alone
+
+        only_bad = ["--pred", str(tmp_path / "no_ps.pgm"), "--gt", str(gt)]
+        assert main(["metrics", *only_bad, "--out", str(out)]) == EXIT_PARTIAL
+        got = json.loads(out.read_text())
+        assert got["dsc"] is None and got["d_aop"] is None
 
     def test_unpaired_usage(self, tmp_path):
         gt = make_scene_file(tmp_path, "gt.pgm", seed=2)
@@ -211,6 +255,23 @@ class TestAugment:
         )
         assert rc == EXIT_OK
         assert set(np.unique(read_label_mask(mask_out))).issubset({0, 1, 2})
+
+
+    def test_bad_config_data_error(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"augment": {"flip_prob": "0.5"}}))
+        rc = main(["augment", "--image", str(src), "--config", str(cfg), "--out", str(tmp_path / "a.pgm")])
+        assert rc == EXIT_DATA
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_zero_size_image_data_error(self, tmp_path):
+        src = tmp_path / "empty.pgm"
+        src.write_bytes(b"P5\n0 4\n255\n")
+        out = tmp_path / "a.pgm"
+        assert main(["augment", "--image", str(src), "--out", str(out)]) == EXIT_DATA
+        assert not out.exists()
 
 
 class TestSample:

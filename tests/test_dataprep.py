@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fetalbiometry.dataprep import AugmentParams, augment, normalize_intensity, sparse_sample
-from fetalbiometry.errors import DimensionMismatchError
+from fetalbiometry.errors import DimensionMismatchError, FormatError
 from fetalbiometry.raster import FH, PS
 
 
@@ -146,6 +146,17 @@ class TestAugment:
         p = AugmentParams(seed=9, gamma_range=(0.5, 0.9))
         d = {k: getattr(p, k) for k in AugmentParams.__dataclass_fields__}
         assert AugmentParams.from_dict(d) == p
+
+    @pytest.mark.parametrize(
+        "d",
+        [{"gamma_range": [0.5]}, {"gamma_range": 0.5}, {"gamma_range": [0.5, "1"]}, {"seed": 1.5}, {"flip": 0.5}],
+    )
+    def test_params_from_dict_rejects(self, d):
+        with pytest.raises(FormatError):
+            AugmentParams.from_dict(d)
+
+    def test_params_from_dict_takes_lists(self):
+        assert AugmentParams.from_dict({"gamma_range": [0.5, 1]}) == AugmentParams(gamma_range=(0.5, 1.0))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fetalbiometry.ellipse import Ellipse, rasterize
-from fetalbiometry.errors import EmptyShapeError
+from fetalbiometry.errors import EmptyShapeError, FormatError
 from fetalbiometry.metrics import dice
 from fetalbiometry.refine import RefineParams, protrusion_ratio, prune, refine
 
@@ -21,6 +21,29 @@ class TestParams:
     def test_dict_round_trip(self):
         p = RefineParams(kernel_w=6, max_prune=9)
         assert RefineParams.from_dict(p.to_dict()) == p
+
+    @pytest.mark.parametrize(
+        "d",
+        [
+            {"max_prune": "3"},
+            {"max_prune": 3.0},
+            {"max_prune": True},
+            {"canny_min": None},
+            {"canny_min": float("nan")},
+            {"canny_min": 10**400},
+            {"max_prun": 3},
+            {"max_prune": 0},
+            [1, 2],
+        ],
+    )
+    def test_from_dict_rejects(self, d):
+        with pytest.raises(FormatError):
+            RefineParams.from_dict(d)
+
+    def test_from_dict_takes_int_for_float(self):
+        p = RefineParams.from_dict({"prune_distance": 4, "max_prune": 7})
+        assert p == RefineParams(prune_distance=4.0, max_prune=7)
+        assert type(p.prune_distance) is float
 
     def test_invalid(self):
         with pytest.raises(ValueError):
