@@ -130,7 +130,8 @@ def _angle_at(apex: Point, back: Point, target) -> float:
 def _apex_inside(fh: RefinedShape, apex: Point) -> bool:
     if fh.used_ellipse:
         return el.contains(fh.ellipse, (apex.x, apex.y))
-    xi, yi = int(apex.x), int(apex.y)
+    # floor, not int(): an apex at x = -0.4 lies off-frame, not in column 0
+    xi, yi = math.floor(apex.x), math.floor(apex.y)
     h, w = fh.closed_mask.shape
     return 0 <= xi < w and 0 <= yi < h and bool(fh.closed_mask[yi, xi])
 

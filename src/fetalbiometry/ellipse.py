@@ -170,25 +170,36 @@ def contains(e: Ellipse, p) -> bool:
     return bool(e.quad_form(np.asarray(p, dtype=np.float64).reshape(1, 2))[0] <= 1.0)
 
 
-def rasterize(e: Ellipse, width: int, height: int) -> np.ndarray:
-    """Mask of pixels whose centers (x + 0.5, y + 0.5) lie inside the ellipse."""
+def raster_window(e: Ellipse, width: int, height: int) -> tuple[int, int, np.ndarray]:
+    """(x0, y0, window) of the ellipse on a width x height grid.
+
+    The window covers the ellipse's bounding box clipped to the grid, its
+    pixel (0, 0) being grid pixel (x0, y0); a pixel is set when its grid
+    center (x + 0.5, y + 0.5) lies inside the ellipse.  No grid pixel outside
+    the window is inside.
+    """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
-    # evaluate only in the bounding box of the ellipse
     r = e.a
     x0 = max(0, int(math.floor(e.cx - r - 1)))
     x1 = min(width, int(math.ceil(e.cx + r + 1)))
     y0 = max(0, int(math.floor(e.cy - r - 1)))
     y1 = min(height, int(math.ceil(e.cy + r + 1)))
-    out = np.zeros((height, width), dtype=np.uint8)
     if x0 >= x1 or y0 >= y1:
-        return out
+        return 0, 0, np.zeros((0, 0), dtype=np.uint8)
     xs = np.arange(x0, x1) + 0.5
     ys = np.arange(y0, y1) + 0.5
     gx, gy = np.meshgrid(xs, ys)
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     inside = e.quad_form(pts) <= 1.0
-    out[y0:y1, x0:x1] = inside.reshape(y1 - y0, x1 - x0)
+    return x0, y0, inside.reshape(y1 - y0, x1 - x0).astype(np.uint8)
+
+
+def rasterize(e: Ellipse, width: int, height: int) -> np.ndarray:
+    """Mask of pixels whose centers (x + 0.5, y + 0.5) lie inside the ellipse."""
+    x0, y0, win = raster_window(e, width, height)
+    out = np.zeros((height, width), dtype=np.uint8)
+    out[y0 : y0 + win.shape[0], x0 : x0 + win.shape[1]] = win
     return out
 
 

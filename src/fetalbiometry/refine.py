@@ -78,8 +78,12 @@ def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
     return only_e / only_s
 
 
-def prune(s: np.ndarray, e: el.Ellipse, d: float) -> np.ndarray:
-    """Drop foreground pixels whose centers fall outside the ellipse grown by d."""
+def prune(s: np.ndarray, e: el.Ellipse, d: float, *, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Drop foreground pixels whose centers fall outside the ellipse grown by d.
+
+    Pixel (x, y) of s is pixel (x + origin[0], y + origin[1]) of the frame
+    that e lives in.
+    """
     if d <= 0:
         raise ValueError("prune distance must be positive")
     s = validate_binary_mask(s)
@@ -87,47 +91,107 @@ def prune(s: np.ndarray, e: el.Ellipse, d: float) -> np.ndarray:
     ys, xs = np.nonzero(s)
     if xs.size == 0:
         return s.copy()
-    pts = np.column_stack([xs + 0.5, ys + 0.5])
+    ox, oy = origin
+    pts = np.column_stack([xs + ox + 0.5, ys + oy + 0.5])
     outside = grown.quad_form(pts) > 1.0
     out = s.copy()
     out[ys[outside], xs[outside]] = 0
     return out
 
 
-def _fit_boundary(mask: np.ndarray, params: RefineParams) -> tuple[el.Ellipse, np.ndarray]:
+def _crop_box(raw: np.ndarray, kernel: morphology.StructuringElement) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1) of the box in which closing and Canny of raw are exact.
+
+    The closed mask lies inside raw's bounding box B: a pixel right of B
+    cannot be closed, because its shift by the kernel's largest dx misses the
+    dilation, and likewise on the other sides.  Erosion at a pixel of B reads
+    the dilation up to the kernel's reach away, so B padded by the reach
+    holds every pixel it reads; dilated pixels outside that box are never
+    read.  Canny then needs one background pixel around the closed mask: the
+    Sobel magnitude is zero beyond 1 px of the foreground, so the NMS reads
+    1 px further out see zero in the crop's zero padding and in the frame
+    alike.  Where the padded box meets the image edge, the crop edge is the
+    image edge and "outside = background" holds as before.
+    """
+    rows = np.flatnonzero(raw.any(axis=1))
+    cols = np.flatnonzero(raw.any(axis=0))
+    reach = max(max(abs(dx), abs(dy)) for dx, dy in kernel.offsets)
+    pad = max(reach, 1)
+    h, w = raw.shape
+    return (
+        max(0, int(cols[0]) - pad),
+        max(0, int(rows[0]) - pad),
+        min(w, int(cols[-1]) + 1 + pad),
+        min(h, int(rows[-1]) + 1 + pad),
+    )
+
+
+def _paste(window: tuple[int, int, np.ndarray], box: tuple[int, int, int, int]) -> np.ndarray:
+    """The (x0, y0, mask) window on the grid of box = (x0, y0, x1, y1), zeros elsewhere."""
+    x, y, m = window
+    bx0, by0, bx1, by1 = box
+    out = np.zeros((by1 - by0, bx1 - bx0), dtype=np.uint8)
+    out[y - by0 : y - by0 + m.shape[0], x - bx0 : x - bx0 + m.shape[1]] = m
+    return out
+
+
+def _joint(*windows: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
+    """(x0, y0, mask) windows pasted onto the bounding box of the non-empty ones."""
+    boxes = [(x, y, x + m.shape[1], y + m.shape[0]) for x, y, m in windows if m.size]
+    x0s, y0s, x1s, y1s = zip(*boxes)
+    box = (min(x0s), min(y0s), max(x1s), max(y1s))
+    return [_paste(win, box) for win in windows]
+
+
+def _fit_boundary(
+    mask: np.ndarray, origin: tuple[int, int], frame: tuple[int, int], params: RefineParams
+) -> tuple[el.Ellipse, tuple[int, int, np.ndarray]]:
+    """Ellipse fitted to the largest Canny edge of the crop mask, in frame
+    coordinates, and its raster window on the (width, height) frame."""
     edge_map = edges.canny(mask, params.canny_min, params.canny_max)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
-    pts = np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
+    # fit frame coordinates, never shift the fitted ellipse: the fit must see
+    # the very floats a full-frame fit sees, or boundary pixels flip
+    pts = (np.asarray(chain.points) + origin) + 0.5
     fitted = el.fit_ams(pts)
-    h, w = mask.shape
-    return fitted, el.rasterize(fitted, w, h)
+    return fitted, el.raster_window(fitted, *frame)
 
 
 def refine(raw: np.ndarray, params: RefineParams = RefineParams()) -> RefinedShape:
-    """Run the closing / fitting / pruning / decision sequence on one structure."""
+    """Run the closing / fitting / pruning / decision sequence on one structure.
+
+    Everything runs inside the structure's padded bounding box (``_crop_box``);
+    the returned masks are full-frame.
+    """
     raw = validate_binary_mask(raw)
     if not raw.any():
         raise EmptyShapeError("cannot refine an empty mask")
+    h, w = raw.shape
     kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
-    closed = morphology.close(raw, kernel)
+    x0, y0, x1, y1 = _crop_box(raw, kernel)
+    crop = raw[y0:y1, x0:x1]
+    closed = morphology.close(crop, kernel)
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border
-        closed = raw.copy()
-    s_mask = closed.copy()
+        closed = crop.copy()
+    closed_win = (x0, y0, closed)
+    closed_mask = _paste(closed_win, (0, 0, w, h))
+    s_mask = closed
     iterations = 0
     try:
-        fitted, e_mask = _fit_boundary(s_mask, params)
-        while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < params.max_prune:
-            s_mask = prune(s_mask, fitted, params.prune_distance)
+        fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h), params)
+        # the ellipse window may overrun the crop: its pixels there count as E-only
+        while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < params.max_prune:
+            s_mask = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
             if not s_mask.any():
                 raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_mask = _fit_boundary(s_mask, params)
+            fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h), params)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
-        return RefinedShape(closed, None, None, False, iterations, math.inf)
+        return RefinedShape(closed_mask, None, None, False, iterations, math.inf)
     # decision rule against the hole-closed (pre-prune) mask
-    only_e, _, _ = mask_set_counts(e_mask, closed)
+    only_e, _, _ = mask_set_counts(*_joint(e_win, closed_win))
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
     used = ratio < params.ellipse_accept_ratio
-    return RefinedShape(closed, fitted, e_mask, used, iterations, ratio)
+    return RefinedShape(closed_mask, fitted, el.rasterize(fitted, w, h), used, iterations, ratio)

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fetalbiometry.biometry import (
+    BiometryResult,
+    _apex_inside,
     boundary_points,
     compute_hsd,
     convex_hull,
@@ -12,8 +17,9 @@ from fetalbiometry.biometry import (
     ps_axis_endpoints,
 )
 from fetalbiometry.ellipse import Ellipse, rasterize
-from fetalbiometry.errors import EmptyShapeError, MissingStructureError
+from fetalbiometry.errors import EmptyShapeError, FetalBiometryError, MissingStructureError
 from fetalbiometry.raster import FH, PS, Point
+from fetalbiometry.refine import RefinedShape, RefineParams
 
 
 def scene_mask(ps: Ellipse, fh: Ellipse, w: int, h: int) -> np.ndarray:
@@ -149,3 +155,37 @@ class TestHsdFunction:
         d, pt = compute_hsd(fh, Point(5.0, 20.5))
         assert abs(d - 15.5) < 1e-9  # nearest boundary pixel center is (20.5, 20.5)
         assert pt.x == 20.5
+
+
+class TestApexInside:
+    @staticmethod
+    def mask_shape(mask):
+        return RefinedShape(mask, None, None, False, 0, math.inf)
+
+    def test_apex_left_of_frame_is_outside(self):
+        fh = np.zeros((12, 12), np.uint8)
+        fh[:, 0] = 1
+        assert not _apex_inside(self.mask_shape(fh), Point(-0.4, 5.5))
+        assert _apex_inside(self.mask_shape(fh), Point(0.4, 5.5))
+
+    def test_apex_above_frame_is_outside(self):
+        fh = np.zeros((12, 12), np.uint8)
+        fh[0, :] = 1
+        assert not _apex_inside(self.mask_shape(fh), Point(5.5, -0.4))
+        assert _apex_inside(self.mask_shape(fh), Point(5.5, 0.4))
+
+
+class TestFailureContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 24), st.integers(1, 24)), elements=st.integers(0, 2)),
+        st.integers(1, 13),
+        st.integers(1, 13),
+    )
+    def test_result_or_package_error(self, labels, kernel_w, kernel_h):
+        params = RefineParams(kernel_w=kernel_w, kernel_h=kernel_h)
+        try:
+            result, _, _ = measure_frame_detailed(labels, params)
+        except FetalBiometryError:
+            return
+        assert isinstance(result, BiometryResult)

@@ -1,12 +1,74 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from fetalbiometry import edges, ellipse as el, morphology, phantom
 from fetalbiometry.ellipse import Ellipse, rasterize
-from fetalbiometry.errors import EmptyShapeError, FormatError
+from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, FormatError, NoEdgesError
 from fetalbiometry.metrics import dice
-from fetalbiometry.refine import RefineParams, protrusion_ratio, prune, refine
+from fetalbiometry.raster import FH, PS, class_mask, mask_set_counts, validate_binary_mask
+from fetalbiometry.refine import RefinedShape, RefineParams, protrusion_ratio, prune, refine
+
+# the package attribute ``fetalbiometry.refine`` is the function
+refine_mod = importlib.import_module("fetalbiometry.refine")
+
+
+# Reference implementation: the full-frame refinement that ran closing, Canny,
+# chains, prune and the ratios on the whole frame.  The cropped production
+# code must match it field for field.
+def _ref_fit_boundary(mask, params):
+    edge_map = edges.canny(mask, params.canny_min, params.canny_max)
+    chain = edges.longest_chain(edges.extract_chains(edge_map))
+    pts = np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
+    fitted = el.fit_ams(pts)
+    h, w = mask.shape
+    return fitted, el.rasterize(fitted, w, h)
+
+
+def ref_refine(raw, params=RefineParams()):
+    raw = validate_binary_mask(raw)
+    if not raw.any():
+        raise EmptyShapeError("cannot refine an empty mask")
+    kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
+    closed = morphology.close(raw, kernel)
+    if not closed.any():
+        closed = raw.copy()
+    s_mask = closed.copy()
+    iterations = 0
+    try:
+        fitted, e_mask = _ref_fit_boundary(s_mask, params)
+        while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < params.max_prune:
+            s_mask = prune(s_mask, fitted, params.prune_distance)
+            if not s_mask.any():
+                raise DegenerateInputError("pruning removed the whole mask")
+            fitted, e_mask = _ref_fit_boundary(s_mask, params)
+            iterations += 1
+    except (DegenerateInputError, NoEdgesError):
+        return RefinedShape(closed, None, None, False, iterations, math.inf)
+    only_e, _, _ = mask_set_counts(e_mask, closed)
+    s_area = int(np.count_nonzero(closed))
+    ratio = only_e / s_area
+    used = ratio < params.ellipse_accept_ratio
+    return RefinedShape(closed, fitted, e_mask, used, iterations, ratio)
+
+
+def assert_same_shape(got, want):
+    assert got.closed_mask.dtype == want.closed_mask.dtype
+    assert got.closed_mask.tobytes() == want.closed_mask.tobytes()
+    assert got.ellipse == want.ellipse  # exact floats
+    if want.ellipse_mask is None:
+        assert got.ellipse_mask is None
+    else:
+        assert got.ellipse_mask.dtype == want.ellipse_mask.dtype
+        assert got.ellipse_mask.tobytes() == want.ellipse_mask.tobytes()
+    assert got.used_ellipse == want.used_ellipse
+    assert got.prune_iterations == want.prune_iterations
+    assert got.final_ratio == want.final_ratio
 
 
 class TestParams:
@@ -173,3 +235,120 @@ class TestRefine:
                 continue
             r = refine(m)
             assert r.prune_iterations <= 15
+
+
+def _arc(w, h, cx, cy, r, thickness, start_deg, span_deg):
+    """Annulus sector: pixels whose centers lie at radius [r, r + thickness]
+    and polar angle [start, start + span] around (cx, cy)."""
+    ys, xs = np.mgrid[0:h, 0:w] + 0.5
+    rr = np.hypot(xs - cx, ys - cy)
+    ang = (np.degrees(np.arctan2(ys - cy, xs - cx)) - start_deg) % 360.0
+    return ((rr >= r) & (rr <= r + thickness) & (ang <= span_deg)).astype(np.uint8)
+
+
+@st.composite
+def refine_inputs(draw):
+    """Binary masks on small frames, often touching the border, with kernels
+    of 1..13 (odd and even) and prune caps of 1..15."""
+    h = draw(st.integers(8, 64))
+    w = draw(st.integers(8, 64))
+    kind = draw(st.sampled_from(["blob", "ellipse", "arc", "protrusion"]))
+    coord = st.floats(-0.25, 1.25)
+    if kind == "blob":
+        patch = draw(arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=st.integers(0, 1)))
+        y = draw(st.integers(-patch.shape[0] + 1, h - 1))
+        x = draw(st.integers(-patch.shape[1] + 1, w - 1))
+        m = np.zeros((h + 32, w + 32), np.uint8)  # margin for placing the patch off-frame
+        m[y + 16 : y + 16 + patch.shape[0], x + 16 : x + 16 + patch.shape[1]] = patch
+        m = m[16:-16, 16:-16]
+    elif kind == "arc":
+        # a thin sector of a large circle: its fitted ellipse overruns the crop
+        m = _arc(
+            w,
+            h,
+            draw(coord) * w,
+            draw(coord) * h,
+            draw(st.floats(6, 90)),
+            draw(st.floats(1, 8)),
+            draw(st.floats(0, 360)),
+            draw(st.floats(15, 240)),
+        )
+    else:
+        a = draw(st.floats(2, 48))
+        e = Ellipse(draw(coord) * w, draw(coord) * h, a, a * draw(st.floats(0.1, 1.0)), draw(st.floats(0, 179.9)))
+        m = rasterize(e, w, h)
+        if kind == "protrusion":
+            for _ in range(draw(st.integers(1, 2))):
+                y, x = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+                m[y : y + draw(st.integers(2, 8)), x : x + draw(st.integers(5, 40))] = 1
+    if not m.any():
+        m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+    params = RefineParams(
+        kernel_w=draw(st.integers(1, 13)),
+        kernel_h=draw(st.integers(1, 13)),
+        max_prune=draw(st.integers(1, 15)),
+    )
+    return m, params
+
+
+class TestCropMatchesFullFrame:
+    @settings(max_examples=250, deadline=None)
+    @given(refine_inputs())
+    def test_every_field_equal(self, case):
+        m, params = case
+        assert_same_shape(refine(m, params), ref_refine(m, params))
+
+    def test_arc_fit_overruns_the_crop(self):
+        # the fitted circle's pixels beyond the arc's box count as ellipse-only
+        m = _arc(160, 160, 80.0, 150.0, 60.0, 4.0, 220.0, 100.0)
+        ys, xs = np.nonzero(m)
+        r = refine(m)
+        assert r.ellipse_mask[: ys.min()].any() or r.ellipse_mask[ys.max() + 1 :].any()
+        assert_same_shape(r, ref_refine(m))
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_protrusion_phantom(self, seed):
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(seed, 256, 256)), phantom.Perturbation(protrusions=1, seed=seed)
+        )
+        for cid in (PS, FH):
+            m = morphology.largest_component(class_mask(labels, cid))
+            assert_same_shape(refine(m), ref_refine(m))
+
+
+class TestCallCounts:
+    """The benchmark's per-layer spans wrap these functions by module attribute;
+    refine must keep calling them once per fit and once per prune round."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_calls_per_structure(self, monkeypatch, seed):
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in [
+            (refine_mod, "prune"),
+            (refine_mod, "protrusion_ratio"),
+            (edges, "canny"),
+            (el, "fit_ams"),
+        ]:
+            counted(module, name)
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(seed, 256, 256)), phantom.Perturbation(protrusions=1, seed=seed)
+        )
+        pruned = 0
+        for cid in (PS, FH):
+            calls.clear()
+            r = refine(morphology.largest_component(class_mask(labels, cid)))
+            n = r.prune_iterations
+            pruned += n
+            assert calls.get("prune", 0) == n
+            assert calls["protrusion_ratio"] == calls["canny"] == calls["fit_ams"] == n + 1
+        assert pruned > 0
