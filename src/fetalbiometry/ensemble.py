@@ -23,35 +23,56 @@ def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
 
 
 def average(members: list[np.ndarray]) -> np.ndarray:
-    """Per-pixel, per-channel arithmetic mean of the members (pairwise reduction)."""
+    """Per-pixel, per-channel arithmetic mean of the members, as float64.
+
+    The members are summed in a fixed pairwise tree, so the result does not
+    depend on accumulation order: the first level adds each pair straight into
+    a new float64 array (an odd last member is copied), later levels add in
+    place into those arrays.  The result never aliases a member.
+    """
     members = _check_members(members)
-    acc = _pairwise_sum([m.astype(np.float64) for m in members])
-    return acc / len(members)
+    n = len(members)
+    sums = [
+        np.add(members[i], members[i + 1], dtype=np.float64) if i + 1 < n else members[i].astype(np.float64)
+        for i in range(0, n, 2)
+    ]
+    while len(sums) > 1:
+        for i in range(0, len(sums) - 1, 2):
+            sums[i] += sums[i + 1]
+        sums = sums[::2]
+    mean = sums[0]
+    mean /= n
+    return mean
 
 
-def _pairwise_sum(arrays: list[np.ndarray]) -> np.ndarray:
-    # fixed tree reduction so results do not depend on accumulation order
-    while len(arrays) > 1:
-        arrays = [
-            arrays[i] + arrays[i + 1] if i + 1 < len(arrays) else arrays[i]
-            for i in range(0, len(arrays), 2)
-        ]
-    return arrays[0]
+def _argmax_channels(p: np.ndarray) -> np.ndarray:
+    """Per-pixel index of the largest channel of an (H, W, C) array.
+
+    Ties go to the lowest index: a later channel wins only when strictly
+    greater, as ``argmax`` decides.
+    """
+    labels = np.zeros(p.shape[:2], np.uint8)
+    best = p[..., 0]
+    for c in range(1, p.shape[2]):
+        win = p[..., c] > best
+        # labels holds indices below c, so raising it to c * win sets exactly the winners
+        np.maximum(labels, win * np.uint8(c), out=labels)
+        best = np.maximum(best, p[..., c])
+    return labels
 
 
 def vote(members: list[np.ndarray]) -> np.ndarray:
     """Per-pixel majority vote of member argmaxes; ties to the lowest class index."""
     members = _check_members(members)
     channels = members[0].shape[2]
-    votes = np.stack([m.argmax(axis=2) for m in members])
-    counts = np.stack([(votes == c).sum(axis=0) for c in range(channels)], axis=0)
-    return validate_label_mask(counts.argmax(axis=0).astype(np.uint8))
+    votes = np.stack([_argmax_channels(m) for m in members])
+    counts = np.stack([(votes == c).sum(axis=0) for c in range(channels)], axis=2)
+    return validate_label_mask(_argmax_channels(counts))
 
 
 def decide(p: np.ndarray) -> np.ndarray:
     """Per-pixel argmax label mask (ties to the lowest class index)."""
-    p = validate_prob_map(p)
-    return validate_label_mask(p.argmax(axis=2).astype(np.uint8))
+    return validate_label_mask(_argmax_channels(validate_prob_map(p)))
 
 
 def decide_cls(v) -> int:

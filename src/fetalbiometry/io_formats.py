@@ -189,6 +189,7 @@ def write_label_mask(mask: np.ndarray, path) -> None:
 
 
 def read_prob_map(path) -> np.ndarray:
+    """Read and validate an FPM file as a read-only float32 (H, W, C) array."""
     with open(path, "rb") as f:
         data = f.read()
     nl = data.find(b"\n")

@@ -56,15 +56,27 @@ def validate_binary_mask(m: np.ndarray) -> np.ndarray:
 
 
 def validate_prob_map(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    p = np.asarray(p, dtype=np.float64)
+    """Check shape, range and channel sums; return ``p`` as a float array.
+
+    A float32 map is returned as it is, without a copy; any other input goes
+    to float64.  Channel sums accumulate in float64, channel by channel in
+    index order.
+    """
+    p = np.asarray(p)
+    if p.dtype != np.float32:
+        p = np.asarray(p, dtype=np.float64)
     if p.ndim != 3 or p.shape[2] not in (2, 3):
         raise ValueError(f"probability map must be (H, W, C) with C in {{2, 3}}, got {p.shape}")
     if p.size:
-        if p.min() < 0.0 or p.max() > 1.0:
+        # written so that NaN, which fails every comparison, is rejected
+        if not (p.min() >= 0.0 and p.max() <= 1.0):
             raise ValueError("probability values must lie in [0, 1]")
-        sums = p.sum(axis=2, dtype=np.float64)
-        err = np.abs(sums - 1.0)
-        if err.max() > tol:
+        sums = np.add(p[..., 0], p[..., 1], dtype=np.float64)
+        for c in range(2, p.shape[2]):
+            sums += p[..., c]
+        # max |s - 1| from the extremes, so the passing path makes no more copies
+        if max(sums.max() - 1.0, 1.0 - sums.min()) > tol:
+            err = np.abs(sums - 1.0)
             y, x = np.unravel_index(int(err.argmax()), err.shape)
             raise ValueError(
                 f"channel sums must equal 1 within {tol}; worst pixel ({x}, {y}) sums to {sums[y, x]:.6g}"

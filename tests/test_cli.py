@@ -146,6 +146,20 @@ class TestEnsemble:
         cfg.write_text(json.dumps({"ensemble_members": 5}))
         assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a.fpm")]) == EXIT_DATA
 
+    def test_nan_member_data_error(self, tmp_path, capsys):
+        good, _ = self.member(tmp_path, "m1.fpm", 0)
+        nan = tmp_path / "nan.fpm"
+        p = read_prob_map(good).copy()
+        p[3, 4] = np.nan
+        nan.write_bytes(b"FPM 8 8 3\n" + p.astype("<f4").tobytes())
+        out = tmp_path / "avg.fpm"
+        assert main(["ensemble", str(good), str(nan), "--out", str(out)]) == EXIT_DATA
+        assert not out.exists()
+        assert "nan.fpm" in capsys.readouterr().err
+        report = tmp_path / "r.csv"
+        assert main(["measure", str(nan), "--out", str(report)]) == EXIT_PARTIAL
+        assert len(report.read_text().splitlines()) == 1
+
     def test_corrupt_member_data_error(self, tmp_path):
         bad = tmp_path / "bad.fpm"
         bad.write_bytes(b"FPM 2 2 3\n" + b"\x00" * 5)

@@ -69,6 +69,17 @@ class TestProbMap:
         back = read_prob_map(path)
         assert np.array_equal(back.astype(np.float32), p.astype(np.float32))
 
+    def test_read_keeps_float32(self, tmp_path):
+        path = tmp_path / "p.fpm"
+        write_prob_map(np.dstack([[[0.25]], [[0.75]]]), path)
+        assert read_prob_map(path).dtype == np.float32
+
+    def test_nan(self, tmp_path):
+        path = tmp_path / "n.fpm"
+        path.write_bytes(b"FPM 2 1 2\n" + np.array([0.5, 0.5, np.nan, 1.0], "<f4").tobytes())
+        with pytest.raises(FormatError, match="must lie in"):
+            read_prob_map(path)
+
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.fpm"
         path.write_bytes(b"FPM 2 2 2\n" + b"\x00" * 10)

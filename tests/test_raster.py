@@ -89,6 +89,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="worst pixel"):
             validate_prob_map(p)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_prob_map_nan(self, dtype):
+        with pytest.raises(ValueError, match="must lie in"):
+            validate_prob_map(np.full((2, 2, 3), np.nan, dtype))
+        p = np.dstack([np.full((2, 2), 0.25), np.full((2, 2), 0.75)]).astype(dtype)
+        p[1, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="must lie in"):
+            validate_prob_map(p)
+
     def test_prob_map_ok(self):
         p = np.dstack([np.full((2, 2), 0.25), np.full((2, 2), 0.75)])
         out = validate_prob_map(p)
