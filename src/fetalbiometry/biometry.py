@@ -16,7 +16,17 @@ import numpy as np
 
 from . import ellipse as el, morphology
 from .errors import EmptyShapeError, MissingStructureError, OverlapError
-from .raster import FH, PS, Point, boundary_mask, centroid, class_mask, pixel_centers, validate_label_mask
+from .raster import (
+    CLASS_NAMES,
+    FH,
+    PS,
+    Point,
+    boundary_mask,
+    bounding_window,
+    centroid,
+    pixel_centers,
+    validate_label_mask,
+)
 from .refine import RefineParams, RefinedShape, refine
 
 _AXIS_TIE_TOL = 1e-9
@@ -50,11 +60,12 @@ class BiometryResult:
             raise ValueError("degenerate symphysis axis")
 
 
-def boundary_points(mask: np.ndarray) -> np.ndarray:
-    """Centers of foreground pixels with a background 4-neighbor or on the border."""
+def boundary_points(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Centers of foreground pixels with a background 4-neighbor or on the border,
+    in the frame where mask's pixel (0, 0) sits at origin."""
     if not mask.any():
         raise EmptyShapeError("mask has no foreground")
-    return pixel_centers(boundary_mask(mask))
+    return pixel_centers(boundary_mask(mask), origin)
 
 
 def convex_hull(points: np.ndarray) -> np.ndarray:
@@ -64,17 +75,28 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
+    # a point strictly between two others of its row is never a strict vertex,
+    # and the chain drops collinear points anyway: keep each row's two ends
+    by_row = np.lexsort((pts[:, 0], pts[:, 1]))
+    new_row = np.flatnonzero(np.diff(pts[by_row, 1])) + 1
+    keep = np.zeros(len(pts), dtype=bool)
+    keep[by_row[np.r_[0, new_row]]] = True
+    keep[by_row[np.r_[new_row - 1, len(pts) - 1]]] = True
+    seq = pts[keep].tolist()
 
     def build(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and _cross2(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = out[-2], out[-1]
+                if (ax - ox) * (p[1] - oy) - (ay - oy) * (p[0] - ox) > 0:
+                    break
                 out.pop()
             out.append(p)
         return out
 
-    lower = build(pts)
-    upper = build(pts[::-1])
+    lower = build(seq)
+    upper = build(seq[::-1])
     return np.array(lower[:-1] + upper[:-1])
 
 
@@ -106,15 +128,15 @@ def _orient(p1: Point, p2: Point, fh_centroid: Point) -> tuple[Point, Point]:
     return p1, p2
 
 
-def _mask_axis_endpoints(mask: np.ndarray, fh_centroid: Point) -> tuple[Point, Point]:
-    """(proximal, apex) of the symphysis axis taken as the mask's diameter."""
-    return _orient(*_diameter_endpoints(boundary_points(mask)), fh_centroid)
+def _mask_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
+    """(proximal, apex) of the symphysis axis taken as the closed mask's diameter."""
+    return _orient(*_diameter_endpoints(boundary_points(*ps.closed_window)), fh_centroid)
 
 
 def ps_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
     """(proximal, apex) of the symphysis axis; apex is the end nearer the head."""
     if not ps.used_ellipse:
-        return _mask_axis_endpoints(ps.closed_mask, fh_centroid)
+        return _mask_axis_endpoints(ps, fh_centroid)
     e = ps.ellipse
     theta = 0.0 if (e.a - e.b) / e.a < _AXIS_TIE_TOL else math.radians(e.theta_deg)
     dx, dy = e.a * math.cos(theta), e.a * math.sin(theta)
@@ -145,7 +167,7 @@ def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, 
         t1, t2 = el.external_tangents(fh.ellipse, (apex.x, apex.y))
         tangent = max((t1, t2), key=lambda t: _angle_at(apex, proximal, t))
     else:
-        hull = convex_hull(boundary_points(fh.closed_mask))
+        hull = convex_hull(boundary_points(*fh.closed_window))
         idx = max(range(len(hull)), key=lambda i: _angle_at(apex, proximal, hull[i]))
         tangent = hull[idx]
         # supporting-line check: the hull must not straddle the apex-tangent line
@@ -159,12 +181,32 @@ def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, 
     return angle, Point(float(tangent[0]), float(tangent[1]))
 
 
-def compute_hsd(fh_closed: np.ndarray, apex: Point) -> tuple[float, Point]:
-    """Min distance from the apex to the fetal-head boundary, and the arg-min point."""
-    pts = boundary_points(fh_closed)
+def compute_hsd(fh_closed: np.ndarray, apex: Point, origin: tuple[int, int] = (0, 0)) -> tuple[float, Point]:
+    """Min distance from the apex to the fetal-head boundary, and the arg-min point.
+
+    fh_closed may be a window of the frame, its pixel (0, 0) at origin."""
+    pts = boundary_points(fh_closed, origin)
     d = np.hypot(pts[:, 0] - apex.x, pts[:, 1] - apex.y)
     i = int(np.argmin(d))
     return float(d[i]), Point(float(pts[i, 0]), float(pts[i, 1]))
+
+
+def _class_window(labels: np.ndarray, c: int) -> tuple[int, int, np.ndarray]:
+    """(x0, y0, window) of the bounding box of class c's pixels."""
+    win = bounding_window(labels == c)
+    if win is None:
+        raise MissingStructureError(CLASS_NAMES[c])
+    return win
+
+
+def _refine_largest(win: tuple[int, int, np.ndarray], frame: tuple[int, int], params: RefineParams) -> RefinedShape:
+    """Refine the largest component of a class window.
+
+    The window holds every pixel of its class and is a sub-rectangle of the
+    frame, so its row-major order is the frame's and the tie rule holds.
+    """
+    x0, y0, m = win
+    return refine(morphology.largest_component(m), params, origin=(x0, y0), frame=frame)
 
 
 def measure_frame(labels: np.ndarray, params: RefineParams = RefineParams()) -> BiometryResult:
@@ -178,16 +220,14 @@ def measure_frame_detailed(
 ) -> tuple[BiometryResult, RefinedShape, RefinedShape]:
     """As measure_frame, but also returns the refined PS and FH shapes."""
     labels = validate_label_mask(labels)
-    ps_raw = class_mask(labels, PS)
-    fh_raw = class_mask(labels, FH)
-    if not ps_raw.any():
-        raise MissingStructureError("PS")
-    if not fh_raw.any():
-        raise MissingStructureError("FH")
-    ps_ref = refine(morphology.largest_component(ps_raw), params)
-    fh_ref = refine(morphology.largest_component(fh_raw), params)
+    frame = (labels.shape[1], labels.shape[0])
+    # the class boxes are the only full-frame reads; all else runs in windows
+    ps_win = _class_window(labels, PS)
+    fh_win = _class_window(labels, FH)
+    ps_ref = _refine_largest(ps_win, frame, params)
+    fh_ref = _refine_largest(fh_win, frame, params)
 
-    fh_centroid = centroid(fh_ref.closed_mask)
+    fh_centroid = centroid(*fh_ref.closed_window)
     proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)
     aop, tangent = compute_aop(proximal, apex, fh_ref)
 
@@ -195,8 +235,9 @@ def measure_frame_detailed(
     # already used unless the PS ellipse was accepted
     hsd_apex = apex
     if ps_ref.used_ellipse:
-        _, hsd_apex = _mask_axis_endpoints(ps_ref.closed_mask, fh_centroid)
-    hsd, head_point = compute_hsd(fh_ref.closed_mask, hsd_apex)
+        _, hsd_apex = _mask_axis_endpoints(ps_ref, fh_centroid)
+    fh_window, fh_origin = fh_ref.closed_window
+    hsd, head_point = compute_hsd(fh_window, hsd_apex, fh_origin)
 
     result = BiometryResult(
         aop_deg=aop,

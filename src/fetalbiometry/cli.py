@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -267,7 +268,10 @@ def _add_refine_flags(parser) -> None:
         parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and reused: parse_args starts
+    each call from a fresh namespace, so no value carries over."""
     parser = _Parser(prog="fetalbiometry")
     sub = parser.add_subparsers(dest="command", required=True)
 

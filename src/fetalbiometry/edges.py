@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from . import morphology
 from .errors import NoEdgesError
 from .raster import validate_binary_mask
 
@@ -82,11 +81,15 @@ def extract_chains(edges: np.ndarray) -> list[EdgeChain]:
     The chains partition the edge pixels and come in row-major order of their
     first pixel.
     """
-    chains = []
-    for _, comp, _ in morphology.connected_components(edges):
-        ys, xs = np.nonzero(comp)
-        chains.append(EdgeChain(tuple(zip(xs.tolist(), ys.tolist()))))
-    return chains
+    edges = validate_binary_mask(edges)
+    labels, n = ndimage.label(edges, structure=_EIGHT_CONN)
+    idx = np.flatnonzero(labels)
+    ids = labels.ravel()[idx]
+    # a stable sort by label keeps each component's pixels in row-major order
+    ys, xs = np.divmod(idx[np.argsort(ids, kind="stable")], edges.shape[1])
+    xs, ys = xs.tolist(), ys.tolist()
+    ends = np.cumsum(np.bincount(ids, minlength=n + 1)[1:]).tolist()
+    return [EdgeChain(tuple(zip(xs[start:end], ys[start:end]))) for start, end in zip([0] + ends[:-1], ends)]
 
 
 def longest_chain(chains: list[EdgeChain]) -> EdgeChain:

@@ -35,10 +35,6 @@ class Ellipse:
         if not (0.0 <= self.theta_deg < 180.0):
             raise ValueError(f"theta must lie in [0, 180), got {self.theta_deg}")
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
-
     def to_local(self, pts: np.ndarray) -> np.ndarray:
         """Rotate/translate world points into the axis-aligned ellipse frame."""
         t = math.radians(self.theta_deg)

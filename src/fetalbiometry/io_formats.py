@@ -26,8 +26,6 @@ from .raster import validate_label_mask, validate_prob_map
 _PALETTE = {0: 0, 127: 1, 255: 2, 1: 1, 2: 2}
 _PALETTE_OUT = np.array([0, 127, 255], dtype=np.uint8)
 
-FPM_READ_SUM_TOL = 1e-3
-
 
 @dataclass
 class FrameRecord:
@@ -213,7 +211,7 @@ def read_prob_map(path) -> np.ndarray:
         )
     arr = np.frombuffer(payload, dtype="<f4").reshape(height, width, channels)
     try:
-        return validate_prob_map(arr, tol=FPM_READ_SUM_TOL)
+        return validate_prob_map(arr)
     except ValueError as e:
         raise FormatError(str(e))
 

@@ -14,8 +14,7 @@ Channel order is (background, PS, FH) for 3 channels and
 
 from __future__ import annotations
 
-import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -27,7 +26,9 @@ FH = 2
 
 CLASS_NAMES = {PS: "PS", FH: "FH"}
 
-PROB_SUM_TOL = 1e-4
+# the file tolerance documented for FPM maps; every later check of a map read
+# from a file uses it too, so nothing the reader accepts is rejected downstream
+PROB_SUM_TOL = 1e-3
 
 
 class Point(NamedTuple):
@@ -110,10 +111,13 @@ def mask_set_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     return only_a, only_b, both
 
 
-def pixel_centers(mask: np.ndarray) -> np.ndarray:
-    """(N, 2) array of (x, y) centers of the foreground pixels, row-major order."""
+def pixel_centers(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """(N, 2) array of (x, y) centers of the foreground pixels, row-major order.
+
+    Pixel (x, y) of mask is pixel (x + origin[0], y + origin[1]) of its frame.
+    """
     ys, xs = np.nonzero(mask)
-    return np.column_stack([xs + 0.5, ys + 0.5])
+    return np.column_stack([xs + origin[0] + 0.5, ys + origin[1] + 0.5])
 
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
@@ -124,14 +128,24 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return m & ~interior
 
 
-def centroid(mask: np.ndarray) -> Point:
+def bounding_window(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Optional[tuple[int, int, np.ndarray]]:
+    """(x0, y0, window): mask trimmed to the bounding box of its foreground.
+
+    The window is a view of mask; (x0, y0) is its top-left pixel in the frame
+    in which mask's pixel (0, 0) sits at origin.  None when mask is empty.
+    """
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    r0, r1, c0, c1 = int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+    return origin[0] + c0, origin[1] + r0, mask[r0:r1, c0:c1]
+
+
+def centroid(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Point:
+    """Mean pixel center of the foreground, in the frame of ``pixel_centers``."""
     ys, xs = np.nonzero(mask)
     if xs.size == 0:
         raise ValueError("centroid of an empty mask is undefined")
-    return Point(float(xs.mean() + 0.5), float(ys.mean() + 0.5))
-
-
-def finite_point(p: Point) -> Point:
-    if not (math.isfinite(p.x) and math.isfinite(p.y)):
-        raise ValueError(f"point has non-finite coordinates: {p}")
-    return p
+    # shift the integer indices, not the mean, so a window gives the frame's floats
+    return Point(float((xs + origin[0]).mean() + 0.5), float((ys + origin[1]).mean() + 0.5))

@@ -13,7 +13,7 @@ import numpy as np
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .io_formats import dataclass_from_json
-from .raster import mask_set_counts, require_same_shape, validate_binary_mask
+from .raster import bounding_window, mask_set_counts, require_same_shape, validate_binary_mask
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,26 @@ class RefinedShape:
     used_ellipse: bool
     prune_iterations: int
     final_ratio: float
+    # (x0, y0, x1, y1) frame box holding closed_mask's foreground with at least
+    # 1 px of background on every side that is not the frame edge; whole frame
+    # when not given
+    box: Optional[tuple[int, int, int, int]] = None
 
     def __post_init__(self):
         if self.prune_iterations < 0:
             raise ValueError("prune_iterations must be >= 0")
         if self.used_ellipse and self.ellipse is None:
             raise ValueError("used_ellipse requires a fitted ellipse")
+        if self.box is None:
+            h, w = self.closed_mask.shape
+            self.box = (0, 0, w, h)
+
+    @property
+    def closed_window(self) -> tuple[np.ndarray, tuple[int, int]]:
+        """(window, origin) of closed_mask over box: its boundary pixels and
+        their order are the frame's, because the margin is background."""
+        x0, y0, x1, y1 = self.box
+        return self.closed_mask[y0:y1, x0:x1], (x0, y0)
 
     @property
     def selected_mask(self) -> np.ndarray:
@@ -99,10 +113,13 @@ def prune(s: np.ndarray, e: el.Ellipse, d: float, *, origin: tuple[int, int] = (
     return out
 
 
-def _crop_box(raw: np.ndarray, kernel: morphology.StructuringElement) -> tuple[int, int, int, int]:
-    """(x0, y0, x1, y1) of the box in which closing and Canny of raw are exact.
+def _crop_box(
+    core: tuple[int, int, np.ndarray], frame: tuple[int, int], kernel: morphology.StructuringElement
+) -> tuple[int, int, int, int]:
+    """(x0, y0, x1, y1) of the box in which closing and Canny of a mask are exact.
 
-    The closed mask lies inside raw's bounding box B: a pixel right of B
+    core is the (x0, y0, window) of the mask's bounding box B on the
+    (width, height) frame.  The closed mask lies inside B: a pixel right of B
     cannot be closed, because its shift by the kernel's largest dx misses the
     dilation, and likewise on the other sides.  Erosion at a pixel of B reads
     the dilation up to the kernel's reach away, so B padded by the reach
@@ -113,17 +130,11 @@ def _crop_box(raw: np.ndarray, kernel: morphology.StructuringElement) -> tuple[i
     alike.  Where the padded box meets the image edge, the crop edge is the
     image edge and "outside = background" holds as before.
     """
-    rows = np.flatnonzero(raw.any(axis=1))
-    cols = np.flatnonzero(raw.any(axis=0))
+    x, y, m = core
     reach = max(max(abs(dx), abs(dy)) for dx, dy in kernel.offsets)
     pad = max(reach, 1)
-    h, w = raw.shape
-    return (
-        max(0, int(cols[0]) - pad),
-        max(0, int(rows[0]) - pad),
-        min(w, int(cols[-1]) + 1 + pad),
-        min(h, int(rows[-1]) + 1 + pad),
-    )
+    w, h = frame
+    return max(0, x - pad), max(0, y - pad), min(w, x + m.shape[1] + pad), min(h, y + m.shape[0] + pad)
 
 
 def _paste(window: tuple[int, int, np.ndarray], box: tuple[int, int, int, int]) -> np.ndarray:
@@ -157,23 +168,34 @@ def _fit_boundary(
     return fitted, el.raster_window(fitted, *frame)
 
 
-def refine(raw: np.ndarray, params: RefineParams = RefineParams()) -> RefinedShape:
+def refine(
+    raw: np.ndarray,
+    params: RefineParams = RefineParams(),
+    *,
+    origin: tuple[int, int] = (0, 0),
+    frame: Optional[tuple[int, int]] = None,
+) -> RefinedShape:
     """Run the closing / fitting / pruning / decision sequence on one structure.
 
-    Everything runs inside the structure's padded bounding box (``_crop_box``);
-    the returned masks are full-frame.
+    raw is a window of a (width, height) frame, its pixel (0, 0) at origin;
+    by default the frame is raw itself.  Everything runs inside the
+    structure's padded bounding box (``_crop_box``); the returned masks are
+    full-frame.
     """
     raw = validate_binary_mask(raw)
-    if not raw.any():
+    w, h = frame or (raw.shape[1], raw.shape[0])
+    # trimmed to the foreground: a window may hold pixels outside the padded box
+    core = bounding_window(raw, origin)
+    if core is None:
         raise EmptyShapeError("cannot refine an empty mask")
-    h, w = raw.shape
     kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
-    x0, y0, x1, y1 = _crop_box(raw, kernel)
-    crop = raw[y0:y1, x0:x1]
+    box = _crop_box(core, (w, h), kernel)
+    x0, y0 = box[:2]
+    crop = _paste(core, box)
     closed = morphology.close(crop, kernel)
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border
-        closed = crop.copy()
+        closed = crop
     closed_win = (x0, y0, closed)
     closed_mask = _paste(closed_win, (0, 0, w, h))
     s_mask = closed
@@ -188,10 +210,11 @@ def refine(raw: np.ndarray, params: RefineParams = RefineParams()) -> RefinedSha
             fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h), params)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
-        return RefinedShape(closed_mask, None, None, False, iterations, math.inf)
+        return RefinedShape(closed_mask, None, None, False, iterations, math.inf, box)
     # decision rule against the hole-closed (pre-prune) mask
     only_e, _, _ = mask_set_counts(*_joint(e_win, closed_win))
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
     used = ratio < params.ellipse_accept_ratio
-    return RefinedShape(closed_mask, fitted, el.rasterize(fitted, w, h), used, iterations, ratio)
+    # the full-frame ellipse mask is the final fit's raster window, pasted
+    return RefinedShape(closed_mask, fitted, _paste(e_win, (0, 0, w, h)), used, iterations, ratio, box)

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from fetalbiometry import phantom
+from fetalbiometry.biometry import measure_frame
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.io_formats import (
+    MeasurementReport,
     read_label_mask,
     read_prob_map,
     write_greymap,
     write_label_mask,
     write_prob_map,
+    write_report_csv,
 )
+from fetalbiometry.refine import RefineParams
 
 
 def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
@@ -101,6 +105,25 @@ class TestMeasure:
         fields = dict(zip(header.split(","), row.split(",")))
         assert int(fields["prune_iters_ps"]) > 15
 
+    def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
+        # the parser is built once per process; each call must parse afresh.
+        # On this frame --max-prune 40 changes the row (see the test above).
+        labels = phantom.render(phantom.random_scene(0, 256, 256))
+        labels = phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0))
+        inp = tmp_path / "frame0.pgm"
+        write_label_mask(labels, inp)
+        rows = []
+        for argv, params in [(["--max-prune", "40"], RefineParams(max_prune=40)), ([], RefineParams())]:
+            r = measure_frame(labels, params)
+            fields = (r.aop_deg, r.hsd_px, r.used_ellipse_ps, r.used_ellipse_fh, r.prune_iters_ps, r.prune_iters_fh)
+            want = tmp_path / "want.csv"
+            write_report_csv([MeasurementReport("frame0", *fields)], want)
+            out = tmp_path / "r.csv"
+            assert main(["measure", str(inp), *argv, "--out", str(out)]) == EXIT_OK
+            assert out.read_bytes() == want.read_bytes()
+            rows.append(out.read_bytes())
+        assert rows[0] != rows[1]
+
 
 class TestEnsemble:
     @staticmethod
@@ -159,6 +182,21 @@ class TestEnsemble:
         report = tmp_path / "r.csv"
         assert main(["measure", str(nan), "--out", str(report)]) == EXIT_PARTIAL
         assert len(report.read_text().splitlines()) == 1
+
+    def test_sum_within_file_tolerance_accepted(self, tmp_path):
+        # one pixel sums to 1.0005: inside the documented 1e-3 file tolerance,
+        # so every command that reads the map must accept it
+        labels = np.array([[1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 2, 2], [0, 0, 2, 2]])
+        p = np.where(labels[..., None] == np.arange(3), 0.9, 0.05)
+        p[1, 1, 0] += 0.0005
+        fpm = tmp_path / "f.fpm"
+        fpm.write_bytes(b"FPM 4 4 3\n" + p.astype("<f4").tobytes())
+        f = str(fpm)
+        assert main(["ensemble", f, "--out", str(tmp_path / "o.fpm")]) == EXIT_OK
+        assert main(["ensemble", f, "--decide-out", str(tmp_path / "d.pgm")]) == EXIT_OK
+        assert main(["ensemble", f, "--vote", "--out", str(tmp_path / "v.pgm")]) == EXIT_OK
+        assert read_label_mask(tmp_path / "d.pgm").tolist() == labels.tolist()
+        assert main(["measure", f, "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
     def test_corrupt_member_data_error(self, tmp_path):
         bad = tmp_path / "bad.fpm"
