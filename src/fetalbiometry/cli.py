@@ -12,7 +12,6 @@ import dataclasses
 import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -68,51 +67,30 @@ def _load_labels(path):
 
 
 def cmd_measure(args) -> int:
+    """Measure the inputs one at a time; only each frame's report row is kept.
+    --jobs is accepted and ignored."""
     config = _load_config(args.config)
     params = _refine_params(config, args)
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
         return EXIT_USAGE
-
-    def work(path):
-        labels = _load_labels(path)
-        return measure_frame_detailed(labels, params), labels
-
-    failures = []
-    results = [None] * len(inputs)
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as ex:
-        futures = {i: ex.submit(work, p) for i, p in enumerate(inputs)}
-        for i, fut in futures.items():
-            try:
-                results[i] = fut.result()
-            except (FetalBiometryError, OSError, ValueError) as e:
-                failures.append((inputs[i], e))
-                print(f"error: {inputs[i]}: {e}", file=sys.stderr)
-
     rows = []
-    for i, item in enumerate(results):
-        if item is None:
+    for path in inputs:
+        try:
+            labels = _load_labels(path)
+            res, ps_ref, fh_ref = measure_frame_detailed(labels, params)
+            flags = (res.used_ellipse_ps, res.used_ellipse_fh, res.prune_iters_ps, res.prune_iters_fh)
+            rows.append(io_formats.MeasurementReport(path.stem, res.aop_deg, res.hsd_px, *flags))
+        except (FetalBiometryError, OSError, ValueError) as e:
+            print(f"error: {path}: {e}", file=sys.stderr)
             continue
-        (res, ps_ref, fh_ref), labels = item
-        rows.append(
-            io_formats.MeasurementReport(
-                frame=inputs[i].stem,
-                aop_deg=res.aop_deg,
-                hsd_px=res.hsd_px,
-                used_ellipse_ps=res.used_ellipse_ps,
-                used_ellipse_fh=res.used_ellipse_fh,
-                prune_iters_ps=res.prune_iters_ps,
-                prune_iters_fh=res.prune_iters_fh,
-            )
-        )
         if args.emit_overlays:
             out_dir = Path(args.emit_overlays)
             out_dir.mkdir(parents=True, exist_ok=True)
-            img = overlay.render_overlay(labels, res, (ps_ref, fh_ref))
-            overlay.write_ppm(img, out_dir / f"{inputs[i].stem}.ppm")
+            overlay.write_ppm(overlay.render_overlay(labels, res, (ps_ref, fh_ref)), out_dir / f"{path.stem}.ppm")
     io_formats.write_report_csv(rows, args.out)
-    return EXIT_PARTIAL if failures else EXIT_OK
+    return EXIT_PARTIAL if len(rows) < len(inputs) else EXIT_OK
 
 
 def cmd_ensemble(args) -> int:
@@ -194,22 +172,45 @@ def cmd_metrics(args) -> int:
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def _parse_perturb(spec: str) -> dict:
-    out = {}
-    for part in spec.split(","):
-        if not part:
-            continue
-        key, _, val = part.partition("=")
-        out[key.strip()] = float(val)
-    return out
+# --perturb keys and the Perturbation fields they set, typed like their defaults
+_PERTURB_KEYS = {"holes": "holes", "protrusions": "protrusions", "noise": "boundary_noise", "seed": "seed"}
+
+
+def _perturbation(spec: str) -> dict:
+    """--perturb "holes=2,noise=1.5" as Perturbation keyword arguments."""
+    kwargs = {}
+    try:
+        for part in filter(None, spec.split(",")):
+            key, _, val = part.partition("=")
+            name = _PERTURB_KEYS[key.strip()]
+            kwargs[name] = type(getattr(phantom.Perturbation, name))(val)
+        phantom.Perturbation(**kwargs)
+    except KeyError as e:
+        raise argparse.ArgumentTypeError(f"unknown key {e}, expected {', '.join(_PERTURB_KEYS)}")
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(f"{spec!r}: {e}")
+    return kwargs
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
 
 
 def cmd_phantom(args) -> int:
+    try:  # every scene is placed before any file is written
+        scenes = [phantom.random_scene(seed, args.size, args.size) for seed in range(args.seed, args.seed + args.count)]
+    except RuntimeError as e:
+        print(f"error: {e} at --size {args.size}", file=sys.stderr)
+        return EXIT_USAGE
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seeds = range(args.seed, args.seed + args.count)
-    for seed in seeds:
-        scene = phantom.random_scene(seed, args.size, args.size)
+    for seed, scene in enumerate(scenes, start=args.seed):
         aop, hsd = phantom.analytic_biometry(scene)
         labels = phantom.render(scene)
         stem = out_dir / f"phantom_{seed:04d}"
@@ -219,13 +220,7 @@ def cmd_phantom(args) -> int:
             json.dump(sidecar, f, indent=2, sort_keys=True)
             f.write("\n")
         if args.perturb:
-            opts = _parse_perturb(args.perturb)
-            p = phantom.Perturbation(
-                holes=int(opts.get("holes", 0)),
-                protrusions=int(opts.get("protrusions", 0)),
-                boundary_noise=opts.get("noise", 0.0),
-                seed=int(opts.get("seed", seed)),
-            )
+            p = phantom.Perturbation(**{"seed": seed, **args.perturb})
             io_formats.write_label_mask(phantom.perturb(labels, p), f"{stem}_perturbed.pgm")
     return EXIT_OK
 
@@ -250,10 +245,13 @@ def cmd_sample(args) -> int:
             if not line:
                 continue
             parts = line.split(",")
-            if len(parts) != 3:
-                print(f"error: {args.videos}:{lineno}: expected video_id,length,label", file=sys.stderr)
+            try:
+                if len(parts) != 3 or int(parts[1]) < 0:
+                    raise ValueError
+                videos.append((parts[0], int(parts[1]), int(parts[2])))
+            except ValueError:
+                print(f"error: {args.videos}:{lineno}: expected video_id,length>=0,label", file=sys.stderr)
                 return EXIT_DATA
-            videos.append((parts[0], int(parts[1]), int(parts[2])))
     plan = dataprep.sparse_sample(videos, args.npos, args.nneg, args.seed)
     with open(args.out, "w") as f:
         for vid, frames in plan.frames.items():
@@ -279,7 +277,7 @@ def build_parser() -> _Parser:
     m.add_argument("inputs", nargs="*")
     m.add_argument("--config")
     m.add_argument("--out", required=True)
-    m.add_argument("--jobs", type=int, default=1)
+    m.add_argument("--jobs", type=int, default=1, help="ignored: frames are measured one at a time")
     m.add_argument("--emit-overlays", metavar="DIR")
     _add_refine_flags(m)
     m.set_defaults(func=cmd_measure)
@@ -303,10 +301,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("phantom", help="generate synthetic scenes with analytic biometry")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
-    p.add_argument("--size", type=int, default=512)
+    p.add_argument("--count", type=_positive_int, default=1)
+    p.add_argument("--size", type=_positive_int, default=512)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--perturb", help="e.g. holes=2,protrusions=1,noise=1.5")
+    p.add_argument("--perturb", type=_perturbation, help="e.g. holes=2,protrusions=1,noise=1.5,seed=7")
     p.set_defaults(func=cmd_phantom)
 
     a = sub.add_parser("augment", help="apply the stochastic augmentation pipeline")
@@ -321,8 +319,8 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sample", help="sparse-sample frames from video listings")
     s.add_argument("--videos", required=True, help="CSV of video_id,length,label")
-    s.add_argument("--npos", type=int, default=5)
-    s.add_argument("--nneg", type=int, default=8)
+    s.add_argument("--npos", type=_positive_int, default=5)
+    s.add_argument("--nneg", type=_positive_int, default=8)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)

@@ -203,13 +203,12 @@ def read_prob_map(path) -> np.ndarray:
     if width < 1 or height < 1 or channels not in (2, 3):
         raise FormatError(f"bad geometry {width}x{height}x{channels}")
     expected = width * height * channels * 4
-    payload = data[nl + 1 : nl + 1 + expected]
-    if len(payload) < expected:
+    if len(data) - (nl + 1) < expected:
         raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(payload)}",
-            byte_offset=nl + 1 + len(payload),
+            f"truncated payload: expected {expected} bytes, got {len(data) - (nl + 1)}",
+            byte_offset=len(data),
         )
-    arr = np.frombuffer(payload, dtype="<f4").reshape(height, width, channels)
+    arr = np.frombuffer(data, dtype="<f4", count=expected // 4, offset=nl + 1).reshape(height, width, channels)
     try:
         return validate_prob_map(arr)
     except ValueError as e:
@@ -221,7 +220,7 @@ def write_prob_map(p: np.ndarray, path) -> None:
     height, width, channels = p.shape
     with open(path, "wb") as f:
         f.write(b"FPM %d %d %d\n" % (width, height, channels))
-        f.write(p.astype("<f4", copy=False).tobytes())
+        f.write(np.ascontiguousarray(p, dtype="<f4"))
 
 
 REPORT_COLUMNS = (

@@ -61,8 +61,8 @@ class Perturbation:
     classes: tuple[int, ...] = (PS, FH)
 
     def __post_init__(self):
-        if self.holes < 0 or self.protrusions < 0 or self.boundary_noise < 0:
-            raise ValueError("perturbation sizes must be nonnegative")
+        if self.holes < 0 or self.protrusions < 0 or not 0 <= self.boundary_noise < math.inf:
+            raise ValueError("perturbation sizes must be nonnegative and finite")
         if self.hole_radius[0] > self.hole_radius[1] or self.protrusion_size[0] > self.protrusion_size[1]:
             raise ValueError("ranges must be ordered")
 

@@ -1,10 +1,12 @@
 import json
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from fetalbiometry import phantom
-from fetalbiometry.biometry import measure_frame
+from fetalbiometry import cli, phantom
+from fetalbiometry.biometry import measure_frame, measure_frame_detailed
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.io_formats import (
     MeasurementReport,
@@ -62,6 +64,51 @@ class TestMeasure:
         assert main(["measure", *inputs, "--jobs", "1", "--out", str(out1)]) == EXIT_OK
         assert main(["measure", *inputs, "--jobs", "8", "--out", str(out8)]) == EXIT_OK
         assert out1.read_bytes() == out8.read_bytes()
+
+    def test_frames_measured_on_the_calling_thread_in_input_order(self, tmp_path, monkeypatch):
+        inputs = [make_scene_file(tmp_path, f"f{i}.pgm", seed=i + 1) for i in range(3)]
+        calls = []
+
+        def spy(labels, params):
+            calls.append((threading.get_ident(), labels))
+            return measure_frame_detailed(labels, params)
+
+        monkeypatch.setattr(cli, "measure_frame_detailed", spy)
+        assert main(["measure", *map(str, inputs), "--jobs", "2", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert [ident for ident, _ in calls] == [threading.get_ident()] * 3
+        for (_, labels), path in zip(calls, inputs):
+            assert np.array_equal(labels, read_label_mask(path))
+
+    def test_peak_memory_does_not_grow_with_the_batch(self, tmp_path):
+        # only report rows outlive their frame, so 8 frames peak like 1
+        inputs = [str(make_scene_file(tmp_path, f"f{i}.pgm", seed=i + 1)) for i in range(8)]
+        out = str(tmp_path / "r.csv")
+        assert main(["measure", inputs[0], "--out", out]) == EXIT_OK  # warm-up: one-time allocations
+
+        def peak(paths):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["measure", *paths, "--out", out]) == EXIT_OK
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(inputs) < 2 * peak(inputs[:1])
+
+    def test_emit_overlays_one_per_good_frame(self, tmp_path):
+        good = [make_scene_file(tmp_path, f"good{i}.pgm", seed=i + 1) for i in range(2)]
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n2 2\n255\n" + bytes([9, 0, 0, 0]))
+        overlays = tmp_path / "overlays"
+        argv = ["measure", str(good[0]), str(bad), str(good[1]), "--emit-overlays", str(overlays)]
+        assert main([*argv, "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
+        assert sorted(p.name for p in overlays.iterdir()) == ["good0.ppm", "good1.ppm"]
+        for path in good:
+            h, w = read_label_mask(path).shape
+            header = b"P6\n%d %d\n255\n" % (w, h)
+            data = (overlays / f"{path.stem}.ppm").read_bytes()
+            assert data.startswith(header) and len(data) == len(header) + 3 * w * h
 
     def test_no_inputs_usage(self, tmp_path):
         assert main(["measure", "--out", str(tmp_path / "r.csv")]) == EXIT_USAGE
@@ -276,6 +323,30 @@ class TestPhantom:
         pert = read_label_mask(out_dir / "phantom_0005_perturbed.pgm")
         assert not np.array_equal(clean, pert)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--perturb", "holes=x"],
+            ["--perturb", "holes=-1"],
+            ["--perturb", "hole=2"],
+            ["--perturb", "noise=nan"],
+            ["--perturb", "noise=inf"],
+            ["--size", "0"],
+            ["--size", "40"],  # no scene fits
+            ["--count", "-2"],
+        ],
+        ids=["holes=x", "holes=-1", "hole=2", "noise=nan", "noise=inf", "size0", "size40", "count-2"],
+    )
+    def test_bad_argument_writes_nothing(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "scenes"
+        try:
+            rc = main(["phantom", "--size", "256", "--out-dir", str(out_dir), *argv])
+        except SystemExit as e:
+            rc = e.code
+        assert rc == EXIT_USAGE
+        assert "error:" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestAugment:
     def test_round_trip_deterministic(self, tmp_path):
@@ -349,6 +420,31 @@ class TestSample:
         videos.write_text("vidA,120\n")
         rc = main(["sample", "--videos", str(videos), "--out", str(tmp_path / "p.csv")])
         assert rc == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "listing, argv, code",
+        [
+            ("vidA,12.5,1\n", [], EXIT_DATA),
+            ("vidA,-3,1\n", [], EXIT_DATA),
+            ("vidA,120,1\n", ["--npos", "-1"], EXIT_USAGE),
+            ("vidA,120,1\n", ["--nneg", "0"], EXIT_USAGE),
+        ],
+        ids=["non-integer-length", "negative-length", "npos-1", "nneg0"],
+    )
+    def test_bad_input_writes_nothing(self, tmp_path, capsys, listing, argv, code):
+        videos = tmp_path / "videos.csv"
+        videos.write_text("vidB,200,0\n" + listing)
+        out = tmp_path / "p.csv"
+        try:
+            rc = main(["sample", "--videos", str(videos), *argv, "--out", str(out)])
+        except SystemExit as e:
+            rc = e.code
+        assert rc == code
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        if code == EXIT_DATA:
+            assert f"{videos}:2:" in err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -86,6 +86,22 @@ class TestProbMap:
         with pytest.raises(FormatError, match="truncated"):
             read_prob_map(path)
 
+    def test_truncated_reports_bytes_and_offset(self, tmp_path):
+        path = tmp_path / "t.fpm"
+        path.write_bytes(b"FPM 2 2 2\n" + b"\x00" * 10)
+        with pytest.raises(FormatError, match="expected 32 bytes, got 10") as exc:
+            read_prob_map(path)
+        assert exc.value.byte_offset == 20  # end of file
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, ">f4"])
+    def test_written_bytes_are_the_little_endian_payload(self, tmp_path, dtype):
+        rng = np.random.default_rng(3)
+        raw = rng.random((6, 9, 3)) + 1e-3
+        p = (raw / raw.sum(axis=2, keepdims=True)).astype(dtype)[::2, ::3]  # strided view
+        path = tmp_path / "p.fpm"
+        write_prob_map(p, path)
+        assert path.read_bytes() == b"FPM 3 3 3\n" + p.astype("<f4").tobytes()
+
     def test_bad_sum(self, tmp_path):
         path = tmp_path / "s.fpm"
         payload = np.array([0.5, 0.4], "<f4").tobytes()
