@@ -208,20 +208,25 @@ def cmd_phantom(args) -> int:
     except RuntimeError as e:
         print(f"error: {e} at --size {args.size}", file=sys.stderr)
         return EXIT_USAGE
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    frames = []  # every frame too, so a perturbation that cannot be placed leaves no file
     for seed, scene in enumerate(scenes, start=args.seed):
         aop, hsd = phantom.analytic_biometry(scene)
-        labels = phantom.render(scene)
-        stem = out_dir / f"phantom_{seed:04d}"
-        io_formats.write_label_mask(labels, f"{stem}.pgm")
         sidecar = {"seed": seed, "scene": scene.to_dict(), "aop_deg": aop, "hsd_px": hsd}
+        labels = phantom.render(scene)
+        perturbed = None
+        if args.perturb:
+            perturbed = phantom.perturb(labels, phantom.Perturbation(**{"seed": seed, **args.perturb}))
+        frames.append((sidecar, labels, perturbed))
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for sidecar, labels, perturbed in frames:
+        stem = out_dir / f"phantom_{sidecar['seed']:04d}"
+        io_formats.write_label_mask(labels, f"{stem}.pgm")
         with open(f"{stem}.json", "w") as f:
             json.dump(sidecar, f, indent=2, sort_keys=True)
             f.write("\n")
-        if args.perturb:
-            p = phantom.Perturbation(**{"seed": seed, **args.perturb})
-            io_formats.write_label_mask(phantom.perturb(labels, p), f"{stem}_perturbed.pgm")
+        if perturbed is not None:
+            io_formats.write_label_mask(perturbed, f"{stem}_perturbed.pgm")
     return EXIT_OK
 
 

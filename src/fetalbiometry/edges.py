@@ -1,9 +1,9 @@
-"""Edge detection on binary masks: Sobel gradient, non-maximum suppression,
-hysteresis thresholding, and splitting edge maps into 8-connected chains.
+"""Edge detection on binary masks: Sobel gradient and non-maximum
+suppression, and splitting edge maps into 8-connected chains.
 
-Masks are rendered to {0, 255} intensities before the gradient so the small
-hysteresis thresholds used by the pipeline (2 and 5) discriminate on the
-usual 8-bit scale.  Out-of-bounds reads are background.
+Canny's hysteresis step is left out: on a binary mask every nonzero Sobel
+magnitude is at least the step height, so thresholds below it keep every pixel
+that survives non-maximum suppression.  Out-of-bounds reads are background.
 """
 
 from __future__ import annotations
@@ -56,23 +56,14 @@ def _nonmax_suppress(gx: np.ndarray, gy: np.ndarray, mag: np.ndarray) -> np.ndar
     return keep
 
 
-def canny(m: np.ndarray, min_val: float, max_val: float) -> np.ndarray:
-    """Binary edge map of a mask via Sobel + NMS + hysteresis."""
-    if min_val > max_val:
-        raise ValueError(f"min_val ({min_val}) must be <= max_val ({max_val})")
+def canny(m: np.ndarray) -> np.ndarray:
+    """Binary edge map of a mask: Sobel gradient of its 0/1 values, then
+    non-maximum suppression.  No hysteresis: the derivatives are integers, so
+    a nonzero magnitude is at least 1 and passes any threshold below that.
+    Direction bins and magnitude order are those of the {0, 255} scale."""
     m = validate_binary_mask(m)
-    img = m.astype(np.float64) * 255.0
-    gx, gy, mag = gradient(img)
-    keep = _nonmax_suppress(gx, gy, mag)
-    candidates = keep & (mag >= min_val)
-    strong = keep & (mag > max_val)
-    labels, n = ndimage.label(candidates, structure=_EIGHT_CONN)
-    if n == 0:
-        return np.zeros_like(m)
-    strong_ids = np.unique(labels[strong])
-    strong_ids = strong_ids[strong_ids > 0]
-    edges = np.isin(labels, strong_ids)
-    return edges.astype(np.uint8)
+    gx, gy, mag = gradient(m)
+    return _nonmax_suppress(gx, gy, mag).astype(np.uint8)
 
 
 def extract_chains(edges: np.ndarray) -> list[EdgeChain]:

@@ -20,8 +20,6 @@ from .raster import bounding_window, mask_set_counts, require_same_shape, valida
 class RefineParams:
     kernel_w: int = 10
     kernel_h: int = 10
-    canny_min: float = 2.0
-    canny_max: float = 5.0
     prune_distance: float = 3.0
     max_prune: int = 15
     ellipse_accept_ratio: float = 0.20
@@ -29,8 +27,6 @@ class RefineParams:
     def __post_init__(self):
         if self.kernel_w < 1 or self.kernel_h < 1:
             raise ValueError("kernel size must be positive")
-        if self.canny_min > self.canny_max:
-            raise ValueError("canny_min must be <= canny_max")
         if self.prune_distance <= 0 or self.max_prune <= 0:
             raise ValueError("prune_distance and max_prune must be positive")
         if not (0.0 < self.ellipse_accept_ratio < 1.0):
@@ -155,11 +151,11 @@ def _joint(*windows: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
 
 
 def _fit_boundary(
-    mask: np.ndarray, origin: tuple[int, int], frame: tuple[int, int], params: RefineParams
+    mask: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]
 ) -> tuple[el.Ellipse, tuple[int, int, np.ndarray]]:
     """Ellipse fitted to the largest Canny edge of the crop mask, in frame
     coordinates, and its raster window on the (width, height) frame."""
-    edge_map = edges.canny(mask, params.canny_min, params.canny_max)
+    edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
     # fit frame coordinates, never shift the fitted ellipse: the fit must see
     # the very floats a full-frame fit sees, or boundary pixels flip
@@ -201,13 +197,13 @@ def refine(
     s_mask = closed
     iterations = 0
     try:
-        fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h), params)
+        fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
         # the ellipse window may overrun the crop: its pixels there count as E-only
         while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < params.max_prune:
             s_mask = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
             if not s_mask.any():
                 raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h), params)
+            fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed_mask, None, None, False, iterations, math.inf, box)

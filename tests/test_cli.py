@@ -123,7 +123,13 @@ class TestMeasure:
 
     @pytest.mark.parametrize(
         "config",
-        [{"refine": {"max_prune": "3"}}, {"refine": [1, 2]}, [1], {"refine": {"max_prun": 3}}],
+        [
+            {"refine": {"max_prune": "3"}},
+            {"refine": [1, 2]},
+            [1],
+            {"refine": {"max_prun": 3}},
+            {"refine": {"canny_max": 5}},  # a removed knob
+        ],
     )
     def test_bad_config_data_error(self, tmp_path, capsys, config):
         cfg = tmp_path / "cfg.json"
@@ -138,6 +144,12 @@ class TestMeasure:
         inp = make_scene_file(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["measure", str(inp), "--max-prune", "0", "--out", str(tmp_path / "r.csv")])
+        assert exc.value.code == EXIT_USAGE
+
+    def test_removed_flag_usage(self, tmp_path):
+        inp = make_scene_file(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", str(inp), "--canny-min", "2", "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == EXIT_USAGE
 
     def test_max_prune_above_default_cap_reported(self, tmp_path):
@@ -346,6 +358,17 @@ class TestPhantom:
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--seed", "0", "--perturb", "holes=50"], ["--seed", "2", "--perturb", "holes=10"]],
+        ids=["first-frame", "second-frame"],  # where the holes stop fitting
+    )
+    def test_unplaceable_perturbation_writes_nothing(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "scenes"
+        assert main(["phantom", "--size", "256", "--count", "2", "--out-dir", str(out_dir), *argv]) == EXIT_DATA
+        assert "no room" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 class TestAugment:

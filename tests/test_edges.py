@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -83,14 +83,15 @@ class TestMatchesReference:
         for got, want in zip(gradient(img), ref_gradient(img)):
             assert got.tobytes() == want.tobytes()
 
+    # canny has no hysteresis; the reference keeps it, at the thresholds the
+    # pipeline used on the x255 scale, to show that dropping it changes nothing
+
     @settings(max_examples=80, deadline=None)
-    @given(
-        arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20)), elements=st.integers(0, 1)),
-        st.sampled_from([(2.0, 5.0), (0.0, 0.0), (300.0, 900.0)]),
-    )
-    def test_canny_bit_identical_on_masks(self, m, thresholds):
+    @given(arrays(np.uint8, st.tuples(st.integers(1, 20), st.integers(1, 20)), elements=st.integers(0, 1)))
+    @example(np.ones((5, 7), np.uint8))
+    def test_canny_bit_identical_on_masks(self, m):
         # random masks put foreground on the image border in most examples
-        assert np.array_equal(canny(m, *thresholds), ref_canny(m, *thresholds))
+        assert np.array_equal(canny(m), ref_canny(m, 2.0, 5.0))
 
     @pytest.mark.parametrize("seed", range(3))
     def test_canny_bit_identical_on_phantoms(self, seed):
@@ -100,7 +101,22 @@ class TestMatchesReference:
         )
         for cid in (1, 2):
             m = (labels == cid).astype(np.uint8)
-            assert np.array_equal(canny(m, 2, 5), ref_canny(m, 2, 5))
+            assert np.array_equal(canny(m), ref_canny(m, 2.0, 5.0))
+
+    def test_suppression_is_scale_free_on_masks(self):
+        # Sobel derivatives of a {0, 1} mask are integers in [-4, 4]: the
+        # direction bins and the magnitude comparisons are the same on the
+        # {0, 255} scale
+        g = np.arange(-4.0, 5.0)
+        gx, gy = (a.ravel() for a in np.meshgrid(g, g))
+
+        def decisions(scale):
+            mag = np.hypot(gx * scale, gy * scale)
+            bins = np.rint(np.degrees(np.arctan2(gy * scale, gx * scale)) % 360.0 / 45.0).astype(int) % 8
+            return bins, mag[:, None] > mag, mag[:, None] >= mag
+
+        for got, want in zip(decisions(1.0), decisions(255.0)):
+            assert np.array_equal(got, want)
 
 
 class TestGradient:
@@ -127,22 +143,18 @@ class TestGradient:
 
 class TestCanny:
     def test_empty(self):
-        assert canny(np.zeros((10, 10), np.uint8), 2, 5).sum() == 0
-
-    def test_bad_thresholds(self):
-        with pytest.raises(ValueError):
-            canny(np.zeros((4, 4), np.uint8), 6, 5)
+        assert canny(np.zeros((10, 10), np.uint8)).sum() == 0
 
     def test_square_single_ring(self):
         m = np.zeros((30, 30), np.uint8)
         m[5:25, 5:25] = 1
-        chains = extract_chains(canny(m, 2, 5))
+        chains = extract_chains(canny(m))
         assert len(chains) == 1
 
     def test_edges_near_transitions(self):
         m = np.zeros((40, 40), np.uint8)
         m[10:30, 8:33] = 1
-        e = canny(m, 2, 5)
+        e = canny(m)
         grown = np.zeros_like(m, bool)
         # transition pixels: foreground adjacent to background or vice versa
         trans = np.zeros_like(m, bool)
@@ -162,7 +174,7 @@ class TestChains:
         m = np.zeros((60, 60), np.uint8)
         m[5:25, 5:25] = 1
         m[35:55, 35:55] = 1
-        chains = extract_chains(canny(m, 2, 5))
+        chains = extract_chains(canny(m))
         assert len(chains) == 2
 
     def test_empty(self):
@@ -172,7 +184,7 @@ class TestChains:
         m = np.zeros((50, 50), np.uint8)
         m[5:20, 5:45] = 1
         m[30:45, 10:25] = 1
-        e = canny(m, 2, 5)
+        e = canny(m)
         chains = extract_chains(e)
         total = sum(len(c) for c in chains)
         assert total == int(e.sum())
@@ -192,7 +204,7 @@ class TestChains:
             float(rng.uniform(6, 14)),
             float(rng.uniform(0, 180)),
         )
-        chains = extract_chains(canny(rasterize(e, 100, 100), 2, 5))
+        chains = extract_chains(canny(rasterize(e, 100, 100)))
         assert len(chains) == 1
 
 
@@ -220,14 +232,14 @@ class TestLongest:
         m = np.zeros((60, 60), np.uint8)
         m[5:30, 5:30] = 1  # larger ring
         m[40:50, 40:50] = 1
-        chains = extract_chains(canny(m, 2, 5))
+        chains = extract_chains(canny(m))
         best = longest_chain(chains)
         assert len(best) == max(len(c) for c in chains)
 
     def test_single_identity(self):
         m = np.zeros((20, 20), np.uint8)
         m[5:15, 5:15] = 1
-        chains = extract_chains(canny(m, 2, 5))
+        chains = extract_chains(canny(m))
         assert longest_chain(chains) is chains[0]
 
     def test_empty_error(self):
@@ -238,7 +250,7 @@ class TestLongest:
         m = np.zeros((40, 40), np.uint8)
         m[25:32, 25:32] = 1
         m[5:12, 5:12] = 1  # same size, earlier in row-major order
-        chains = extract_chains(canny(m, 2, 5))
+        chains = extract_chains(canny(m))
         lens = [len(c) for c in chains]
         assert lens[0] == lens[1]
         best = longest_chain(chains)

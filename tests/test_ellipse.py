@@ -87,7 +87,7 @@ class TestRasterize:
 
         e = Ellipse(128.0, 120.0, 70.0, 45.0, 35.0)
         m = rasterize(e, 256, 256)
-        chain = longest_chain(extract_chains(canny(m, 2, 5)))
+        chain = longest_chain(extract_chains(canny(m)))
         f = fit_ams(np.asarray(chain.points, float) + 0.5)
         m2 = rasterize(f, 256, 256)
         assert dice(m, m2) >= 0.98

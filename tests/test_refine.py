@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -21,8 +22,8 @@ refine_mod = importlib.import_module("fetalbiometry.refine")
 # Reference implementation: the full-frame refinement that ran closing, Canny,
 # chains, prune and the ratios on the whole frame.  The cropped production
 # code must match it field for field.
-def _ref_fit_boundary(mask, params):
-    edge_map = edges.canny(mask, params.canny_min, params.canny_max)
+def _ref_fit_boundary(mask):
+    edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
     pts = np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
     fitted = el.fit_ams(pts)
@@ -41,12 +42,12 @@ def ref_refine(raw, params=RefineParams()):
     s_mask = closed.copy()
     iterations = 0
     try:
-        fitted, e_mask = _ref_fit_boundary(s_mask, params)
+        fitted, e_mask = _ref_fit_boundary(s_mask)
         while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < params.max_prune:
             s_mask = prune(s_mask, fitted, params.prune_distance)
             if not s_mask.any():
                 raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_mask = _ref_fit_boundary(s_mask, params)
+            fitted, e_mask = _ref_fit_boundary(s_mask)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, None, False, iterations, math.inf)
@@ -75,7 +76,6 @@ class TestParams:
     def test_defaults(self):
         p = RefineParams()
         assert (p.kernel_w, p.kernel_h) == (10, 10)
-        assert (p.canny_min, p.canny_max) == (2.0, 5.0)
         assert p.prune_distance == 3.0
         assert p.max_prune == 15
         assert p.ellipse_accept_ratio == 0.20
@@ -90,10 +90,11 @@ class TestParams:
             {"max_prune": "3"},
             {"max_prune": 3.0},
             {"max_prune": True},
-            {"canny_min": None},
-            {"canny_min": float("nan")},
-            {"canny_min": 10**400},
+            {"prune_distance": None},
+            {"prune_distance": float("nan")},
+            {"prune_distance": 10**400},
             {"max_prun": 3},
+            {"canny_min": 2.0},  # a removed knob is an unknown key
             {"max_prune": 0},
             [1, 2],
         ],
@@ -112,8 +113,39 @@ class TestParams:
             RefineParams(kernel_w=0)
         with pytest.raises(ValueError):
             RefineParams(ellipse_accept_ratio=1.5)
-        with pytest.raises(ValueError):
-            RefineParams(canny_min=9, canny_max=5)
+
+
+def _shape_fields(r):
+    mask = None if r.ellipse_mask is None else r.ellipse_mask.tobytes()
+    return r.closed_mask.tobytes(), r.ellipse, mask, r.used_ellipse, r.prune_iterations, r.final_ratio
+
+
+# one non-default, in-range value per RefineParams field
+_KNOB_VALUES = {
+    "kernel_w": 5,
+    "kernel_h": 5,
+    "prune_distance": 1.5,
+    "max_prune": 1,
+    "ellipse_accept_ratio": 0.05,
+}
+
+
+class TestEveryKnobActs:
+    """A settable value that changes nothing is a dead flag and config key."""
+
+    @pytest.fixture(scope="class")
+    def mask(self):
+        # the PS of this scene is pruned 3 rounds and keeps its ellipse at a ratio of 0.083
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(0, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=0)
+        )
+        return morphology.largest_component(class_mask(labels, PS))
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RefineParams)])
+    def test_changes_the_refined_shape(self, mask, field):
+        assert field in _KNOB_VALUES, f"give RefineParams.{field} a value that must change refine"
+        params = dataclasses.replace(RefineParams(), **{field: _KNOB_VALUES[field]})
+        assert _shape_fields(refine(mask, params)) != _shape_fields(refine(mask))
 
 
 class TestProtrusionRatio:
