@@ -19,6 +19,7 @@ import numpy as np
 from . import dataprep, ensemble, io_formats, metrics, overlay, phantom
 from .biometry import measure_frame, measure_frame_detailed
 from .errors import FetalBiometryError, FormatError
+from .raster import validate_prob_map
 from .refine import RefineParams
 
 EXIT_OK = 0
@@ -61,8 +62,8 @@ def _refine_params(config: dict, args) -> RefineParams:
 def _load_labels(path):
     p = str(path)
     if p.endswith(".fpm"):
-        prob = io_formats.read_prob_map(p)
-        return ensemble.decide(prob)
+        # read_prob_map has checked the map, and measuring checks the labels
+        return ensemble._argmax_channels(io_formats.read_prob_map(p))
     return io_formats.read_label_mask(p)
 
 
@@ -94,6 +95,13 @@ def cmd_measure(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
+    """Average or vote the members.  read_prob_map checks each member once;
+    the ensemble and writer steps then run without checking again.  Only the
+    average is checked once more: a mean of maps that pass can miss the sum
+    tolerance by a rounding step."""
+    if not (args.out or args.decide_out):
+        print("error: give --out or --decide-out", file=sys.stderr)
+        return EXIT_USAGE
     config = _load_config(args.config)
     members_paths = list(args.members) or config.get("ensemble_members", [])
     if not isinstance(members_paths, list) or not all(isinstance(p, str) for p in members_paths):
@@ -108,19 +116,20 @@ def cmd_ensemble(args) -> int:
         except FormatError as e:
             print(f"error: {p}: {e}", file=sys.stderr)
             return EXIT_DATA
+    ensemble._same_shape(members)
+    if args.vote:
+        io_formats.write_label_mask(ensemble._vote(members), args.decide_out or args.out)
+        return EXIT_OK
+    avg = ensemble._average(members)
     try:
-        if args.vote:
-            mask = ensemble.vote(members)
-            io_formats.write_label_mask(mask, args.decide_out or args.out)
-        else:
-            avg = ensemble.average(members)
-            if args.out:
-                io_formats.write_prob_map(avg, args.out)
-            if args.decide_out:
-                io_formats.write_label_mask(ensemble.decide(avg), args.decide_out)
-    except FetalBiometryError as e:
-        print(f"error: {e}", file=sys.stderr)
+        validate_prob_map(avg)
+    except ValueError as e:
+        print(f"error: ensemble average: {e}", file=sys.stderr)
         return EXIT_DATA
+    if args.out:
+        io_formats._write_prob_map(avg, args.out)
+    if args.decide_out:
+        io_formats.write_label_mask(ensemble._argmax_channels(avg), args.decide_out)
     return EXIT_OK
 
 

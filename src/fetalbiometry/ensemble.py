@@ -14,7 +14,10 @@ CLS_THRESHOLD = 0.5  # inclusive positive
 def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
     if not members:
         raise ValueError("ensemble needs at least one member")
-    members = [validate_prob_map(m) for m in members]
+    return _same_shape([validate_prob_map(m) for m in members])
+
+
+def _same_shape(members: list[np.ndarray]) -> list[np.ndarray]:
     shape = members[0].shape
     for i, m in enumerate(members[1:], start=1):
         if m.shape != shape:
@@ -25,17 +28,26 @@ def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
 def average(members: list[np.ndarray]) -> np.ndarray:
     """Per-pixel, per-channel arithmetic mean of the members, as float64.
 
+    The result never aliases a member.  See ``_average``.
+    """
+    return _average(_check_members(members))
+
+
+def _average(members: list[np.ndarray]) -> np.ndarray:
+    """The mean of checked members of one shape.
+
     The members are summed in a fixed pairwise tree, so the result does not
     depend on accumulation order: the first level adds each pair straight into
-    a new float64 array (an odd last member is copied), later levels add in
-    place into those arrays.  The result never aliases a member.
+    a new float64 array, later levels add in place into those arrays.  An odd
+    last member joins a later level as it is, always as the right operand of
+    ``+=``; its cast to float64 there is exact, so no copy of it is made.
     """
-    members = _check_members(members)
     n = len(members)
-    sums = [
-        np.add(members[i], members[i + 1], dtype=np.float64) if i + 1 < n else members[i].astype(np.float64)
-        for i in range(0, n, 2)
-    ]
+    if n == 1:
+        return members[0].astype(np.float64)
+    sums = [np.add(members[i], members[i + 1], dtype=np.float64) for i in range(0, n - 1, 2)]
+    if n % 2:
+        sums.append(members[-1])
     while len(sums) > 1:
         for i in range(0, len(sums) - 1, 2):
             sums[i] += sums[i + 1]
@@ -63,11 +75,14 @@ def _argmax_channels(p: np.ndarray) -> np.ndarray:
 
 def vote(members: list[np.ndarray]) -> np.ndarray:
     """Per-pixel majority vote of member argmaxes; ties to the lowest class index."""
-    members = _check_members(members)
+    return validate_label_mask(_vote(_check_members(members)))
+
+
+def _vote(members: list[np.ndarray]) -> np.ndarray:
     channels = members[0].shape[2]
     votes = np.stack([_argmax_channels(m) for m in members])
     counts = np.stack([(votes == c).sum(axis=0) for c in range(channels)], axis=2)
-    return validate_label_mask(_argmax_channels(counts))
+    return _argmax_channels(counts)
 
 
 def decide(p: np.ndarray) -> np.ndarray:

@@ -25,6 +25,9 @@ from .raster import validate_label_mask, validate_prob_map
 # display palette for P5 masks; raw {0,1,2} is accepted too
 _PALETTE = {0: 0, 127: 1, 255: 2, 1: 1, 2: 2}
 _PALETTE_OUT = np.array([0, 127, 255], dtype=np.uint8)
+# byte -> label; bytes outside the palette decode to 3, above every label
+_DECODE = np.full(256, 3, dtype=np.uint8)
+_DECODE[list(_PALETTE)] = list(_PALETTE.values())
 
 
 @dataclass
@@ -131,7 +134,7 @@ def _read_pnm_header(data: bytes, magic: bytes):
 
 
 def _read_p5(path) -> tuple[np.ndarray, int]:
-    """Pixels of an 8-bit P5 file as a writable array, and the payload offset."""
+    """Pixels of an 8-bit P5 file as a read-only view of its bytes, and the payload offset."""
     with open(path, "rb") as f:
         data = f.read()
     (width, height, maxval), off = _read_pnm_header(data, b"P5")
@@ -146,26 +149,24 @@ def _read_p5(path) -> tuple[np.ndarray, int]:
             f"truncated payload: expected {expected} bytes, got {len(payload)}",
             byte_offset=off + len(payload),
         )
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy(), off
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width), off
 
 
 def read_label_mask(path) -> np.ndarray:
-    out, off = _read_p5(path)
-    valid = np.isin(out, list(_PALETTE))
-    if not valid.all():
-        flat = int(np.flatnonzero(~valid.ravel())[0])
+    raw, off = _read_p5(path)
+    labels = np.take(_DECODE, raw)
+    if labels.max() > 2:
+        flat = int(np.argmax(labels.ravel() > 2))
         raise FormatError(
-            f"pixel value {int(out.ravel()[flat])} outside palette {{0,127,255}} / {{0,1,2}}",
+            f"pixel value {int(raw.ravel()[flat])} outside palette {{0,127,255}} / {{0,1,2}}",
             byte_offset=off + flat,
         )
-    out[out == 127] = 1
-    out[out == 255] = 2
-    return validate_label_mask(out)
+    return labels
 
 
 def read_greymap(path) -> np.ndarray:
     """Generic 8-bit P5 image (any values 0-255), for raw ultrasound frames."""
-    return _read_p5(path)[0]
+    return _read_p5(path)[0].copy()
 
 
 def write_greymap(img: np.ndarray, path) -> None:
@@ -183,7 +184,7 @@ def write_label_mask(mask: np.ndarray, path) -> None:
     height, width = mask.shape
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (width, height))
-        f.write(_PALETTE_OUT[mask].tobytes())
+        f.write(np.take(_PALETTE_OUT, mask))
 
 
 def read_prob_map(path) -> np.ndarray:
@@ -216,7 +217,11 @@ def read_prob_map(path) -> np.ndarray:
 
 
 def write_prob_map(p: np.ndarray, path) -> None:
-    p = validate_prob_map(p)
+    _write_prob_map(validate_prob_map(p), path)
+
+
+def _write_prob_map(p: np.ndarray, path) -> None:
+    """Write a checked map."""
     height, width, channels = p.shape
     with open(path, "wb") as f:
         f.write(b"FPM %d %d %d\n" % (width, height, channels))

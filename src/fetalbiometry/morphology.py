@@ -106,6 +106,7 @@ def largest_component(m: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.zeros_like(m)
     # labels follow row-major order of each component's first pixel, so the
-    # first maximum is the documented tie winner
-    best = np.bincount(labels.ravel())[1:].argmax() + 1
+    # first maximum is the documented tie winner; only foreground is counted,
+    # so bin 0 stays empty and never wins
+    best = np.bincount(labels[labels > 0]).argmax()
     return (labels == best).astype(np.uint8)

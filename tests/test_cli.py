@@ -262,6 +262,16 @@ class TestEnsemble:
         bad.write_bytes(b"FPM 2 2 3\n" + b"\x00" * 5)
         assert main(["ensemble", str(bad), "--out", str(tmp_path / "o.fpm")]) == EXIT_DATA
 
+    def test_vote_without_output_usage(self, tmp_path, capsys):
+        p1, _ = self.member(tmp_path, "m1.fpm", 0)
+        assert main(["ensemble", str(p1), "--vote"]) == EXIT_USAGE
+        assert "--out" in capsys.readouterr().err
+
+    def test_average_without_output_usage(self, tmp_path):
+        # the member is never read, so even a missing one is a usage error
+        assert main(["ensemble", str(tmp_path / "absent.fpm")]) == EXIT_USAGE
+        assert sorted(tmp_path.iterdir()) == []
+
 
 class TestMetrics:
     def test_segmentation_and_biometry(self, tmp_path):
