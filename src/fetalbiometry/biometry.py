@@ -154,8 +154,8 @@ def _apex_inside(fh: RefinedShape, apex: Point) -> bool:
         return el.contains(fh.ellipse, (apex.x, apex.y))
     # floor, not int(): an apex at x = -0.4 lies off-frame, not in column 0
     xi, yi = math.floor(apex.x), math.floor(apex.y)
-    h, w = fh.closed_mask.shape
-    return 0 <= xi < w and 0 <= yi < h and bool(fh.closed_mask[yi, xi])
+    x0, y0, x1, y1 = fh.box
+    return x0 <= xi < x1 and y0 <= yi < y1 and bool(fh.closed[yi - y0, xi - x0])
 
 
 def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, Point]:
@@ -236,8 +236,7 @@ def measure_frame_detailed(
     hsd_apex = apex
     if ps_ref.used_ellipse:
         _, hsd_apex = _mask_axis_endpoints(ps_ref, fh_centroid)
-    fh_window, fh_origin = fh_ref.closed_window
-    hsd, head_point = compute_hsd(fh_window, hsd_apex, fh_origin)
+    hsd, head_point = compute_hsd(fh_ref.closed, hsd_apex, fh_ref.box[:2])
 
     result = BiometryResult(
         aop_deg=aop,

@@ -76,6 +76,9 @@ def cmd_measure(args) -> int:
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
         return EXIT_USAGE
+    out_dir = Path(args.emit_overlays) if args.emit_overlays else None
+    if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for path in inputs:
         try:
@@ -86,9 +89,7 @@ def cmd_measure(args) -> int:
         except (FetalBiometryError, OSError, ValueError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             continue
-        if args.emit_overlays:
-            out_dir = Path(args.emit_overlays)
-            out_dir.mkdir(parents=True, exist_ok=True)
+        if out_dir:
             overlay.write_ppm(overlay.render_overlay(labels, res, (ps_ref, fh_ref)), out_dir / f"{path.stem}.ppm")
     io_formats.write_report_csv(rows, args.out)
     return EXIT_PARTIAL if len(rows) < len(inputs) else EXIT_OK
@@ -137,6 +138,7 @@ def cmd_metrics(args) -> int:
     config = _load_config(args.config)
     params = _refine_params(config, args)
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
+    failed = False
     if args.scores:
         records = io_formats.read_frame_scores(args.scores)
         labelled = [(r.score, r.label) for r in records if r.score is not None and r.label is not None]
@@ -144,7 +146,9 @@ def cmd_metrics(args) -> int:
             scores, labels = zip(*labelled)
             acc, f1, auc, mcc = metrics.classification_metrics(scores, labels)
             out.update(acc=acc, f1=f1, auc=auc, mcc=mcc)
-    failed = False
+            if auc is None:
+                failed = True
+                print(f"warning: auc left null: {args.scores} labels hold only one class", file=sys.stderr)
     if args.pred:
         if len(args.pred) != len(args.gt or []):
             print("error: --pred and --gt must pair up", file=sys.stderr)

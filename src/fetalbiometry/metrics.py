@@ -70,13 +70,14 @@ def roc_auc(scores, labels) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
-def classification_metrics(scores, labels) -> tuple[float, float, float, float]:
-    """(accuracy, F1, AUC, MCC) at the 0.5 decision threshold."""
+def classification_metrics(scores, labels) -> tuple[float, float, float | None, float]:
+    """(accuracy, F1, AUC, MCC) at the 0.5 decision threshold; AUC is None for one class."""
     c = confusion(scores, labels)
     acc = (c.tp + c.tn) / c.total
     f1_den = 2 * c.tp + c.fp + c.fn
     f1 = 2 * c.tp / f1_den if f1_den else 0.0
-    return acc, f1, roc_auc(scores, labels), mcc(c)
+    auc = roc_auc(scores, labels) if c.tp + c.fn and c.tn + c.fp else None
+    return acc, f1, auc, mcc(c)
 
 
 def dice(a: np.ndarray, b: np.ndarray) -> float:

@@ -27,8 +27,8 @@ class RefineParams:
     def __post_init__(self):
         if self.kernel_w < 1 or self.kernel_h < 1:
             raise ValueError("kernel size must be positive")
-        if self.prune_distance <= 0 or self.max_prune <= 0:
-            raise ValueError("prune_distance and max_prune must be positive")
+        if not 0.0 < self.prune_distance < math.inf or self.max_prune <= 0:
+            raise ValueError("prune_distance must be finite and positive, max_prune positive")
         if not (0.0 < self.ellipse_accept_ratio < 1.0):
             raise ValueError("ellipse_accept_ratio must lie in (0, 1)")
 
@@ -43,36 +43,35 @@ class RefineParams:
 
 @dataclass
 class RefinedShape:
-    closed_mask: np.ndarray  # hole-closed mask, output of the closing step
+    closed: np.ndarray  # hole-closed mask over box, output of the closing step
     ellipse: Optional[el.Ellipse]
-    ellipse_mask: Optional[np.ndarray]
     used_ellipse: bool
     prune_iterations: int
     final_ratio: float
-    # (x0, y0, x1, y1) frame box holding closed_mask's foreground with at least
-    # 1 px of background on every side that is not the frame edge; whole frame
-    # when not given
-    box: Optional[tuple[int, int, int, int]] = None
+    # (x0, y0, x1, y1) frame box holding the closed foreground with at least
+    # 1 px of background on every side that is not the frame edge
+    box: tuple[int, int, int, int]
+    frame: tuple[int, int]  # (width, height)
 
     def __post_init__(self):
         if self.prune_iterations < 0:
             raise ValueError("prune_iterations must be >= 0")
         if self.used_ellipse and self.ellipse is None:
             raise ValueError("used_ellipse requires a fitted ellipse")
-        if self.box is None:
-            h, w = self.closed_mask.shape
-            self.box = (0, 0, w, h)
 
     @property
     def closed_window(self) -> tuple[np.ndarray, tuple[int, int]]:
-        """(window, origin) of closed_mask over box: its boundary pixels and
-        their order are the frame's, because the margin is background."""
-        x0, y0, x1, y1 = self.box
-        return self.closed_mask[y0:y1, x0:x1], (x0, y0)
+        """(closed, origin): the margin is background, so boundary pixels are the frame's."""
+        return self.closed, self.box[:2]
+
+    @property
+    def closed_mask(self) -> np.ndarray:
+        """closed pasted onto the whole frame, computed on each access."""
+        return _paste((*self.box[:2], self.closed), (0, 0, *self.frame))
 
     @property
     def selected_mask(self) -> np.ndarray:
-        return self.ellipse_mask if self.used_ellipse else self.closed_mask
+        return el.rasterize(self.ellipse, *self.frame) if self.used_ellipse else self.closed_mask
 
 
 def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
@@ -175,8 +174,8 @@ def refine(
 
     raw is a window of a (width, height) frame, its pixel (0, 0) at origin;
     by default the frame is raw itself.  Everything runs inside the
-    structure's padded bounding box (``_crop_box``); the returned masks are
-    full-frame.
+    structure's padded bounding box (``_crop_box``), and the returned shape
+    keeps the hole-closed mask over that box only.
     """
     raw = validate_binary_mask(raw)
     w, h = frame or (raw.shape[1], raw.shape[0])
@@ -192,8 +191,6 @@ def refine(
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border
         closed = crop
-    closed_win = (x0, y0, closed)
-    closed_mask = _paste(closed_win, (0, 0, w, h))
     s_mask = closed
     iterations = 0
     try:
@@ -206,11 +203,10 @@ def refine(
             fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
-        return RefinedShape(closed_mask, None, None, False, iterations, math.inf, box)
+        return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))
     # decision rule against the hole-closed (pre-prune) mask
-    only_e, _, _ = mask_set_counts(*_joint(e_win, closed_win))
+    only_e, _, _ = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
     used = ratio < params.ellipse_accept_ratio
-    # the full-frame ellipse mask is the final fit's raster window, pasted
-    return RefinedShape(closed_mask, fitted, _paste(e_win, (0, 0, w, h)), used, iterations, ratio, box)
+    return RefinedShape(closed, fitted, used, iterations, ratio, box, (w, h))

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ class TestPsAxis:
 
         m = np.zeros((20, 40), np.uint8)
         m[9:12, 5:30] = 1
-        shape = RefinedShape(m, None, None, False, 0, 0.0)
+        shape = RefinedShape(m, None, False, 0, 0.0, (0, 0, 40, 20), (40, 20))
         prox, apex = ps_axis_endpoints(shape, Point(100.0, 10.0))
         assert apex.x > prox.x  # apex is the end nearer the head
 
@@ -83,7 +84,7 @@ class TestPsAxis:
 
         e = Ellipse(100.0, 100.0, 40.0, 6.0, 0.0)
         m = rasterize(e, 200, 200)
-        shape = RefinedShape(m, e, m, True, 0, 0.0)
+        shape = RefinedShape(m, e, True, 0, 0.0, (0, 0, 200, 200), (200, 200))
         prox, apex = ps_axis_endpoints(shape, Point(240.0, 100.0))
         assert apex == Point(140.0, 100.0)
         assert prox == Point(60.0, 100.0)
@@ -145,6 +146,12 @@ class TestMeasureFrame:
         assert result.used_ellipse_fh == fh_ref.used_ellipse
         assert ps_ref.closed_mask.shape == labels.shape
 
+    def test_shapes_pickle_in_kilobytes(self):
+        # each shape keeps only its box-sized window, never a 512^2 array
+        _, ps_ref, fh_ref = measure_frame_detailed(phantom.render(phantom.random_scene(0)))
+        for shape in (ps_ref, fh_ref):
+            assert len(pickle.dumps(shape)) <= 40_000
+
     def test_result_in_range(self):
         labels = scene_mask(TestCircleOracle.PS_E, TestCircleOracle.FH_E, 360, 200)
         r = measure_frame(labels)
@@ -165,7 +172,8 @@ class TestHsdFunction:
 class TestApexInside:
     @staticmethod
     def mask_shape(mask):
-        return RefinedShape(mask, None, None, False, 0, math.inf)
+        h, w = mask.shape
+        return RefinedShape(mask, None, False, 0, math.inf, (0, 0, w, h), (w, h))
 
     def test_apex_left_of_frame_is_outside(self):
         fh = np.zeros((12, 12), np.uint8)
@@ -178,6 +186,26 @@ class TestApexInside:
         fh[0, :] = 1
         assert not _apex_inside(self.mask_shape(fh), Point(5.5, -0.4))
         assert _apex_inside(self.mask_shape(fh), Point(5.5, 0.4))
+
+    @staticmethod
+    def offset_shape():
+        # a 4x3 window at (10, 20) of a 40x30 frame, foreground in its middle row
+        closed = np.zeros((3, 4), np.uint8)
+        closed[1, :] = 1
+        return RefinedShape(closed, None, False, 0, math.inf, (10, 20, 14, 23), (40, 30))
+
+    def test_apex_in_frame_outside_box_is_outside(self):
+        shape = self.offset_shape()
+        for apex in (Point(5.5, 21.5), Point(14.5, 21.5), Point(11.5, 19.5), Point(11.5, 23.5), Point(1.5, 1.5)):
+            assert not _apex_inside(shape, apex)
+
+    def test_background_in_box_is_outside(self):
+        assert not _apex_inside(self.offset_shape(), Point(11.5, 20.5))
+        assert not _apex_inside(self.offset_shape(), Point(13.5, 22.5))
+
+    def test_foreground_in_box_is_inside(self):
+        assert _apex_inside(self.offset_shape(), Point(10.5, 21.5))
+        assert _apex_inside(self.offset_shape(), Point(13.9, 21.0))
 
 
 class TestFailureContract:
@@ -349,12 +377,12 @@ def assert_same_measurement(got, want):
     for g, w in zip(got[1:], want[1:]):
         assert_same_array(g.closed_mask, w.closed_mask)
         assert repr(g.ellipse) == repr(w.ellipse)
-        assert_same_array(g.ellipse_mask, w.ellipse_mask)
-        assert (g.used_ellipse, g.prune_iterations, repr(g.final_ratio), g.box) == (
+        assert (g.used_ellipse, g.prune_iterations, repr(g.final_ratio), g.box, g.frame) == (
             w.used_ellipse,
             w.prune_iterations,
             repr(w.final_ratio),
             w.box,
+            w.frame,
         )
 
 

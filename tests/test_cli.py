@@ -110,6 +110,18 @@ class TestMeasure:
             data = (overlays / f"{path.stem}.ppm").read_bytes()
             assert data.startswith(header) and len(data) == len(header) + 3 * w * h
 
+    def test_emit_overlays_onto_a_file_fails_before_measuring(self, tmp_path, monkeypatch, capsys):
+        inp = make_scene_file(tmp_path)
+        not_a_dir = tmp_path / "overlays"
+        not_a_dir.write_text("")
+        calls = []
+        monkeypatch.setattr(cli, "measure_frame_detailed", lambda *a: calls.append(a))
+        out = tmp_path / "r.csv"
+        assert main(["measure", str(inp), "--emit-overlays", str(not_a_dir), "--out", str(out)]) == EXIT_DATA
+        assert calls == [] and not out.exists()
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+
     def test_no_inputs_usage(self, tmp_path):
         assert main(["measure", "--out", str(tmp_path / "r.csv")]) == EXIT_USAGE
 
@@ -145,6 +157,17 @@ class TestMeasure:
         with pytest.raises(SystemExit) as exc:
             main(["measure", str(inp), "--max-prune", "0", "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_prune_distance_usage(self, tmp_path, monkeypatch, value):
+        inp = make_scene_file(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "_load_labels", lambda p: calls.append(p))
+        out = tmp_path / "r.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", str(inp), "--prune-distance", value, "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert calls == [] and not out.exists()
 
     def test_removed_flag_usage(self, tmp_path):
         inp = make_scene_file(tmp_path)
@@ -295,6 +318,18 @@ class TestMetrics:
         got = json.loads(out.read_text())
         assert got["acc"] == 1.0 and got["auc"] == 1.0 and got["mcc"] == 1.0
         assert got["dsc"] is None
+
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_one_class_leaves_auc_null(self, tmp_path, capsys, label):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"v,0,0.9,{label}\nv,1,0.8,{label}\nv,2,0.2,{label}\nv,3,0.1,{label}\n")
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--scores", str(scores), "--out", str(out)]) == EXIT_PARTIAL
+        got = json.loads(out.read_text())
+        assert got["auc"] is None
+        assert (got["acc"], got["f1"], got["mcc"]) == (0.5, 2 / 3 if label else 0.0, 0.0)
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") and "auc" in err and "Traceback" not in err
 
     def test_pair_without_ps_skipped(self, tmp_path, capsys):
         gt = make_scene_file(tmp_path, "gt.pgm", seed=2)

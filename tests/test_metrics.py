@@ -87,6 +87,11 @@ class TestClassificationBundle:
         acc, f1, auc, m = classification_metrics([0.9, 0.8, 0.1, 0.2], [1, 1, 0, 0])
         assert (acc, f1, auc, m) == (1.0, 1.0, 1.0, 1.0)
 
+    def test_one_class_auc_none(self):
+        # ACC, F1 and MCC stay defined when AUC is not
+        assert classification_metrics([0.9, 0.2], [1, 1]) == (0.5, 2 / 3, None, 0.0)
+        assert classification_metrics([0.9, 0.2], [0, 0]) == (0.5, 0.0, None, 0.0)
+
     def test_mixed(self):
         acc, f1, auc, m = classification_metrics([0.9, 0.4, 0.6, 0.2], [1, 1, 0, 0])
         assert acc == 0.5

@@ -1,6 +1,8 @@
 import dataclasses
 import importlib
 import math
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +42,7 @@ def ref_refine(raw, params=RefineParams()):
     if not closed.any():
         closed = raw.copy()
     s_mask = closed.copy()
+    h, w = closed.shape
     iterations = 0
     try:
         fitted, e_mask = _ref_fit_boundary(s_mask)
@@ -50,23 +53,19 @@ def ref_refine(raw, params=RefineParams()):
             fitted, e_mask = _ref_fit_boundary(s_mask)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
-        return RefinedShape(closed, None, None, False, iterations, math.inf)
+        return RefinedShape(closed, None, False, iterations, math.inf, (0, 0, w, h), (w, h))
     only_e, _, _ = mask_set_counts(e_mask, closed)
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
     used = ratio < params.ellipse_accept_ratio
-    return RefinedShape(closed, fitted, e_mask, used, iterations, ratio)
+    return RefinedShape(closed, fitted, used, iterations, ratio, (0, 0, w, h), (w, h))
 
 
 def assert_same_shape(got, want):
     assert got.closed_mask.dtype == want.closed_mask.dtype
     assert got.closed_mask.tobytes() == want.closed_mask.tobytes()
     assert got.ellipse == want.ellipse  # exact floats
-    if want.ellipse_mask is None:
-        assert got.ellipse_mask is None
-    else:
-        assert got.ellipse_mask.dtype == want.ellipse_mask.dtype
-        assert got.ellipse_mask.tobytes() == want.ellipse_mask.tobytes()
+    assert got.frame == want.frame
     assert got.used_ellipse == want.used_ellipse
     assert got.prune_iterations == want.prune_iterations
     assert got.final_ratio == want.final_ratio
@@ -113,11 +112,13 @@ class TestParams:
             RefineParams(kernel_w=0)
         with pytest.raises(ValueError):
             RefineParams(ellipse_accept_ratio=1.5)
+        for d in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                RefineParams(prune_distance=d)
 
 
 def _shape_fields(r):
-    mask = None if r.ellipse_mask is None else r.ellipse_mask.tobytes()
-    return r.closed_mask.tobytes(), r.ellipse, mask, r.used_ellipse, r.prune_iterations, r.final_ratio
+    return r.closed_mask.tobytes(), r.ellipse, r.used_ellipse, r.prune_iterations, r.final_ratio
 
 
 # one non-default, in-range value per RefineParams field
@@ -269,6 +270,36 @@ class TestRefine:
             assert r.prune_iterations <= 15
 
 
+class TestShapeIsItsWindow:
+    """A refined shape holds arrays over its box only, whatever the frame."""
+
+    @staticmethod
+    def far_shape():
+        # a 120x100 window at (1000, 2000) of a 4096^2 frame
+        return refine(ellipse_mask(60, 50, 50, 35, 20, 120, 100), origin=(1000, 2000), frame=(4096, 4096))
+
+    def test_size_does_not_depend_on_the_frame(self):
+        self.far_shape()  # warm-up: one-time allocations
+        tracemalloc.start()
+        try:
+            r = self.far_shape()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        assert r.used_ellipse and r.frame == (4096, 4096)
+        x0, y0, x1, y1 = r.box
+        assert 1000 <= x0 and x1 <= 1120 and 2000 <= y0 and y1 <= 2100
+
+    def test_pickle_round_trip(self):
+        r = self.far_shape()
+        back = pickle.loads(pickle.dumps(r))
+        assert (back.closed.dtype, back.closed.shape) == (r.closed.dtype, r.closed.shape)
+        assert back.closed.tobytes() == r.closed.tobytes()
+        fields = ("ellipse", "used_ellipse", "prune_iterations", "final_ratio", "box", "frame")
+        assert [getattr(back, f) for f in fields] == [getattr(r, f) for f in fields]
+
+
 def _arc(w, h, cx, cy, r, thickness, start_deg, span_deg):
     """Annulus sector: pixels whose centers lie at radius [r, r + thickness]
     and polar angle [start, start + span] around (cx, cy)."""
@@ -335,7 +366,8 @@ class TestCropMatchesFullFrame:
         m = _arc(160, 160, 80.0, 150.0, 60.0, 4.0, 220.0, 100.0)
         ys, xs = np.nonzero(m)
         r = refine(m)
-        assert r.ellipse_mask[: ys.min()].any() or r.ellipse_mask[ys.max() + 1 :].any()
+        e_mask = rasterize(r.ellipse, *r.frame)
+        assert e_mask[: ys.min()].any() or e_mask[ys.max() + 1 :].any()
         assert_same_shape(r, ref_refine(m))
 
     @pytest.mark.parametrize("seed", range(2))
