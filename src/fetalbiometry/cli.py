@@ -135,6 +135,12 @@ def cmd_ensemble(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    if len(args.pred or []) != len(args.gt or []):
+        print("error: --pred and --gt must pair up", file=sys.stderr)
+        return EXIT_USAGE
+    if not (args.scores or args.pred):
+        print("error: nothing to evaluate: give --scores, or --pred with --gt", file=sys.stderr)
+        return EXIT_USAGE
     config = _load_config(args.config)
     params = _refine_params(config, args)
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
@@ -142,7 +148,10 @@ def cmd_metrics(args) -> int:
     if args.scores:
         records = io_formats.read_frame_scores(args.scores)
         labelled = [(r.score, r.label) for r in records if r.score is not None and r.label is not None]
-        if labelled:
+        if not labelled:
+            failed = True
+            print(f"warning: classification left null: {args.scores} holds no labelled score", file=sys.stderr)
+        else:
             scores, labels = zip(*labelled)
             acc, f1, auc, mcc = metrics.classification_metrics(scores, labels)
             out.update(acc=acc, f1=f1, auc=auc, mcc=mcc)
@@ -150,9 +159,6 @@ def cmd_metrics(args) -> int:
                 failed = True
                 print(f"warning: auc left null: {args.scores} labels hold only one class", file=sys.stderr)
     if args.pred:
-        if len(args.pred) != len(args.gt or []):
-            print("error: --pred and --gt must pair up", file=sys.stderr)
-            return EXIT_USAGE
         seg_scores = {"dsc": [], "asd": [], "hd": []}
         d_aops, d_hsds = [], []
         for pp, gp in zip(args.pred, args.gt):

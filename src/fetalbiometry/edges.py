@@ -4,6 +4,13 @@ suppression, and splitting edge maps into 8-connected chains.
 Canny's hysteresis step is left out: on a binary mask every nonzero Sobel
 magnitude is at least the step height, so thresholds below it keep every pixel
 that survives non-maximum suppression.  Out-of-bounds reads are background.
+
+``canny`` runs in integers.  The Sobel derivatives of a 0/1 mask lie in
+[-4, 4], so the direction bin of each of the 81 possible (gx, gy) pairs is
+looked up in a table built at import with the float formula, and the
+suppression compares squared magnitudes gx^2 + gy^2, which order these pairs
+exactly as ``np.hypot`` does.  The edge map is thus the float definition's,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +26,11 @@ from .raster import validate_binary_mask
 _EIGHT_CONN = np.ones((3, 3), dtype=np.uint8)
 
 # neighbor offsets by quantized gradient angle, 45 degrees apart, y down
-_DIR_OFFSETS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+_DIR_OFFSETS = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)])
+
+# direction bin of every integer Sobel pair of a 0/1 mask, indexed [gy + 4, gx + 4]
+_G = np.arange(-4.0, 5.0)
+_BINS = np.rint(np.degrees(np.arctan2(_G[:, None], _G)) % 360.0 / 45.0).astype(int) % 8
 
 
 @dataclass(frozen=True)
@@ -30,40 +41,52 @@ class EdgeChain:
         return len(self.points)
 
 
-def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """3x3 Sobel derivatives with zero padding; returns (gx, gy, magnitude)."""
-    p = np.pad(np.asarray(img, dtype=np.float64), 1)
+def _sobel(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """3x3 Sobel derivatives (gx, gy) of the interior of p, in p's dtype."""
     # separable Sobel: smooth [1,2,1] across, difference [-1,0,1] along
     sy = p[:-2, :] + 2 * p[1:-1, :] + p[2:, :]
     sx = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
-    gx = sy[:, 2:] - sy[:, :-2]
-    gy = sx[2:, :] - sx[:-2, :]
+    return sy[:, 2:] - sy[:, :-2], sx[2:, :] - sx[:-2, :]
+
+
+def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """3x3 Sobel derivatives with zero padding; returns (gx, gy, magnitude)."""
+    gx, gy = _sobel(np.pad(np.asarray(img, dtype=np.float64), 1))
     return gx, gy, np.hypot(gx, gy)
-
-
-def _nonmax_suppress(gx: np.ndarray, gy: np.ndarray, mag: np.ndarray) -> np.ndarray:
-    ys, xs = np.nonzero(mag > 0)
-    angle = np.degrees(np.arctan2(gy[ys, xs], gx[ys, xs])) % 360.0
-    bins = np.rint(angle / 45.0).astype(int) % 8
-    dx, dy = np.asarray(_DIR_OFFSETS)[bins].T
-    m = mag[ys, xs]
-    p = np.pad(mag, 1)
-    fwd = p[ys + 1 + dy, xs + 1 + dx]  # value at p + u (toward brighter side)
-    bwd = p[ys + 1 - dy, xs + 1 - dx]
-    keep = np.zeros(mag.shape, dtype=bool)
-    # strict toward the gradient so tied pairs resolve to the foreground side
-    keep[ys, xs] = (m > fwd) & (m >= bwd)
-    return keep
 
 
 def canny(m: np.ndarray) -> np.ndarray:
     """Binary edge map of a mask: Sobel gradient of its 0/1 values, then
     non-maximum suppression.  No hysteresis: the derivatives are integers, so
     a nonzero magnitude is at least 1 and passes any threshold below that.
-    Direction bins and magnitude order are those of the {0, 255} scale."""
+
+    A pixel is kept when its magnitude exceeds that of its neighbor toward
+    the gradient and is at least that of the one away from it (tied pairs
+    resolve to the foreground side).  Everything runs in int16: the direction
+    comes from the integer-pair table and the magnitudes are compared
+    squared, which gives the bins and orderings of the float Sobel magnitude
+    on the 0/1 and on the {0, 255} scale alike.
+    """
     m = validate_binary_mask(m)
-    gx, gy, mag = gradient(m)
-    return _nonmax_suppress(gx, gy, mag).astype(np.uint8)
+    h, w = m.shape
+    # pad by 2 so the derivatives cover a 1 px ring outside the mask; the
+    # ring's magnitude is then zeroed, so suppression reads there see background
+    p = np.zeros((h + 4, w + 4), dtype=np.int16)
+    p[2:-2, 2:-2] = m
+    gx, gy = _sobel(p)
+    mag2 = gx * gx + gy * gy
+    mag2[[0, -1], :] = 0
+    mag2[:, [0, -1]] = 0
+    idx = np.flatnonzero(mag2 > 0)
+    # flat step to the neighbor toward the gradient, per (gy, gx) pair
+    steps = (_DIR_OFFSETS @ (1, w + 2))[_BINS]
+    step = steps[gy.ravel()[idx] + 4, gx.ravel()[idx] + 4]
+    flat = mag2.ravel()
+    mag = flat[idx]
+    keep = (mag > flat[idx + step]) & (mag >= flat[idx - step])
+    out = np.zeros((h + 2) * (w + 2), dtype=np.uint8)
+    out[idx[keep]] = 1
+    return out.reshape(h + 2, w + 2)[1:-1, 1:-1].copy()
 
 
 def extract_chains(edges: np.ndarray) -> list[EdgeChain]:

@@ -64,7 +64,8 @@ def _taubin_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     zx = np.column_stack([2 * x, y, np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)])
     zy = np.column_stack([np.zeros_like(x), x, 2 * y, np.zeros_like(x), np.ones_like(x), np.zeros_like(x)])
     n = zx.T @ zx + zy.T @ zy
-    w, v = scipy.linalg.eig(m, n)
+    # m and n are fresh finite locals: skip the check and let LAPACK reuse them
+    w, v = scipy.linalg.eig(m, n, check_finite=False, overwrite_a=True, overwrite_b=True)
     w = np.real(w)
     finite = np.isfinite(w) & (w > -1e-9)
     if not finite.any():
@@ -169,25 +170,30 @@ def contains(e: Ellipse, p) -> bool:
 def raster_window(e: Ellipse, width: int, height: int) -> tuple[int, int, np.ndarray]:
     """(x0, y0, window) of the ellipse on a width x height grid.
 
-    The window covers the ellipse's bounding box clipped to the grid, its
-    pixel (0, 0) being grid pixel (x0, y0); a pixel is set when its grid
-    center (x + 0.5, y + 0.5) lies inside the ellipse.  No grid pixel outside
-    the window is inside.
+    The window covers the rotated ellipse's axis-aligned bounding box, with
+    half-widths sqrt(a^2 cos^2 t + b^2 sin^2 t) in x and
+    sqrt(a^2 sin^2 t + b^2 cos^2 t) in y, grown by 1 px against rounding and
+    clipped to the grid; its pixel (0, 0) is grid pixel (x0, y0).  A pixel is
+    set when its grid center (x + 0.5, y + 0.5) lies inside the ellipse, so
+    no grid pixel outside the window is inside.
     """
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
-    r = e.a
-    x0 = max(0, int(math.floor(e.cx - r - 1)))
-    x1 = min(width, int(math.ceil(e.cx + r + 1)))
-    y0 = max(0, int(math.floor(e.cy - r - 1)))
-    y1 = min(height, int(math.ceil(e.cy + r + 1)))
+    t = math.radians(e.theta_deg)
+    c, s = math.cos(t), math.sin(t)
+    hx = math.sqrt((e.a * c) ** 2 + (e.b * s) ** 2)
+    hy = math.sqrt((e.a * s) ** 2 + (e.b * c) ** 2)
+    x0 = max(0, int(math.floor(e.cx - hx - 1)))
+    x1 = min(width, int(math.ceil(e.cx + hx + 1)))
+    y0 = max(0, int(math.floor(e.cy - hy - 1)))
+    y1 = min(height, int(math.ceil(e.cy + hy + 1)))
     if x0 >= x1 or y0 >= y1:
         return 0, 0, np.zeros((0, 0), dtype=np.uint8)
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    gx, gy = np.meshgrid(xs, ys)
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    inside = e.quad_form(pts) <= 1.0
+    # row-major (x + 0.5, y + 0.5) centers of the window's pixels
+    pts = np.empty((y1 - y0, x1 - x0, 2))
+    pts[..., 0] = np.arange(x0, x1) + 0.5
+    pts[..., 1] = (np.arange(y0, y1) + 0.5)[:, None]
+    inside = e.quad_form(pts.reshape(-1, 2)) <= 1.0
     return x0, y0, inside.reshape(y1 - y0, x1 - x0).astype(np.uint8)
 
 

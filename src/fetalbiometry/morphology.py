@@ -88,17 +88,6 @@ def close(m: np.ndarray, k: StructuringElement) -> np.ndarray:
     return erode(dilate(m, k), k)
 
 
-def connected_components(m: np.ndarray) -> list[tuple[int, np.ndarray, int]]:
-    """8-connected components as (id, boolean pixel mask, size), id from 1."""
-    m = validate_binary_mask(m)
-    labels, n = ndimage.label(m, structure=_EIGHT_CONN)
-    out = []
-    for cid in range(1, n + 1):
-        comp = labels == cid
-        out.append((cid, comp, int(np.count_nonzero(comp))))
-    return out
-
-
 def largest_component(m: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected component (ties: smallest row-major pixel)."""
     m = validate_binary_mask(m)

@@ -13,7 +13,7 @@ import numpy as np
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .io_formats import dataclass_from_json
-from .raster import bounding_window, mask_set_counts, require_same_shape, validate_binary_mask
+from .raster import bounding_window, mask_set_counts, pixel_centers, require_same_shape, validate_binary_mask
 
 
 @dataclass(frozen=True)
@@ -153,13 +153,19 @@ def _fit_boundary(
     mask: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]
 ) -> tuple[el.Ellipse, tuple[int, int, np.ndarray]]:
     """Ellipse fitted to the largest Canny edge of the crop mask, in frame
-    coordinates, and its raster window on the (width, height) frame."""
+    coordinates, and its raster window on the (width, height) frame.
+
+    The fitted points are the centers of the largest 8-connected edge
+    component in row-major order: the pixels, order and floats of
+    ``edges.longest_chain(edges.extract_chains(edge_map))``, whose tie rule
+    is the component's, without building a tuple per pixel.
+    """
     edge_map = edges.canny(mask)
-    chain = edges.longest_chain(edges.extract_chains(edge_map))
+    if not edge_map.any():
+        raise NoEdgesError("no edge pixels to fit")
     # fit frame coordinates, never shift the fitted ellipse: the fit must see
     # the very floats a full-frame fit sees, or boundary pixels flip
-    pts = (np.asarray(chain.points) + origin) + 0.5
-    fitted = el.fit_ams(pts)
+    fitted = el.fit_ams(pixel_centers(morphology.largest_component(edge_map), origin))
     return fitted, el.raster_window(fitted, *frame)
 
 

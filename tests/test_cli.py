@@ -353,6 +353,28 @@ class TestMetrics:
         rc = main(["metrics", "--pred", str(gt), "--out", str(tmp_path / "m.json")])
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize("inputs", [[], ["--pred"], ["--pred", "--gt"]])
+    def test_no_inputs_usage(self, tmp_path, capsys, inputs):
+        out = tmp_path / "m.json"
+        assert main(["metrics", *inputs, "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_gt_without_pred_usage(self, tmp_path):
+        gt = make_scene_file(tmp_path, "gt.pgm", seed=2)
+        out = tmp_path / "m.json"
+        assert main(["metrics", "--gt", str(gt), "--out", str(out)]) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_unlabelled_scores_partial(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("v,0,0.9\nv,1,0.2\nv,2,,1\n")  # no row holds both a score and a label
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--scores", str(scores), "--out", str(out)]) == EXIT_PARTIAL
+        assert set(json.loads(out.read_text()).values()) == {None}
+        err = capsys.readouterr().err
+        assert err.startswith("warning: ") and "scores.csv" in err and "Traceback" not in err
+
 
 class TestPhantom:
     def test_generates_and_validates(self, tmp_path):

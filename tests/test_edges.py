@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
-from fetalbiometry import phantom
+from fetalbiometry import edges, phantom
 from fetalbiometry.edges import canny, extract_chains, gradient, longest_chain
 from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import NoEdgesError
@@ -117,6 +117,33 @@ class TestMatchesReference:
 
         for got, want in zip(decisions(1.0), decisions(255.0)):
             assert np.array_equal(got, want)
+
+
+class TestIntegerPath:
+    """canny works on the integer Sobel pairs of a 0/1 mask; over all 81 of
+    them its bin table and squared magnitudes decide as the float path does."""
+
+    gx, gy = (a.ravel() for a in np.meshgrid(np.arange(-4, 5), np.arange(-4, 5)))
+
+    def test_bin_table_is_float_formula(self):
+        gx, gy = self.gx.astype(np.float64), self.gy.astype(np.float64)
+        for scale in (1.0, 255.0):
+            angle = np.degrees(np.arctan2(gy * scale, gx * scale)) % 360.0
+            want = np.rint(angle / 45.0).astype(int) % 8
+            assert np.array_equal(edges._BINS[self.gy + 4, self.gx + 4], want)
+
+    def test_squared_magnitude_orders_as_hypot(self):
+        mag2 = self.gx * self.gx + self.gy * self.gy
+        mag = np.hypot(self.gx.astype(np.float64), self.gy.astype(np.float64))
+        assert np.array_equal(mag2[:, None] > mag2, mag[:, None] > mag)
+        assert np.array_equal(mag2[:, None] >= mag2, mag[:, None] >= mag)
+
+    def test_mask_gradients_lie_in_the_table(self):
+        # the center pair of every 3x3 neighborhood a 0/1 mask can have
+        bits = (np.arange(512)[:, None] >> np.arange(9)) & 1
+        for pattern in bits.reshape(-1, 3, 3):
+            gx, gy, _ = gradient(pattern)
+            assert abs(gx[1, 1]) <= 4 and abs(gy[1, 1]) <= 4
 
 
 class TestGradient:

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fetalbiometry.ellipse import Ellipse, contains, external_tangents, fit_ams, rasterize
+from fetalbiometry.ellipse import Ellipse, contains, external_tangents, fit_ams, raster_window, rasterize
 from fetalbiometry.errors import DegenerateInputError, NoTangentError
 from fetalbiometry.metrics import dice
 
@@ -96,6 +98,56 @@ class TestRasterize:
         e = Ellipse(150.0, 150.0, 60.0, 25.0, 70.0)
         area = int(rasterize(e, 300, 300).sum())
         assert abs(area - math.pi * e.a * e.b) / (math.pi * e.a * e.b) < 0.02
+
+
+# Reference: the raster window over a square box of half-width a around the
+# center.  The production window is tighter and must set the same pixels.
+def ref_raster_window(e, width, height):
+    r = e.a
+    x0 = max(0, int(math.floor(e.cx - r - 1)))
+    x1 = min(width, int(math.ceil(e.cx + r + 1)))
+    y0 = max(0, int(math.floor(e.cy - r - 1)))
+    y1 = min(height, int(math.ceil(e.cy + r + 1)))
+    if x0 >= x1 or y0 >= y1:
+        return 0, 0, np.zeros((0, 0), dtype=np.uint8)
+    gx, gy = np.meshgrid(np.arange(x0, x1) + 0.5, np.arange(y0, y1) + 0.5)
+    inside = e.quad_form(np.column_stack([gx.ravel(), gy.ravel()])) <= 1.0
+    return x0, y0, inside.reshape(y1 - y0, x1 - x0).astype(np.uint8)
+
+
+def pasted(window, width, height):
+    x0, y0, win = window
+    out = np.zeros((height, width), dtype=np.uint8)
+    out[y0 : y0 + win.shape[0], x0 : x0 + win.shape[1]] = win
+    return out
+
+
+class TestRasterWindow:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cx=st.floats(-40.0, 140.0),
+        cy=st.floats(-40.0, 140.0),
+        a=st.floats(0.2, 90.0),
+        ratio=st.floats(0.005, 1.0),  # b / a: thin to round
+        theta=st.floats(0.0, 180.0, exclude_max=True),
+        width=st.integers(1, 100),
+        height=st.integers(1, 100),
+    )
+    @example(cx=50.0, cy=50.0, a=40.0, ratio=0.05, theta=0.0, width=100, height=100)
+    @example(cx=50.0, cy=50.0, a=40.0, ratio=0.05, theta=90.0, width=100, height=100)
+    @example(cx=-3.0, cy=97.5, a=30.0, ratio=0.2, theta=135.0, width=100, height=100)
+    def test_matches_square_box(self, cx, cy, a, ratio, theta, width, height):
+        e = Ellipse(cx, cy, a, a * ratio, theta)
+        x0, y0, win = got = raster_window(e, width, height)
+        assert pasted(got, width, height).tobytes() == pasted(ref_raster_window(e, width, height), width, height).tobytes()
+        if win.size == 0:
+            return
+        # each side lies within the rotated ellipse's bounding box plus 1 px
+        t = math.radians(theta)
+        hx = math.hypot(e.a * math.cos(t), e.b * math.sin(t))
+        hy = math.hypot(e.a * math.sin(t), e.b * math.cos(t))
+        assert x0 >= math.floor(cx - hx) - 1 and y0 >= math.floor(cy - hy) - 1
+        assert x0 + win.shape[1] <= math.ceil(cx + hx) + 1 and y0 + win.shape[0] <= math.ceil(cy + hy) + 1
 
 
 class TestTangents:

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from fetalbiometry.morphology import (
     StructuringElement,
     close,
-    connected_components,
     dilate,
     elliptical_kernel,
     erode,
@@ -15,6 +15,14 @@ from fetalbiometry.morphology import (
 )
 
 CROSS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+
+
+# Reference for the largest_component tests: every 8-connected component.
+def connected_components(m):
+    """8-connected components as (id, boolean pixel mask, size), id from 1."""
+    labels, n = ndimage.label(m, structure=np.ones((3, 3), np.uint8))
+    comps = [labels == cid for cid in range(1, n + 1)]
+    return [(cid, c, int(np.count_nonzero(c))) for cid, c in enumerate(comps, start=1)]
 
 
 class TestKernel:
