@@ -62,8 +62,12 @@ def _refine_params(config: dict, args) -> RefineParams:
 def _load_labels(path):
     p = str(path)
     if p.endswith(".fpm"):
-        # read_prob_map has checked the map, and measuring checks the labels
-        return ensemble._argmax_channels(io_formats.read_prob_map(p))
+        # the reader checks the map, and measuring checks the labels
+        with io_formats.prob_map_strips([p]) as (shape, strips):
+            labels = np.empty(shape[:2], np.uint8)
+            for rows, (strip,) in strips:
+                labels[rows] = ensemble._argmax_channels(strip)
+        return labels
     return io_formats.read_label_mask(p)
 
 
@@ -96,10 +100,16 @@ def cmd_measure(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    """Average or vote the members.  read_prob_map checks each member once;
-    the ensemble and writer steps then run without checking again.  Only the
-    average is checked once more: a mean of maps that pass can miss the sum
-    tolerance by a rounding step."""
+    """Average or vote the members, a strip of rows at a time.
+
+    Each member strip is checked once as it is read, and each strip of the
+    average once more: a mean of maps that pass can miss the sum tolerance by
+    a rounding step.  The average is cast into one float32 map and decided
+    into one label mask, and each output is written once, after the last
+    strip, so a failure writes nothing and an output that names a member is
+    read in full before it is overwritten.  On a failure the members are read
+    again whole, only to report the error as the frame-level path does.
+    """
     if not (args.out or args.decide_out):
         print("error: give --out or --decide-out", file=sys.stderr)
         return EXIT_USAGE
@@ -110,28 +120,59 @@ def cmd_ensemble(args) -> int:
     if not members_paths:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
-    members = []
-    for p in members_paths:
-        try:
-            members.append(io_formats.read_prob_map(p))
-        except FormatError as e:
-            print(f"error: {p}: {e}", file=sys.stderr)
-            return EXIT_DATA
-    ensemble._same_shape(members)
-    if args.vote:
-        io_formats.write_label_mask(ensemble._vote(members), args.decide_out or args.out)
-        return EXIT_OK
-    avg = ensemble._average(members)
     try:
-        validate_prob_map(avg)
-    except ValueError as e:
-        print(f"error: ensemble average: {e}", file=sys.stderr)
-        return EXIT_DATA
+        avg, labels = _ensemble_strips(members_paths, args.vote, bool(args.out), bool(args.decide_out))
+    except (FetalBiometryError, OSError):
+        _raise_frame_level_error(members_paths, args.vote)
+        raise
+    if args.vote:
+        io_formats.write_label_mask(labels, args.decide_out or args.out)
+        return EXIT_OK
     if args.out:
         io_formats._write_prob_map(avg, args.out)
     if args.decide_out:
-        io_formats.write_label_mask(ensemble._argmax_channels(avg), args.decide_out)
+        io_formats.write_label_mask(labels, args.decide_out)
     return EXIT_OK
+
+
+def _ensemble_strips(paths, use_vote: bool, want_avg: bool, want_labels: bool):
+    """(float32 average or None, label mask or None) of the members: the vote,
+    or the average and its decision as asked."""
+    with io_formats.prob_map_strips(paths) as (shape, strips):
+        avg = np.empty(shape, "<f4") if want_avg and not use_vote else None
+        labels = np.empty(shape[:2], np.uint8) if want_labels or use_vote else None
+        for rows, members in strips:
+            if use_vote:
+                labels[rows] = ensemble._vote(members)
+                continue
+            mean = ensemble._average(members)
+            try:
+                validate_prob_map(mean)
+            except ValueError as e:
+                raise FormatError(f"ensemble average: {e}")
+            if avg is not None:
+                avg[rows] = mean
+            if labels is not None:
+                labels[rows] = ensemble._argmax_channels(mean)
+    return avg, labels
+
+
+def _raise_frame_level_error(paths, use_vote: bool) -> None:
+    """Read the members whole, in order, and check their average, to raise
+    the first failure as the frame-level path names it: the member, or the
+    average's worst pixel over the whole frame.  Returns if nothing fails."""
+    members = []
+    for p in paths:
+        try:
+            members.append(io_formats.read_prob_map(p))
+        except FormatError as e:
+            raise FormatError(f"{p}: {e}")
+    ensemble._same_shape(members)
+    if not use_vote:
+        try:
+            validate_prob_map(ensemble._average(members))
+        except ValueError as e:
+            raise FormatError(f"ensemble average: {e}")
 
 
 def cmd_metrics(args) -> int:

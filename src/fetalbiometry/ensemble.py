@@ -1,5 +1,5 @@
 """Uniformly weighted ensembling of per-pixel class probabilities, plus the
-majority-voting variant and the final decision rules."""
+majority-voting variant and the argmax decision."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .raster import validate_label_mask, validate_prob_map
-
-CLS_THRESHOLD = 0.5  # inclusive positive
 
 
 def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
@@ -89,10 +87,3 @@ def decide(p: np.ndarray) -> np.ndarray:
     """Per-pixel argmax label mask (ties to the lowest class index)."""
     return validate_label_mask(_argmax_channels(validate_prob_map(p)))
 
-
-def decide_cls(v) -> int:
-    """Binary decision from a (negative, positive) probability vector."""
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size != 2:
-        raise ValueError(f"expected a 2-class probability vector, got {v.size} entries")
-    return int(v[1] >= CLS_THRESHOLD)

@@ -10,16 +10,18 @@ JSON config objects map onto parameter dataclasses with strict keys and types.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DimensionMismatchError, FormatError
 from .raster import validate_label_mask, validate_prob_map
 
 # display palette for P5 masks; raw {0,1,2} is accepted too
@@ -187,33 +189,92 @@ def write_label_mask(mask: np.ndarray, path) -> None:
         f.write(np.take(_PALETTE_OUT, mask))
 
 
-def read_prob_map(path) -> np.ndarray:
-    """Read and validate an FPM file as a read-only float32 (H, W, C) array."""
-    with open(path, "rb") as f:
-        data = f.read()
-    nl = data.find(b"\n")
-    if nl < 0:
-        raise FormatError("missing header line", byte_offset=len(data))
-    header = data[:nl].split()
+# a member strip holds about this many payload bytes: whole rows, at least one
+STRIP_BYTES = 256 * 1024
+
+
+def _read_fpm_header(f) -> tuple[int, int, int]:
+    """(height, width, channels) from the header of an open FPM file.
+
+    Checks the geometry, and the payload length against the file size, before
+    any payload is read; leaves ``f`` at the payload.
+    """
+    line = f.readline()
+    size = os.fstat(f.fileno()).st_size
+    if not line.endswith(b"\n"):
+        raise FormatError("missing header line", byte_offset=size)
+    header = line[:-1].split()
     if len(header) != 4 or header[0] != b"FPM":
-        raise FormatError(f"bad magic/header {data[:nl]!r}", byte_offset=0)
+        raise FormatError(f"bad magic/header {line[:-1]!r}", byte_offset=0)
     try:
         width, height, channels = (int(t) for t in header[1:])
     except ValueError:
-        raise FormatError(f"non-integer header field in {data[:nl]!r}", byte_offset=4)
+        raise FormatError(f"non-integer header field in {line[:-1]!r}", byte_offset=4)
     if width < 1 or height < 1 or channels not in (2, 3):
         raise FormatError(f"bad geometry {width}x{height}x{channels}")
-    expected = width * height * channels * 4
-    if len(data) - (nl + 1) < expected:
-        raise FormatError(
-            f"truncated payload: expected {expected} bytes, got {len(data) - (nl + 1)}",
-            byte_offset=len(data),
-        )
-    arr = np.frombuffer(data, dtype="<f4", count=expected // 4, offset=nl + 1).reshape(height, width, channels)
+    _check_payload(width * height * channels * 4, size - len(line), size)
+    return height, width, channels
+
+
+def _check_payload(expected: int, got: int, end: int) -> None:
+    if got < expected:
+        raise FormatError(f"truncated payload: expected {expected} bytes, got {got}", byte_offset=end)
+
+
+def _read_payload(f, out: np.ndarray) -> None:
+    """Fill ``out`` from the file; a file that shrank since its header was checked is truncated."""
+    got = f.readinto(out)
+    _check_payload(out.nbytes, got, f.tell())
+
+
+def read_prob_map(path) -> np.ndarray:
+    """Read and validate an FPM file as a float32 (H, W, C) array."""
+    with open(path, "rb") as f:
+        p = np.empty(_read_fpm_header(f), "<f4")
+        _read_payload(f, p)
     try:
-        return validate_prob_map(arr)
+        return validate_prob_map(p)
     except ValueError as e:
         raise FormatError(str(e))
+
+
+@contextlib.contextmanager
+def prob_map_strips(paths):
+    """Read FPM files of one shape together, a strip of rows at a time.
+
+    Yields ``(shape, strips)`` once every header and payload length has been
+    checked.  ``strips`` yields ``(rows, maps)``: a slice of the frame's rows
+    and each file's float32 map of those rows, validated as it is read.  Each
+    file's strip is read into one buffer reused for the next strip, so a
+    caller copies out what it keeps.  A rejected file raises what
+    ``read_prob_map`` raises for it, so a bad pixel is named at frame level.
+    """
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(p, "rb")) for p in paths]
+        shapes = [_read_fpm_header(f) for f in files]
+        for path, shape in zip(paths[1:], shapes[1:]):
+            if shape != shapes[0]:
+                raise DimensionMismatchError(f"{path} has shape {shape}, expected {shapes[0]}")
+        yield shapes[0], _strips(paths, files, shapes[0])
+
+
+def _strips(paths, files, shape):
+    height, width, channels = shape
+    rows = max(1, STRIP_BYTES // (width * channels * 4))
+    buffers = [np.empty((min(rows, height), width, channels), "<f4") for _ in files]
+    for y0 in range(0, height, rows):
+        n = min(rows, height - y0)
+        maps = []
+        for path, f, buf in zip(paths, files, buffers):
+            strip = buf[:n]
+            _read_payload(f, strip)
+            try:
+                validate_prob_map(strip)
+            except ValueError as e:
+                read_prob_map(path)  # raises the frame-level error
+                raise FormatError(str(e))
+            maps.append(strip)
+        yield slice(y0, y0 + n), maps
 
 
 def write_prob_map(p: np.ndarray, path) -> None:

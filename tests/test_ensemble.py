@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry.ensemble import average, decide, decide_cls, vote
+from fetalbiometry.ensemble import average, decide, vote
 from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import PROB_SUM_TOL, validate_label_mask, validate_prob_map
 
@@ -215,15 +215,6 @@ class TestDecide:
     def test_tie_lowest_index(self):
         p = np.full((1, 1, 2), 0.5)
         assert decide(p)[0, 0] == 0
-
-    def test_cls_threshold_inclusive(self):
-        assert decide_cls([0.5, 0.5]) == 1
-        assert decide_cls([0.6, 0.4]) == 0
-        assert decide_cls([0.1, 0.9]) == 1
-
-    def test_cls_bad_length(self):
-        with pytest.raises(ValueError):
-            decide_cls([0.2, 0.3, 0.5])
 
 
 class TestParentEquivalence:

@@ -1,6 +1,7 @@
-"""The ensemble path of the CLI: each member is checked once, as it is read,
-and the average once more; the files written equal what the public functions
-compute."""
+"""The ensemble path of the CLI: each member row is checked once, as it is
+read strip by strip, and each average row once more; the files written equal
+what the public functions compute, and a failure is reported as the
+frame-level path reports it."""
 
 import contextlib
 import io
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry import raster
-from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from fetalbiometry import cli, io_formats, phantom, raster
+from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.ensemble import average, decide, vote
-from fetalbiometry.errors import FetalBiometryError
+from fetalbiometry.errors import FetalBiometryError, FormatError
 from fetalbiometry.io_formats import read_prob_map, write_label_mask, write_prob_map
 from fetalbiometry.raster import PROB_SUM_TOL, validate_prob_map
 
@@ -103,13 +104,14 @@ class TestAverageTolerance:
 
 @pytest.fixture
 def prob_map_checks(monkeypatch):
-    """Count validate_prob_map calls wherever a package module looks it up."""
+    """Record the (dtype, shape) of each validate_prob_map call wherever a
+    package module looks it up."""
     calls = []
     real = raster.validate_prob_map
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(p, *args, **kwargs):
+        calls.append((np.asarray(p).dtype, np.shape(p)))
+        return real(p, *args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("fetalbiometry.") and getattr(module, "validate_prob_map", None) is real:
@@ -156,25 +158,68 @@ class TestChecksOnce:
         assert len(prob_map_checks) == 1
 
 
+def strip_rows(width, channels):
+    """Rows per strip of the reader for frames of this width and channel count."""
+    return max(1, io_formats.STRIP_BYTES // (width * channels * 4))
+
+
+@st.composite
+def tall_frames(draw):
+    """(n, channels, height, width, seed) of a frame that spans three or four
+    strips, the last one partial."""
+    channels = draw(st.sampled_from([2, 3]))
+    width = draw(st.integers(600, 2000))
+    rows = strip_rows(width, channels)
+    height = draw(st.integers(2, 3)) * rows + draw(st.integers(1, rows - 1))
+    return draw(st.integers(1, 4)), channels, height, width, draw(st.integers(0, 2**16))
+
+
+def assert_same_files(n, channels, h, w, seed):
+    """The average, decided, voted and measure-loaded outputs of the CLI equal
+    the public functions' outputs written by the public writers."""
+    with tempfile.TemporaryDirectory() as d:
+        out = Path(d)
+        paths = write_members(out, n, (h, w), channels, seed)
+        ms = [read_prob_map(p) for p in paths]
+        argv = ["ensemble", *paths, "--out", str(out / "a.fpm"), "--decide-out", str(out / "d.pgm")]
+        assert main(argv) == EXIT_OK
+        assert main(["ensemble", *paths, "--vote", "--out", str(out / "v.pgm")]) == EXIT_OK
+        write_prob_map(average(ms), out / "a_ref.fpm")
+        write_label_mask(decide(average(ms)), out / "d_ref.pgm")
+        write_label_mask(vote(ms), out / "v_ref.pgm")
+        for name in ("a.fpm", "d.pgm", "v.pgm"):
+            ref = name.replace(".", "_ref.")
+            assert (out / name).read_bytes() == (out / ref).read_bytes(), name
+        # what measure takes from an .fpm input
+        assert np.array_equal(cli._load_labels(paths[0]), decide(ms[0]))
+
+
 class TestSameFiles:
     """The files ``ensemble`` writes equal the public functions' output."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 5), st.sampled_from([2, 3]), st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**16))
     def test_bytes(self, n, channels, h, w, seed):
-        with tempfile.TemporaryDirectory() as d:
-            out = Path(d)
-            paths = write_members(out, n, (h, w), channels, seed)
-            ms = [read_prob_map(p) for p in paths]
-            argv = ["ensemble", *paths, "--out", str(out / "a.fpm"), "--decide-out", str(out / "d.pgm")]
-            assert main(argv) == EXIT_OK
-            assert main(["ensemble", *paths, "--vote", "--out", str(out / "v.pgm")]) == EXIT_OK
-            write_prob_map(average(ms), out / "a_ref.fpm")
-            write_label_mask(decide(average(ms)), out / "d_ref.pgm")
-            write_label_mask(vote(ms), out / "v_ref.pgm")
-            for name in ("a.fpm", "d.pgm", "v.pgm"):
-                ref = name.replace(".", "_ref.")
-                assert (out / name).read_bytes() == (out / ref).read_bytes(), name
+        assert_same_files(n, channels, h, w, seed)
+
+    @settings(max_examples=15, deadline=None)
+    @given(tall_frames())
+    def test_bytes_across_strips(self, frame):
+        assert_same_files(*frame)
+
+    def test_measure_across_strips(self, tmp_path):
+        # a 256x256x3 map spans four strips, the last one row high
+        assert 256 % strip_rows(256, 3) != 0 and 256 // strip_rows(256, 3) >= 3
+        labels = phantom.render(phantom.random_scene(0, 256, 256))
+        rng = np.random.default_rng(0)
+        raw = np.where(labels[..., None] == np.arange(3), 0.6, 0.2) + rng.random((256, 256, 3)) * 0.3
+        fpm = tmp_path / "f.fpm"
+        write_prob_map(raw / raw.sum(axis=2, keepdims=True), fpm)
+        (tmp_path / "ref").mkdir()
+        write_label_mask(decide(read_prob_map(fpm)), tmp_path / "ref" / "f.pgm")
+        assert main(["measure", str(fpm), "--out", str(tmp_path / "r.csv")]) == EXIT_OK
+        assert main(["measure", str(tmp_path / "ref" / "f.pgm"), "--out", str(tmp_path / "r_ref.csv")]) == EXIT_OK
+        assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r_ref.csv").read_bytes()
 
     @pytest.mark.parametrize("vote_flag", [[], ["--vote"]])
     def test_mismatched_members(self, tmp_path, capsys, vote_flag):
@@ -261,3 +306,151 @@ class TestFailureContract:
                 assert written == {"--decide-out" if "--decide-out" in outputs else "--out"}
             else:
                 assert written == set(outputs)
+
+
+# 4 strips of 10, 10, 10 and 5 rows at this geometry
+TALL = (35, 2048)
+
+
+class TestRowsCheckedOnce:
+    """Across strips, validate_prob_map sees each member row and each average
+    row exactly once, strip by strip in order."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("use_vote", [False, True])
+    def test_ensemble(self, tmp_path, prob_map_checks, n, use_vote):
+        paths = write_members(tmp_path, n, TALL, 3)
+        prob_map_checks.clear()
+        if use_vote:
+            outputs = ["--vote", "--out", str(tmp_path / "v.pgm")]
+        else:
+            outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
+        assert main(["ensemble", *paths, *outputs]) == EXIT_OK
+        strips = [10, 10, 10, 5]
+        assert [s[0] for t, s in prob_map_checks if t == np.float32] == [r for r in strips for _ in range(n)]
+        assert [s[0] for t, s in prob_map_checks if t == np.float64] == ([] if use_vote else strips)
+
+    def test_measure(self, tmp_path, prob_map_checks):
+        (path,) = write_members(tmp_path, 1, TALL, 3)
+        prob_map_checks.clear()
+        main(["measure", path, "--out", str(tmp_path / "r.csv")])
+        assert [s[0] for t, s in prob_map_checks] == [10, 10, 10, 5]
+
+
+def frame_level_stderr(paths, use_vote):
+    """What the frame-level path prints: members read whole and in order, then
+    the whole average checked."""
+    members = []
+    for p in paths:
+        try:
+            members.append(read_prob_map(p))
+        except FormatError as e:
+            return f"error: {p}: {e}\n"
+    if not use_vote:
+        try:
+            validate_prob_map(average(members))
+        except ValueError as e:
+            return f"error: ensemble average: {e}\n"
+    return ""
+
+
+def tall_members(n):
+    rng = np.random.default_rng(0)
+    raw = rng.random((n, *TALL, 3)) + 1e-3
+    return list((raw / raw.sum(axis=3, keepdims=True)).astype(np.float32))
+
+
+def write_raw(m, path):
+    """Write a map's float32 bytes as they are, unchecked."""
+    Path(path).write_bytes(b"FPM %d %d %d\n" % (m.shape[1], m.shape[0], m.shape[2]) + m.astype("<f4").tobytes())
+
+
+def plant_nan(ms):
+    ms[1][23, 7, 2] = np.nan
+    return 1, None
+
+
+def plant_range(ms):
+    ms[2][14, 2000, 0] = 1.5
+    return 2, None
+
+
+def plant_sums(ms):
+    # member 0 misses a little in the third strip and most in the last, and
+    # member 2 fails earlier, in the second strip: member 0 and (5, 34) are named
+    ms[0][22, 3] *= 1.002
+    ms[0][34, 5] *= 1.004
+    ms[2][11, 9, 0] = np.nan
+    return 0, (5, 34)
+
+
+def plant_rounding(ms):
+    # members that pass but whose average misses the tolerance by one
+    # rounding step, at two pixels below the first strip
+    for m, bad in zip(ms, rounding_counterexample()):
+        m[17, 100] = bad[0, 0]
+        m[31, 40] = bad[0, 0]
+    return None, (100, 17)
+
+
+PLANTS = {"nan": plant_nan, "range": plant_range, "sums": plant_sums, "rounding": plant_rounding}
+
+
+class TestFailuresBelowTheFirstStrip:
+    @pytest.mark.parametrize("use_vote", [False, True])
+    @pytest.mark.parametrize("plant", list(PLANTS))
+    def test_frame_level_report(self, tmp_path, capsys, plant, use_vote):
+        ms = tall_members(3)
+        member, pixel = PLANTS[plant](ms)
+        paths = [str(tmp_path / f"m{i}.fpm") for i in range(len(ms))]
+        for m, p in zip(ms, paths):
+            write_raw(m, p)
+        want = frame_level_stderr(paths, use_vote)
+        outputs = ["--out", str(tmp_path / "o"), "--decide-out", str(tmp_path / "d.pgm")]
+        rc = main(["ensemble", *paths, *(["--vote"] if use_vote else []), *outputs])
+        if use_vote and member is None:  # the vote has no average to check
+            assert rc == EXIT_OK and want == ""
+            return
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == want
+        assert want.startswith(f"error: {paths[member]}: " if member is not None else "error: ensemble average: ")
+        if pixel is not None:
+            assert f"worst pixel ({pixel[0]}, {pixel[1]})" in want
+        assert not (tmp_path / "o").exists() and not (tmp_path / "d.pgm").exists()
+
+    @pytest.mark.parametrize("use_vote", [False, True])
+    def test_truncated_member(self, tmp_path, capsys, use_vote):
+        paths = write_members(tmp_path, 3, TALL, 3)
+        data = Path(paths[1]).read_bytes()
+        Path(paths[1]).write_bytes(data[: len(data) - 4 * TALL[1] * 3])  # drops the last row
+        want = frame_level_stderr(paths, use_vote)
+        assert want.startswith(f"error: {paths[1]}: truncated payload")
+        out = tmp_path / "o"
+        assert main(["ensemble", *paths, *(["--vote"] if use_vote else []), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == want
+        assert not out.exists()
+
+    @pytest.mark.parametrize("plant", ["nan", "sums"])
+    def test_measure(self, tmp_path, capsys, plant):
+        ms = tall_members(3)
+        member, _ = PLANTS[plant](ms)
+        path = tmp_path / "f.fpm"
+        write_raw(ms[member], path)
+        with pytest.raises(FormatError) as want:
+            read_prob_map(path)
+        assert main(["measure", str(path), "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == f"error: {path}: {want.value}\n"
+
+
+@pytest.mark.parametrize("flags", [["--out"], ["--vote", "--out"]])
+def test_out_names_a_member(tmp_path, flags):
+    # every member is read in full before the output replaces one of them
+    paths = write_members(tmp_path, 3, TALL, 3)
+    ms = [read_prob_map(p) for p in paths]
+    ref = tmp_path / "ref"
+    if "--vote" in flags:
+        write_label_mask(vote(ms), ref)
+    else:
+        write_prob_map(average(ms), ref)
+    assert main(["ensemble", *paths, *flags, paths[1]]) == EXIT_OK
+    assert Path(paths[1]).read_bytes() == ref.read_bytes()

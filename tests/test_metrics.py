@@ -23,6 +23,12 @@ class TestConfusion:
         c = confusion([0.5, 0.49], [1, 0])
         assert (c.tp, c.tn, c.fp, c.fn) == (1, 1, 0, 0)
 
+    def test_cls_threshold_inclusive(self):
+        # the positive-class probabilities of (negative, positive) vectors
+        # (0.5, 0.5), (0.6, 0.4) and (0.1, 0.9)
+        c = confusion([0.5, 0.4, 0.9], [1, 0, 1])
+        assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 0, 0)
+
     def test_counts(self):
         c = confusion([0.9, 0.8, 0.2, 0.6], [1, 0, 0, 1])
         assert (c.tp, c.tn, c.fp, c.fn) == (2, 1, 1, 0)
