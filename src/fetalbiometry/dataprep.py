@@ -55,9 +55,6 @@ class AugmentParams:
 class SamplePlan:
     frames: dict[str, list[int]] = field(default_factory=dict)
 
-    def total(self) -> int:
-        return sum(len(v) for v in self.frames.values())
-
 
 def _video_key(seed: int, video_id: str) -> list[int]:
     digest = hashlib.blake2b(video_id.encode(), digest_size=8).digest()

@@ -21,9 +21,8 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import NoEdgesError
+from .morphology import EIGHT_CONN
 from .raster import validate_binary_mask
-
-_EIGHT_CONN = np.ones((3, 3), dtype=np.uint8)
 
 # neighbor offsets by quantized gradient angle, 45 degrees apart, y down
 _DIR_OFFSETS = np.array([(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)])
@@ -47,12 +46,6 @@ def _sobel(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sy = p[:-2, :] + 2 * p[1:-1, :] + p[2:, :]
     sx = p[:, :-2] + 2 * p[:, 1:-1] + p[:, 2:]
     return sy[:, 2:] - sy[:, :-2], sx[2:, :] - sx[:-2, :]
-
-
-def gradient(img: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """3x3 Sobel derivatives with zero padding; returns (gx, gy, magnitude)."""
-    gx, gy = _sobel(np.pad(np.asarray(img, dtype=np.float64), 1))
-    return gx, gy, np.hypot(gx, gy)
 
 
 def canny(m: np.ndarray) -> np.ndarray:
@@ -96,7 +89,7 @@ def extract_chains(edges: np.ndarray) -> list[EdgeChain]:
     first pixel.
     """
     edges = validate_binary_mask(edges)
-    labels, n = ndimage.label(edges, structure=_EIGHT_CONN)
+    labels, n = ndimage.label(edges, structure=EIGHT_CONN)
     idx = np.flatnonzero(labels)
     ids = labels.ravel()[idx]
     # a stable sort by label keeps each component's pixels in row-major order

@@ -5,10 +5,6 @@ class FetalBiometryError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class InvalidClassError(FetalBiometryError, ValueError):
-    """A class id outside the {1 (PS), 2 (FH)} structure set was requested."""
-
-
 class DimensionMismatchError(FetalBiometryError, ValueError):
     """Two grids that must share dimensions do not."""
 

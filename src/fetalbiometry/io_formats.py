@@ -107,9 +107,17 @@ def _json_number(key: str, value, kind: type):
     return kind(value)
 
 
+def _header_int(token: bytes) -> int:
+    """A header field: ASCII decimal digits only, where ``int`` would also take a sign or underscores."""
+    if not token.isdigit():
+        raise ValueError(f"not a decimal field: {token!r}")
+    return int(token)
+
+
 def _read_pnm_header(data: bytes, magic: bytes):
     """Parse a netpbm-style header; returns (fields, payload offset)."""
-    if not data.startswith(magic):
+    after = data[len(magic) : len(magic) + 1]  # empty at end of file: a truncated header
+    if not data.startswith(magic) or after and not after.isspace():
         raise FormatError(f"bad magic, expected {magic.decode()!r}", byte_offset=0)
     fields = []
     i = len(magic)
@@ -127,7 +135,7 @@ def _read_pnm_header(data: bytes, magic: bytes):
         if start == i:
             raise FormatError("truncated header", byte_offset=i)
         try:
-            fields.append(int(data[start:i]))
+            fields.append(_header_int(data[start:i]))
         except ValueError:
             raise FormatError(f"non-integer header field {data[start:i]!r}", byte_offset=start)
     if i >= n or not data[i : i + 1].isspace():
@@ -178,15 +186,11 @@ def write_greymap(img: np.ndarray, path) -> None:
     height, width = img.shape
     with open(path, "wb") as f:
         f.write(b"P5\n%d %d\n255\n" % (width, height))
-        f.write(img.tobytes())
+        f.write(np.ascontiguousarray(img))
 
 
 def write_label_mask(mask: np.ndarray, path) -> None:
-    mask = validate_label_mask(mask)
-    height, width = mask.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (width, height))
-        f.write(np.take(_PALETTE_OUT, mask))
+    write_greymap(np.take(_PALETTE_OUT, validate_label_mask(mask)), path)
 
 
 # a member strip holds about this many payload bytes: whole rows, at least one
@@ -207,7 +211,7 @@ def _read_fpm_header(f) -> tuple[int, int, int]:
     if len(header) != 4 or header[0] != b"FPM":
         raise FormatError(f"bad magic/header {line[:-1]!r}", byte_offset=0)
     try:
-        width, height, channels = (int(t) for t in header[1:])
+        width, height, channels = (_header_int(t) for t in header[1:])
     except ValueError:
         raise FormatError(f"non-integer header field in {line[:-1]!r}", byte_offset=4)
     if width < 1 or height < 1 or channels not in (2, 3):
@@ -326,16 +330,6 @@ def report_csv_bytes(rows: list[MeasurementReport]) -> bytes:
 def write_report_csv(rows: list[MeasurementReport], path) -> None:
     with open(path, "wb") as f:
         f.write(report_csv_bytes(rows))
-
-
-def write_frame_scores(records: list[FrameRecord], path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        for r in records:
-            row = [r.video_id, r.frame_index, "" if r.score is None else _fmt(r.score)]
-            if r.label is not None:
-                row.append(r.label)
-            w.writerow(row)
 
 
 def read_frame_scores(path) -> list[FrameRecord]:

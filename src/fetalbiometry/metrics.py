@@ -9,7 +9,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import MetricError
-from .raster import boundary_mask, pixel_centers, require_same_shape, validate_binary_mask
+from .raster import boundary_mask, mask_set_counts, pixel_centers, require_same_shape, validate_binary_mask
 
 POSITIVE_THRESHOLD = 0.5  # inclusive
 
@@ -81,15 +81,9 @@ def classification_metrics(scores, labels) -> tuple[float, float, float | None, 
 
 
 def dice(a: np.ndarray, b: np.ndarray) -> float:
-    a = validate_binary_mask(a)
-    b = validate_binary_mask(b)
-    require_same_shape(a, b)
-    na = int(np.count_nonzero(a))
-    nb = int(np.count_nonzero(b))
-    if na + nb == 0:
-        return 1.0
-    inter = int(np.count_nonzero(a.astype(bool) & b.astype(bool)))
-    return 2.0 * inter / (na + nb)
+    only_a, only_b, both = mask_set_counts(a, b)
+    total = only_a + only_b + 2 * both
+    return 2.0 * both / total if total else 1.0
 
 
 def surface_distances(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

@@ -4,6 +4,12 @@ Dilation/erosion treat everything outside the image as background.  Kernels
 are filled discrete ellipses; for even sizes the anchor sits at
 ``(w // 2, h // 2)`` inside the bounding box, so a 10x10 kernel spans offsets
 dx, dy in [-5, 4].
+
+Each of ``dilate`` and ``erode`` copies its mask once into a background
+border as wide as the kernel's ``reach``, then ORs (or ANDs) one
+image-sized slice of that copy per kernel offset into its output, in place.
+No offset reads past the border, so no slice needs clipping, and a closing
+allocates two padded copies and two outputs, not a shifted copy per offset.
 """
 
 from __future__ import annotations
@@ -15,7 +21,8 @@ from scipy import ndimage
 
 from .raster import validate_binary_mask
 
-_EIGHT_CONN = np.ones((3, 3), dtype=np.uint8)
+# the neighborhood of every connected component and edge chain
+EIGHT_CONN = np.ones((3, 3), dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -27,6 +34,11 @@ class StructuringElement:
     def __post_init__(self):
         if not self.offsets:
             raise ValueError("structuring element must be non-empty")
+
+    @property
+    def reach(self) -> int:
+        """Largest |dx| or |dy| of an offset: how far from a pixel the kernel reads."""
+        return max(max(abs(dx), abs(dy)) for dx, dy in self.offsets)
 
 
 def elliptical_kernel(w: int, h: int) -> StructuringElement:
@@ -54,34 +66,34 @@ def elliptical_kernel(w: int, h: int) -> StructuringElement:
     return StructuringElement(w, h, tuple(offsets))
 
 
-def _shift(m: np.ndarray, dx: int, dy: int) -> np.ndarray:
-    """Translate m by (dx, dy); vacated pixels become 0."""
-    out = np.zeros_like(m)
+def _views(m: np.ndarray, k: StructuringElement, sign: int):
+    """One image-sized view per offset of k: m read sign * (dx, dy) away from each pixel."""
+    m = validate_binary_mask(m)
     h, w = m.shape
-    ys0, ys1 = max(dy, 0), min(h + dy, h)
-    xs0, xs1 = max(dx, 0), min(w + dx, w)
-    if ys0 >= ys1 or xs0 >= xs1:
-        return out
-    out[ys0:ys1, xs0:xs1] = m[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
-    return out
+    r = k.reach
+    p = np.zeros((h + 2 * r, w + 2 * r), dtype=np.uint8)
+    p[r : r + h, r : r + w] = m
+    for dx, dy in k.offsets:
+        y, x = r + sign * dy, r + sign * dx
+        yield p[y : y + h, x : x + w]
 
 
 def dilate(m: np.ndarray, k: StructuringElement) -> np.ndarray:
-    m = validate_binary_mask(m)
-    out = np.zeros_like(m, dtype=bool)
-    src = m.astype(bool)
-    for dx, dy in k.offsets:
-        out |= _shift(src, dx, dy)
-    return out.astype(np.uint8)
+    """out[y, x] = 1 where m[y - dy, x - dx] is set for some (dx, dy) in k."""
+    views = _views(m, k, -1)
+    out = next(views).copy()
+    for v in views:
+        out |= v
+    return out
 
 
 def erode(m: np.ndarray, k: StructuringElement) -> np.ndarray:
-    m = validate_binary_mask(m)
-    out = np.ones_like(m, dtype=bool)
-    src = m.astype(bool)
-    for dx, dy in k.offsets:
-        out &= _shift(src, -dx, -dy)
-    return out.astype(np.uint8)
+    """out[y, x] = 1 where m[y + dy, x + dx] is set for every (dx, dy) in k."""
+    views = _views(m, k, 1)
+    out = next(views).copy()
+    for v in views:
+        out &= v
+    return out
 
 
 def close(m: np.ndarray, k: StructuringElement) -> np.ndarray:
@@ -91,7 +103,7 @@ def close(m: np.ndarray, k: StructuringElement) -> np.ndarray:
 def largest_component(m: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected component (ties: smallest row-major pixel)."""
     m = validate_binary_mask(m)
-    labels, n = ndimage.label(m, structure=_EIGHT_CONN)
+    labels, n = ndimage.label(m, structure=EIGHT_CONN)
     if n == 0:
         return np.zeros_like(m)
     # labels follow row-major order of each component's first pixel, so the

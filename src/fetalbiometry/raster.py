@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InvalidClassError
+from .errors import DimensionMismatchError
 
 BACKGROUND = 0
 PS = 1
@@ -83,14 +83,6 @@ def validate_prob_map(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
                 f"channel sums must equal 1 within {tol}; worst pixel ({x}, {y}) sums to {sums[y, x]:.6g}"
             )
     return p
-
-
-def class_mask(labels: np.ndarray, c: int) -> np.ndarray:
-    """Binary mask of the pixels carrying class ``c`` (1 = PS, 2 = FH)."""
-    if c not in (PS, FH):
-        raise InvalidClassError(f"class id must be 1 (PS) or 2 (FH), got {c}")
-    labels = validate_label_mask(labels)
-    return (labels == c).astype(np.uint8)
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:

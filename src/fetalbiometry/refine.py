@@ -5,7 +5,7 @@ fitting, iterative protrusion pruning, and the ellipse-vs-mask decision rule.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -13,7 +13,7 @@ import numpy as np
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .io_formats import dataclass_from_json
-from .raster import bounding_window, mask_set_counts, pixel_centers, require_same_shape, validate_binary_mask
+from .raster import bounding_window, mask_set_counts, pixel_centers, validate_binary_mask
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class RefineParams:
     def from_dict(cls, d: dict) -> "RefineParams":
         """Parse a config object; unknown keys and mistyped values raise FormatError."""
         return dataclass_from_json(cls, d)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -69,16 +66,9 @@ class RefinedShape:
         """closed pasted onto the whole frame, computed on each access."""
         return _paste((*self.box[:2], self.closed), (0, 0, *self.frame))
 
-    @property
-    def selected_mask(self) -> np.ndarray:
-        return el.rasterize(self.ellipse, *self.frame) if self.used_ellipse else self.closed_mask
-
 
 def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
     """|E and not S| / |S and not E|; 0/0 -> 0, k/0 -> inf (protrusion anomaly)."""
-    e_mask = validate_binary_mask(e_mask)
-    s_mask = validate_binary_mask(s_mask)
-    require_same_shape(e_mask, s_mask)
     only_e, only_s, _ = mask_set_counts(e_mask, s_mask)
     if only_e == 0:
         return 0.0
@@ -126,8 +116,7 @@ def _crop_box(
     image edge and "outside = background" holds as before.
     """
     x, y, m = core
-    reach = max(max(abs(dx), abs(dy)) for dx, dy in kernel.offsets)
-    pad = max(reach, 1)
+    pad = max(kernel.reach, 1)
     w, h = frame
     return max(0, x - pad), max(0, y - pad), min(w, x + m.shape[1] + pad), min(h, y + m.shape[0] + pad)
 
@@ -211,8 +200,7 @@ def refine(
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))
     # decision rule against the hole-closed (pre-prune) mask
-    only_e, _, _ = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
-    s_area = int(np.count_nonzero(closed))
-    ratio = only_e / s_area
+    only_e, only_s, both = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
+    ratio = only_e / (only_s + both)
     used = ratio < params.ellipse_accept_ratio
     return RefinedShape(closed, fitted, used, iterations, ratio, box, (w, h))

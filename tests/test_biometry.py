@@ -24,7 +24,7 @@ from fetalbiometry.biometry import (
 )
 from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import EmptyShapeError, FetalBiometryError, MissingStructureError, OverlapError
-from fetalbiometry.raster import FH, PS, Point, boundary_mask, class_mask, validate_label_mask
+from fetalbiometry.raster import FH, PS, Point, boundary_mask, validate_label_mask
 from fetalbiometry.refine import RefinedShape, RefineParams, refine
 
 
@@ -322,8 +322,8 @@ def ref_compute_hsd(fh_closed, apex):
 
 def ref_measure_frame_detailed(labels, params=RefineParams()):
     labels = validate_label_mask(labels)
-    ps_raw = class_mask(labels, PS)
-    fh_raw = class_mask(labels, FH)
+    ps_raw = (labels == PS).astype(np.uint8)
+    fh_raw = (labels == FH).astype(np.uint8)
     if not ps_raw.any():
         raise MissingStructureError("PS")
     if not fh_raw.any():

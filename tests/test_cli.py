@@ -1,9 +1,17 @@
+import contextlib
+import csv
+import io
 import json
+import tempfile
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fetalbiometry import cli, phantom
 from fetalbiometry.biometry import measure_frame, measure_frame_detailed
@@ -17,6 +25,7 @@ from fetalbiometry.io_formats import (
     write_prob_map,
     write_report_csv,
 )
+from fetalbiometry.raster import PROB_SUM_TOL
 from fetalbiometry.refine import RefineParams
 
 
@@ -205,6 +214,66 @@ class TestMeasure:
             assert out.read_bytes() == want.read_bytes()
             rows.append(out.read_bytes())
         assert rows[0] != rows[1]
+
+
+# a measurable 64x64 frame
+SMALL_SCENE = phantom.render(phantom.random_scene(0).scaled(0.125))
+
+
+@st.composite
+def measure_input(draw):
+    """(suffix, bytes) of one small `measure` input, good or broken in one way."""
+    tiny = arrays(np.uint8, st.sampled_from([(1, 1), (2, 2)]), elements=st.integers(0, 2))
+    labels = draw(st.one_of(st.just(SMALL_SCENE), tiny)) if draw(st.booleans()) else SMALL_SCENE
+    broken = draw(st.booleans())
+    h, w = labels.shape
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    y, x = rng.integers(h), rng.integers(w)
+    if draw(st.booleans()):
+        kind = draw(st.sampled_from(["magic", "field", "truncated", "palette"])) if broken else "valid"
+        fields = [b"%d" % w, b"%d" % h, b"255"]
+        if kind == "field":  # a sign, an underscore or a non-digit in one field
+            fields[rng.integers(3)] = draw(st.sampled_from([b"+2", b"2_0", b"-1", b"2a", b"0x2"]))
+        magic = draw(st.sampled_from([b"P2", b"P6", b"P50", b"p5"])) if kind == "magic" else b"P5"
+        payload = np.array([0, 127, 255], np.uint8)[labels]
+        if kind == "palette":
+            payload[y, x] = draw(st.sampled_from([3, 126, 128, 254]))
+        data = magic + b"\n" + b" ".join(fields) + b"\n" + payload.tobytes()
+        if kind == "truncated":
+            data = data[: len(data) - draw(st.integers(1, payload.size))]
+        return ".pgm", data
+    kind = draw(st.sampled_from(["nan", "range", "sum"])) if broken else "valid"
+    p = np.full((h, w, 3), 0.05) + 0.85 * (labels[..., None] == np.arange(3))
+    if kind == "nan":
+        p[y, x, rng.integers(3)] = np.nan
+    elif kind == "range":
+        p[y, x] = draw(st.sampled_from([(1.5, -0.25, -0.25), (-0.1, 0.55, 0.55)]))
+    elif kind == "sum":  # one pixel's sum at the tolerance edge or just beyond it
+        p[y, x] *= 1.0 + draw(st.sampled_from([-1, 1])) * draw(st.sampled_from([1.0, 1.01, 1.5])) * PROB_SUM_TOL
+    return ".fpm", b"FPM %d %d 3\n" % (w, h) + p.astype("<f4").tobytes()
+
+
+class TestMeasureFailureContract:
+    """Every input becomes a report row or a stderr line naming it, and the
+    exit code is 2 exactly when some input failed."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(measure_input(), min_size=1, max_size=4))
+    def test_rows_errors_and_exit(self, inputs):
+        with tempfile.TemporaryDirectory() as d:
+            paths = [Path(d) / f"in{i}{suffix}" for i, (suffix, _) in enumerate(inputs)]
+            for path, (_, data) in zip(paths, inputs):
+                path.write_bytes(data)
+            out = Path(d) / "report.csv"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = main(["measure", *map(str, paths), "--out", str(out)])
+            rows = {row[0] for row in list(csv.reader(out.read_text().splitlines()))[1:]}
+            named = {path for path in paths if f"error: {path}: " in err.getvalue()}
+        assert rc in (EXIT_OK, EXIT_PARTIAL)
+        for path in paths:
+            assert (path.stem in rows) != (path in named), err.getvalue()
+        assert (rc == EXIT_PARTIAL) == bool(named)
 
 
 class TestEnsemble:

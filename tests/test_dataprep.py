@@ -14,7 +14,7 @@ class TestSparseSample:
         assert len(plan.frames["vidA"]) == 5
         assert len(plan.frames["vidB"]) == 8
         assert len(plan.frames["vidC"]) == 5
-        assert plan.total() == 18
+        assert sum(map(len, plan.frames.values())) == 18
 
     def test_within_strata(self):
         plan = sparse_sample(self.VIDEOS, seed=3)

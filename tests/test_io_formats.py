@@ -8,7 +8,6 @@ from fetalbiometry.io_formats import (
     read_frame_scores,
     read_label_mask,
     read_prob_map,
-    write_frame_scores,
     write_label_mask,
     write_prob_map,
     write_report_csv,
@@ -42,6 +41,22 @@ class TestLabelMask:
         path.write_bytes(b"P4\n2 1\n255\n\x00\x00")
         with pytest.raises(FormatError, match="magic"):
             read_label_mask(path)
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P512 2 255\n" + bytes(24), "magic", 0),  # int() would read a 12x2 mask
+            (b"P5\n+2 1\n255\n" + bytes(2), "non-integer", 3),
+            (b"P5\n2_0 1\n255\n" + bytes(20), "non-integer", 3),
+        ],
+        ids=["magic-run-on", "sign", "underscore"],
+    )
+    def test_header_fields_are_decimal_digits(self, tmp_path, data, message, offset):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message) as exc:
+            read_label_mask(path)
+        assert exc.value.byte_offset == offset
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
@@ -109,6 +124,22 @@ class TestProbMap:
         with pytest.raises(FormatError, match="worst pixel"):
             read_prob_map(path)
 
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"FPM512 1 2\n" + bytes(4096), "magic", 0),
+            (b"FPM +2 1 2\n" + bytes(16), "non-integer", 4),
+            (b"FPM 2_0 1 3\n" + bytes(240), "non-integer", 4),  # int() would read 20 px wide
+        ],
+        ids=["magic-run-on", "sign", "underscore"],
+    )
+    def test_header_fields_are_decimal_digits(self, tmp_path, data, message, offset):
+        path = tmp_path / "h.fpm"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=message) as exc:
+            read_prob_map(path)
+        assert exc.value.byte_offset == offset
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.fpm"
         path.write_bytes(b"XPM 1 1 2\n" + bytes(8))
@@ -157,7 +188,7 @@ class TestFrameScores:
             FrameRecord("v2", 7, None, None),
         ]
         path = tmp_path / "scores.csv"
-        write_frame_scores(recs, path)
+        path.write_text("v1,0,0.25,1\nv1,3,0.5,0\nv2,7,\n")
         assert read_frame_scores(path) == recs
 
     def test_score_range(self):

@@ -17,6 +17,59 @@ from fetalbiometry.morphology import (
 CROSS = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
 
 
+# Reference for dilate/erode: one full-frame shifted copy per kernel offset.
+def ref_shift(m, dx, dy):
+    """Translate m by (dx, dy); vacated pixels become 0."""
+    out = np.zeros_like(m)
+    h, w = m.shape
+    ys0, ys1 = max(dy, 0), min(h + dy, h)
+    xs0, xs1 = max(dx, 0), min(w + dx, w)
+    if ys0 >= ys1 or xs0 >= xs1:
+        return out
+    out[ys0:ys1, xs0:xs1] = m[ys0 - dy : ys1 - dy, xs0 - dx : xs1 - dx]
+    return out
+
+
+def ref_dilate(m, k):
+    out = np.zeros(m.shape, dtype=bool)
+    for dx, dy in k.offsets:
+        out |= ref_shift(m.astype(bool), dx, dy)
+    return out.astype(np.uint8)
+
+
+def ref_erode(m, k):
+    out = np.ones(m.shape, dtype=bool)
+    for dx, dy in k.offsets:
+        out &= ref_shift(m.astype(bool), -dx, -dy)
+    return out.astype(np.uint8)
+
+
+@st.composite
+def masks(draw):
+    """Binary masks from 1x1 to 40x40: random, empty or full."""
+    shape = draw(st.tuples(st.integers(1, 40), st.integers(1, 40)))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill == "random":
+        return draw(arrays(np.uint8, shape, elements=st.integers(0, 1)))
+    return np.full(shape, fill == "full", dtype=np.uint8)
+
+
+def hole_probe(margin):
+    """The 9-point probe ``phantom._carve_hole`` erodes with."""
+    offsets = tuple((dx, dy) for dy in (-margin, 0, margin) for dx in (-margin, 0, margin))
+    return StructuringElement(2 * margin + 1, 2 * margin + 1, offsets)
+
+
+kernels = st.one_of(
+    st.builds(elliptical_kernel, st.integers(1, 12), st.integers(1, 12)),
+    st.builds(hole_probe, st.integers(1, 25)),
+    # offsets may reach past the whole mask
+    st.lists(st.tuples(st.integers(-45, 45), st.integers(-45, 45)), min_size=1, max_size=12).map(
+        lambda offsets: StructuringElement(1, 1, tuple(offsets))
+    ),
+)
+
+
 # Reference for the largest_component tests: every 8-connected component.
 def connected_components(m):
     """8-connected components as (id, boolean pixel mask, size), id from 1."""
@@ -79,6 +132,27 @@ class TestDilateErode:
             m[2 + dy, 2 + dx] = 1
         out = erode(m, elliptical_kernel(3, 3))
         assert out.sum() == 1 and out[2, 2] == 1
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(masks(), kernels)
+    def test_bit_identical(self, m, k):
+        dilated, eroded = ref_dilate(m, k), ref_erode(m, k)
+        for got, want in [
+            (dilate(m, k), dilated),
+            (erode(m, k), eroded),
+            (close(m, k), ref_erode(dilated, k)),
+        ]:
+            assert got.dtype == np.uint8 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "k, reach",
+        [(elliptical_kernel(1, 1), 0), (elliptical_kernel(3, 3), 1), (elliptical_kernel(10, 10), 5), (hole_probe(7), 7)],
+    )
+    def test_reach(self, k, reach):
+        assert k.reach == reach
 
 
 class TestClose:

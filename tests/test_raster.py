@@ -4,44 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fetalbiometry.errors import DimensionMismatchError, InvalidClassError
+from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import (
-    class_mask,
     mask_set_counts,
     validate_label_mask,
     validate_prob_map,
 )
-
-
-class TestClassMask:
-    def test_all_background(self):
-        m = np.zeros((5, 5), np.uint8)
-        assert class_mask(m, 1).sum() == 0
-
-    def test_single_pixel_extraction(self):
-        m = np.zeros((6, 6), np.uint8)
-        m[4, 3] = 2  # (x=3, y=4)
-        out = class_mask(m, 2)
-        assert out[4, 3] == 1 and out.sum() == 1
-
-    def test_block_counts(self):
-        m = np.zeros((4, 4), np.uint8)
-        m[0:2, 0:2] = 1
-        m[2:4, 2:4] = 2
-        assert class_mask(m, 1).sum() == 4
-        assert class_mask(m, 2).sum() == 4
-
-    @pytest.mark.parametrize("c", [0, 3, -1])
-    def test_invalid_class(self, c):
-        with pytest.raises(InvalidClassError):
-            class_mask(np.zeros((2, 2), np.uint8), c)
-
-    @given(arrays(np.uint8, (8, 8), elements=st.integers(0, 2)))
-    def test_class_masks_disjoint(self, labels):
-        ps = class_mask(labels, 1)
-        fh = class_mask(labels, 2)
-        assert not np.any(ps & fh)
-        assert (ps | fh).sum() == np.count_nonzero(labels)
 
 
 class TestMaskSetCounts:
