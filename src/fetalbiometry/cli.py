@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +21,6 @@ import numpy as np
 from . import dataprep, ensemble, io_formats, metrics, overlay, phantom
 from .biometry import measure_frame, measure_frame_detailed
 from .errors import FetalBiometryError, FormatError
-from .raster import validate_prob_map
 from .refine import RefineParams
 
 EXIT_OK = 0
@@ -48,10 +49,9 @@ def _load_config(path) -> dict:
     return config
 
 
-def _refine_params(config: dict, args) -> RefineParams:
-    """The config's "refine" object, then the refine flags given on top of it."""
-    params = RefineParams.from_dict(config.get("refine", {}))
-    flags = {f.name: v for f in dataclasses.fields(RefineParams) if (v := getattr(args, f.name)) is not None}
+def _with_flags(params, args):
+    """A config's params dataclass with the flags given for its fields on top of it."""
+    flags = {f.name: v for f in dataclasses.fields(params) if (v := getattr(args, f.name, None)) is not None}
     try:
         return dataclasses.replace(params, **flags)
     except ValueError as e:
@@ -59,23 +59,34 @@ def _refine_params(config: dict, args) -> RefineParams:
         raise SystemExit(EXIT_USAGE)
 
 
+def _require_dirs(*paths) -> None:
+    """Raise what writing would for the first output in a missing directory, before any is written."""
+    for p in filter(None, paths):
+        if not Path(p).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
+
+
 def _load_labels(path):
     p = str(path)
-    if p.endswith(".fpm"):
-        # the reader checks the map, and measuring checks the labels
+    if not p.endswith(".fpm"):
+        return io_formats.read_label_mask(p)
+    # decide checks each strip of the map, and measuring checks the labels
+    try:
         with io_formats.prob_map_strips([p]) as (shape, strips):
             labels = np.empty(shape[:2], np.uint8)
             for rows, (strip,) in strips:
-                labels[rows] = ensemble._argmax_channels(strip)
-        return labels
-    return io_formats.read_label_mask(p)
+                labels[rows] = ensemble.decide(strip)
+    except ValueError:
+        io_formats.read_prob_map(p)  # raises the frame-level error
+        raise
+    return labels
 
 
 def cmd_measure(args) -> int:
     """Measure the inputs one at a time; only each frame's report row is kept.
     --jobs is accepted and ignored."""
     config = _load_config(args.config)
-    params = _refine_params(config, args)
+    params = _with_flags(RefineParams.from_dict(config.get("refine", {})), args)
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
@@ -83,6 +94,7 @@ def cmd_measure(args) -> int:
     out_dir = Path(args.emit_overlays) if args.emit_overlays else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
+    _require_dirs(args.out)  # after the mkdir, which may create it
     rows = []
     for path in inputs:
         try:
@@ -94,7 +106,7 @@ def cmd_measure(args) -> int:
             print(f"error: {path}: {e}", file=sys.stderr)
             continue
         if out_dir:
-            overlay.write_ppm(overlay.render_overlay(labels, res, (ps_ref, fh_ref)), out_dir / f"{path.stem}.ppm")
+            io_formats.write_ppm(overlay.render_overlay(labels, res, (ps_ref, fh_ref)), out_dir / f"{path.stem}.ppm")
     io_formats.write_report_csv(rows, args.out)
     return EXIT_PARTIAL if len(rows) < len(inputs) else EXIT_OK
 
@@ -102,13 +114,14 @@ def cmd_measure(args) -> int:
 def cmd_ensemble(args) -> int:
     """Average or vote the members, a strip of rows at a time.
 
-    Each member strip is checked once as it is read, and each strip of the
-    average once more: a mean of maps that pass can miss the sum tolerance by
-    a rounding step.  The average is cast into one float32 map and decided
-    into one label mask, and each output is written once, after the last
-    strip, so a failure writes nothing and an output that names a member is
-    read in full before it is overwritten.  On a failure the members are read
-    again whole, only to report the error as the frame-level path does.
+    ``ensemble.average`` or ``ensemble.vote`` checks each member strip as it
+    is combined, and ``ensemble.decide`` checks each strip of the average: a
+    mean of maps that pass can miss the sum tolerance by a rounding step.
+    The average is cast into one float32 map and decided into one label
+    mask, and each output is written once, after the last strip, so a
+    failure writes nothing and an output that names a member is read in full
+    before it is overwritten.  On a failure the members are read again whole,
+    only to report the error as the frame-level path does.
     """
     if not (args.out or args.decide_out):
         print("error: give --out or --decide-out", file=sys.stderr)
@@ -121,13 +134,14 @@ def cmd_ensemble(args) -> int:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
     try:
-        avg, labels = _ensemble_strips(members_paths, args.vote, bool(args.out), bool(args.decide_out))
-    except (FetalBiometryError, OSError):
+        avg, labels = _ensemble_strips(members_paths, args.vote, bool(args.out))
+    except (FetalBiometryError, OSError, ValueError) as e:  # a plain ValueError is a failed check
         _raise_frame_level_error(members_paths, args.vote)
-        raise
+        raise e if isinstance(e, (FetalBiometryError, OSError)) else FormatError(str(e))
     if args.vote:
         io_formats.write_label_mask(labels, args.decide_out or args.out)
         return EXIT_OK
+    _require_dirs(args.out, args.decide_out)
     if args.out:
         io_formats._write_prob_map(avg, args.out)
     if args.decide_out:
@@ -135,42 +149,38 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_strips(paths, use_vote: bool, want_avg: bool, want_labels: bool):
-    """(float32 average or None, label mask or None) of the members: the vote,
-    or the average and its decision as asked."""
+def _ensemble_strips(paths, use_vote: bool, want_avg: bool):
+    """(float32 average or None, label mask) of the members: the vote, or the
+    average if asked for and its decision."""
     with io_formats.prob_map_strips(paths) as (shape, strips):
         avg = np.empty(shape, "<f4") if want_avg and not use_vote else None
-        labels = np.empty(shape[:2], np.uint8) if want_labels or use_vote else None
+        labels = np.empty(shape[:2], np.uint8)
         for rows, members in strips:
             if use_vote:
-                labels[rows] = ensemble._vote(members)
+                labels[rows] = ensemble.vote(members)
                 continue
-            mean = ensemble._average(members)
-            try:
-                validate_prob_map(mean)
-            except ValueError as e:
-                raise FormatError(f"ensemble average: {e}")
+            mean = ensemble.average(members)
+            labels[rows] = ensemble.decide(mean)  # the average's one check, even when only --out is asked
             if avg is not None:
                 avg[rows] = mean
-            if labels is not None:
-                labels[rows] = ensemble._argmax_channels(mean)
     return avg, labels
 
 
 def _raise_frame_level_error(paths, use_vote: bool) -> None:
-    """Read the members whole, in order, and check their average, to raise
-    the first failure as the frame-level path names it: the member, or the
-    average's worst pixel over the whole frame.  Returns if nothing fails."""
+    """Read the members whole, in order, and combine them as the request
+    does, to raise the first failure as the frame-level path names it: the
+    member, or the average's worst pixel over the whole frame.  Returns if
+    nothing fails."""
     members = []
     for p in paths:
         try:
             members.append(io_formats.read_prob_map(p))
         except FormatError as e:
             raise FormatError(f"{p}: {e}")
-    ensemble._same_shape(members)
+    combined = (ensemble.vote if use_vote else ensemble.average)(members)
     if not use_vote:
         try:
-            validate_prob_map(ensemble._average(members))
+            ensemble.decide(combined)
         except ValueError as e:
             raise FormatError(f"ensemble average: {e}")
 
@@ -183,7 +193,7 @@ def cmd_metrics(args) -> int:
         print("error: nothing to evaluate: give --scores, or --pred with --gt", file=sys.stderr)
         return EXIT_USAGE
     config = _load_config(args.config)
-    params = _refine_params(config, args)
+    params = _with_flags(RefineParams.from_dict(config.get("refine", {})), args)
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
     failed = False
     if args.scores:
@@ -292,13 +302,15 @@ def cmd_phantom(args) -> int:
 
 def cmd_augment(args) -> int:
     config = _load_config(args.config)
-    p = dataclasses.replace(dataprep.AugmentParams.from_dict(config.get("augment", {})), seed=args.seed)
+    p = _with_flags(dataprep.AugmentParams.from_dict(config.get("augment", {})), args)
     img = dataprep.normalize_intensity(io_formats.read_greymap(args.image))
     mask = io_formats.read_label_mask(args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, p, args.index)
+    mask_out = args.mask_out or f"{args.out}.mask.pgm"
+    _require_dirs(args.out, mask_out if out_mask is not None else None)
     io_formats.write_greymap(np.clip(np.rint(out_img * 255), 0, 255).astype(np.uint8), args.out)
     if out_mask is not None:
-        io_formats.write_label_mask(out_mask, args.mask_out or f"{args.out}.mask.pgm")
+        io_formats.write_label_mask(out_mask, mask_out)
     return EXIT_OK
 
 
@@ -311,7 +323,8 @@ def cmd_sample(args) -> int:
                 continue
             parts = line.split(",")
             try:
-                if len(parts) != 3 or int(parts[1]) < 0:
+                # a length must fit the int64 frame indices the sampler draws
+                if len(parts) != 3 or not 0 <= int(parts[1]) < 2**63:
                     raise ValueError
                 videos.append((parts[0], int(parts[1]), int(parts[2])))
             except ValueError:
@@ -376,7 +389,7 @@ def build_parser() -> _Parser:
     a.add_argument("--image", required=True)
     a.add_argument("--mask")
     a.add_argument("--mask-out")
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=int, help="overrides the config's augment.seed (default 0)")
     a.add_argument("--index", type=int, default=0)
     a.add_argument("--config")
     a.add_argument("--out", required=True)

@@ -44,6 +44,13 @@ class AugmentParams:
         for lo, hi in (self.noise_sigma_range, self.gamma_range, self.contrast_range, self.scale_range):
             if lo > hi:
                 raise ValueError(f"range not ordered: ({lo}, {hi})")
+        # a negative sigma, a zero scale or a draw wider than the largest float would crash augment
+        if min(self.noise_sigma_range[0], self.contrast_range[0]) < 0:
+            raise ValueError("noise sigma and contrast must be >= 0")
+        if min(self.gamma_range[0], self.scale_range[0]) <= 0:
+            raise ValueError("gamma and scale must be > 0")
+        if not (0 <= self.translate_range <= 1 and 0 <= self.rotate_range <= 180):
+            raise ValueError("translate_range must lie in [0, 1] and rotate_range in [0, 180] degrees")
 
     @classmethod
     def from_dict(cls, d: dict) -> "AugmentParams":

@@ -16,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateInputError, NoTangentError
+from .raster import paste
 
 
 @dataclass(frozen=True)
@@ -199,10 +200,7 @@ def raster_window(e: Ellipse, width: int, height: int) -> tuple[int, int, np.nda
 
 def rasterize(e: Ellipse, width: int, height: int) -> np.ndarray:
     """Mask of pixels whose centers (x + 0.5, y + 0.5) lie inside the ellipse."""
-    x0, y0, win = raster_window(e, width, height)
-    out = np.zeros((height, width), dtype=np.uint8)
-    out[y0 : y0 + win.shape[0], x0 : x0 + win.shape[1]] = win
-    return out
+    return paste(raster_window(e, width, height), (0, 0, width, height))
 
 
 def external_tangents(e: Ellipse, p) -> tuple[np.ndarray, np.ndarray]:

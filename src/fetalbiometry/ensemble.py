@@ -6,16 +6,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .raster import validate_label_mask, validate_prob_map
+from .raster import validate_prob_map
 
 
 def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
+    """The members, each checked, all of one shape."""
     if not members:
         raise ValueError("ensemble needs at least one member")
-    return _same_shape([validate_prob_map(m) for m in members])
-
-
-def _same_shape(members: list[np.ndarray]) -> list[np.ndarray]:
+    members = [validate_prob_map(m) for m in members]
     shape = members[0].shape
     for i, m in enumerate(members[1:], start=1):
         if m.shape != shape:
@@ -26,20 +24,16 @@ def _same_shape(members: list[np.ndarray]) -> list[np.ndarray]:
 def average(members: list[np.ndarray]) -> np.ndarray:
     """Per-pixel, per-channel arithmetic mean of the members, as float64.
 
-    The result never aliases a member.  See ``_average``.
+    The result never aliases a member, and is not checked itself: a mean of
+    maps that pass can miss the sum tolerance by a rounding step, so
+    ``decide`` checks it.  The members are summed in a fixed pairwise tree,
+    so the result does not depend on accumulation order: the first level adds
+    each pair straight into a new float64 array, later levels add in place
+    into those arrays.  An odd last member joins a later level as it is,
+    always as the right operand of ``+=``; its cast to float64 there is
+    exact, so no copy of it is made.
     """
-    return _average(_check_members(members))
-
-
-def _average(members: list[np.ndarray]) -> np.ndarray:
-    """The mean of checked members of one shape.
-
-    The members are summed in a fixed pairwise tree, so the result does not
-    depend on accumulation order: the first level adds each pair straight into
-    a new float64 array, later levels add in place into those arrays.  An odd
-    last member joins a later level as it is, always as the right operand of
-    ``+=``; its cast to float64 there is exact, so no copy of it is made.
-    """
+    members = _check_members(members)
     n = len(members)
     if n == 1:
         return members[0].astype(np.float64)
@@ -56,10 +50,11 @@ def _average(members: list[np.ndarray]) -> np.ndarray:
 
 
 def _argmax_channels(p: np.ndarray) -> np.ndarray:
-    """Per-pixel index of the largest channel of an (H, W, C) array.
+    """Per-pixel index of the largest channel of an (H, W, C) array, as uint8.
 
     Ties go to the lowest index: a later channel wins only when strictly
-    greater, as ``argmax`` decides.
+    greater, as ``argmax`` decides.  The C <= 3 channels of a checked map give
+    labels in {0, 1, 2}, so vote and decide return them unchecked.
     """
     labels = np.zeros(p.shape[:2], np.uint8)
     best = p[..., 0]
@@ -73,17 +68,12 @@ def _argmax_channels(p: np.ndarray) -> np.ndarray:
 
 def vote(members: list[np.ndarray]) -> np.ndarray:
     """Per-pixel majority vote of member argmaxes; ties to the lowest class index."""
-    return validate_label_mask(_vote(_check_members(members)))
-
-
-def _vote(members: list[np.ndarray]) -> np.ndarray:
-    channels = members[0].shape[2]
+    members = _check_members(members)
     votes = np.stack([_argmax_channels(m) for m in members])
-    counts = np.stack([(votes == c).sum(axis=0) for c in range(channels)], axis=2)
+    counts = np.stack([(votes == c).sum(axis=0) for c in range(members[0].shape[2])], axis=2)
     return _argmax_channels(counts)
 
 
 def decide(p: np.ndarray) -> np.ndarray:
-    """Per-pixel argmax label mask (ties to the lowest class index)."""
-    return validate_label_mask(_argmax_channels(validate_prob_map(p)))
-
+    """Per-pixel argmax label mask of ``p``, checked first (ties to the lowest class index)."""
+    return _argmax_channels(validate_prob_map(p))

@@ -1,4 +1,5 @@
-"""File formats: P5 greymap label masks, FPM float maps, score and report CSVs.
+"""File formats: P5 greymap label masks, P6 overlay pixmaps, FPM float maps,
+score and report CSVs.
 
 Label masks travel as binary greymaps ("P5", maxval 255) using the display
 palette {0 -> 0, 127 -> 1, 255 -> 2}; raw {0, 1, 2} values are also accepted
@@ -179,14 +180,24 @@ def read_greymap(path) -> np.ndarray:
     return _read_p5(path)[0].copy()
 
 
+def _write_netpbm(magic: bytes, img: np.ndarray, path) -> None:
+    """An 8-bit netpbm file: the header, then the pixels row-major."""
+    height, width = img.shape[:2]
+    with open(path, "wb") as f:
+        f.write(b"%s\n%d %d\n255\n" % (magic, width, height))
+        f.write(np.ascontiguousarray(img))
+
+
 def write_greymap(img: np.ndarray, path) -> None:
     img = np.asarray(img)
-    if img.dtype != np.uint8:
-        raise ValueError("greymap pixels must be uint8")
-    height, width = img.shape
-    with open(path, "wb") as f:
-        f.write(b"P5\n%d %d\n255\n" % (width, height))
-        f.write(np.ascontiguousarray(img))
+    if img.dtype != np.uint8 or img.ndim != 2:
+        raise ValueError(f"greymap pixels must be a 2-D uint8 array, got {img.dtype} {img.shape}")
+    _write_netpbm(b"P5", img, path)
+
+
+def write_ppm(img: np.ndarray, path) -> None:
+    """An (H, W, 3) RGB image as a P6 pixmap."""
+    _write_netpbm(b"P6", np.asarray(img, dtype=np.uint8), path)
 
 
 def write_label_mask(mask: np.ndarray, path) -> None:
@@ -248,10 +259,10 @@ def prob_map_strips(paths):
 
     Yields ``(shape, strips)`` once every header and payload length has been
     checked.  ``strips`` yields ``(rows, maps)``: a slice of the frame's rows
-    and each file's float32 map of those rows, validated as it is read.  Each
-    file's strip is read into one buffer reused for the next strip, so a
-    caller copies out what it keeps.  A rejected file raises what
-    ``read_prob_map`` raises for it, so a bad pixel is named at frame level.
+    and each file's float32 map of those rows, as read.  The maps are not
+    checked here: the caller checks each strip as it combines it (see
+    ``ensemble``).  Each file's strip is read into one buffer reused for the
+    next strip, so a caller copies out what it keeps.
     """
     with contextlib.ExitStack() as stack:
         files = [stack.enter_context(open(p, "rb")) for p in paths]
@@ -259,26 +270,18 @@ def prob_map_strips(paths):
         for path, shape in zip(paths[1:], shapes[1:]):
             if shape != shapes[0]:
                 raise DimensionMismatchError(f"{path} has shape {shape}, expected {shapes[0]}")
-        yield shapes[0], _strips(paths, files, shapes[0])
+        yield shapes[0], _strips(files, shapes[0])
 
 
-def _strips(paths, files, shape):
+def _strips(files, shape):
     height, width, channels = shape
     rows = max(1, STRIP_BYTES // (width * channels * 4))
     buffers = [np.empty((min(rows, height), width, channels), "<f4") for _ in files]
     for y0 in range(0, height, rows):
         n = min(rows, height - y0)
-        maps = []
-        for path, f, buf in zip(paths, files, buffers):
-            strip = buf[:n]
-            _read_payload(f, strip)
-            try:
-                validate_prob_map(strip)
-            except ValueError as e:
-                read_prob_map(path)  # raises the frame-level error
-                raise FormatError(str(e))
-            maps.append(strip)
-        yield slice(y0, y0 + n), maps
+        for f, buf in zip(files, buffers):
+            _read_payload(f, buf[:n])
+        yield slice(y0, y0 + n), [buf[:n] for buf in buffers]
 
 
 def write_prob_map(p: np.ndarray, path) -> None:

@@ -1,4 +1,4 @@
-"""Overlay rendering of measurement results as P6 portable pixmaps."""
+"""Overlay rendering of measurement results as RGB images (written by ``io_formats.write_ppm``)."""
 
 from __future__ import annotations
 
@@ -70,10 +70,3 @@ def render_overlay(labels: np.ndarray, result: BiometryResult, shapes=None) -> n
     draw_line(img, result.ps_apex, result.hsd_head_point, WHITE)
     return img
 
-
-def write_ppm(img: np.ndarray, path) -> None:
-    img = np.asarray(img, dtype=np.uint8)
-    h, w = img.shape[:2]
-    with open(path, "wb") as f:
-        f.write(b"P6\n%d %d\n255\n" % (w, h))
-        f.write(img.tobytes())

@@ -141,8 +141,7 @@ def point_ellipse_distance(e: el.Ellipse, p, tol: float = 1e-10, max_iter: int =
 
 
 def analytic_biometry(scene: PhantomScene) -> tuple[float, float]:
-    """(AoP in degrees, HSD in pixels) in closed form."""
-    validate_scene(scene)
+    """(AoP in degrees, HSD in pixels) in closed form; the scene was checked when it was built."""
     proximal, apex = ps_apex(scene)
     t1, t2 = el.external_tangents(scene.fh, (apex.x, apex.y))
     aop = max(_angle_between(apex, proximal, t1), _angle_between(apex, proximal, t2))

@@ -134,6 +134,15 @@ def bounding_window(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Optio
     return origin[0] + c0, origin[1] + r0, mask[r0:r1, c0:c1]
 
 
+def paste(window: tuple[int, int, np.ndarray], box: tuple[int, int, int, int]) -> np.ndarray:
+    """The (x0, y0, mask) window inside box = (x0, y0, x1, y1), on the box's uint8 grid of zeros."""
+    x, y, m = window
+    bx0, by0, bx1, by1 = box
+    out = np.zeros((by1 - by0, bx1 - bx0), dtype=np.uint8)
+    out[y - by0 : y - by0 + m.shape[0], x - bx0 : x - bx0 + m.shape[1]] = m
+    return out
+
+
 def centroid(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Point:
     """Mean pixel center of the foreground, in the frame of ``pixel_centers``."""
     ys, xs = np.nonzero(mask)

@@ -13,7 +13,7 @@ import numpy as np
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .io_formats import dataclass_from_json
-from .raster import bounding_window, mask_set_counts, pixel_centers, validate_binary_mask
+from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class RefinedShape:
     @property
     def closed_mask(self) -> np.ndarray:
         """closed pasted onto the whole frame, computed on each access."""
-        return _paste((*self.box[:2], self.closed), (0, 0, *self.frame))
+        return paste((*self.box[:2], self.closed), (0, 0, *self.frame))
 
 
 def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
@@ -87,14 +87,9 @@ def prune(s: np.ndarray, e: el.Ellipse, d: float, *, origin: tuple[int, int] = (
         raise ValueError("prune distance must be positive")
     s = validate_binary_mask(s)
     grown = el.Ellipse(e.cx, e.cy, e.a + d, e.b + d, e.theta_deg)
-    ys, xs = np.nonzero(s)
-    if xs.size == 0:
-        return s.copy()
-    ox, oy = origin
-    pts = np.column_stack([xs + ox + 0.5, ys + oy + 0.5])
-    outside = grown.quad_form(pts) > 1.0
+    outside = grown.quad_form(pixel_centers(s, origin)) > 1.0
     out = s.copy()
-    out[ys[outside], xs[outside]] = 0
+    out[s != 0] = ~outside  # pixel_centers lists the foreground in row-major order, as boolean indexing does
     return out
 
 
@@ -121,21 +116,12 @@ def _crop_box(
     return max(0, x - pad), max(0, y - pad), min(w, x + m.shape[1] + pad), min(h, y + m.shape[0] + pad)
 
 
-def _paste(window: tuple[int, int, np.ndarray], box: tuple[int, int, int, int]) -> np.ndarray:
-    """The (x0, y0, mask) window on the grid of box = (x0, y0, x1, y1), zeros elsewhere."""
-    x, y, m = window
-    bx0, by0, bx1, by1 = box
-    out = np.zeros((by1 - by0, bx1 - bx0), dtype=np.uint8)
-    out[y - by0 : y - by0 + m.shape[0], x - bx0 : x - bx0 + m.shape[1]] = m
-    return out
-
-
 def _joint(*windows: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
     """(x0, y0, mask) windows pasted onto the bounding box of the non-empty ones."""
     boxes = [(x, y, x + m.shape[1], y + m.shape[0]) for x, y, m in windows if m.size]
     x0s, y0s, x1s, y1s = zip(*boxes)
     box = (min(x0s), min(y0s), max(x1s), max(y1s))
-    return [_paste(win, box) for win in windows]
+    return [paste(win, box) for win in windows]
 
 
 def _fit_boundary(
@@ -181,7 +167,7 @@ def refine(
     kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
     box = _crop_box(core, (w, h), kernel)
     x0, y0 = box[:2]
-    crop = _paste(core, box)
+    crop = paste(core, box)
     closed = morphology.close(crop, kernel)
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import tempfile
@@ -15,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from fetalbiometry import cli, phantom
 from fetalbiometry.biometry import measure_frame, measure_frame_detailed
+from fetalbiometry.dataprep import AugmentParams
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.io_formats import (
     MeasurementReport,
@@ -133,6 +135,22 @@ class TestMeasure:
 
     def test_no_inputs_usage(self, tmp_path):
         assert main(["measure", "--out", str(tmp_path / "r.csv")]) == EXIT_USAGE
+
+    def test_out_into_a_missing_directory_fails_before_measuring(self, tmp_path, monkeypatch, capsys):
+        inp = make_scene_file(tmp_path)
+        calls = []
+        monkeypatch.setattr(cli, "measure_frame_detailed", lambda *a: calls.append(a))
+        out = tmp_path / "missing" / "r.csv"
+        argv = ["measure", str(inp), "--emit-overlays", str(tmp_path / "ov"), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+        assert calls == [] and list((tmp_path / "ov").iterdir()) == []
+
+    def test_out_into_the_overlay_directory(self, tmp_path):
+        # the overlay directory is made before the report's directory is checked
+        inp, ov = make_scene_file(tmp_path), tmp_path / "ov"
+        assert main(["measure", str(inp), "--emit-overlays", str(ov), "--out", str(ov / "r.csv")]) == EXIT_OK
+        assert sorted(p.name for p in ov.iterdir()) == ["frame0.ppm", "r.csv"]
 
     def test_config_overridden_by_flag(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -364,6 +382,13 @@ class TestEnsemble:
         assert main(["ensemble", str(tmp_path / "absent.fpm")]) == EXIT_USAGE
         assert sorted(tmp_path.iterdir()) == []
 
+    def test_decide_out_into_a_missing_directory_writes_nothing(self, tmp_path, capsys):
+        p1, _ = self.member(tmp_path, "m1.fpm", 0)
+        out, decided = tmp_path / "avg.fpm", tmp_path / "missing" / "d.pgm"
+        assert main(["ensemble", str(p1), "--out", str(out), "--decide-out", str(decided)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{decided}'\n"
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_segmentation_and_biometry(self, tmp_path):
@@ -556,6 +581,54 @@ class TestAugment:
         assert not out.exists()
 
 
+# every transform fires, so each AugmentParams key has something to change
+ALL_ON = {"flip_prob": 1.0, "noise_prob": 1.0, "gamma_prob": 1.0, "contrast_prob": 1.0, "affine_prob": 1.0}
+# one value per AugmentParams key, away from ALL_ON and the defaults
+CHANGED = {
+    "flip_prob": 0.0,
+    "noise_prob": 0.0,
+    "noise_sigma_range": [0.2, 0.3],
+    "gamma_prob": 0.0,
+    "gamma_range": [1.5, 2.0],
+    "contrast_prob": 0.0,
+    "contrast_range": [0.3, 0.5],
+    "affine_prob": 0.0,
+    "translate_range": 0.4,
+    "rotate_range": 90.0,
+    "scale_range": [0.5, 0.6],
+    "seed": 5,
+}
+
+
+class TestAugmentConfig:
+    """The config's augment object, then the flags on top of it."""
+
+    @pytest.fixture
+    def run(self, tmp_path):
+        src = tmp_path / "img.pgm"
+        write_greymap((np.random.default_rng(2).random((32, 32)) * 255).astype(np.uint8), src)
+
+        def run(config, *argv):
+            cfg, out = tmp_path / "cfg.json", tmp_path / "out.pgm"
+            cfg.write_text(json.dumps({"augment": config}))
+            assert main(["augment", "--image", str(src), "--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
+            return out.read_bytes()
+
+        return run
+
+    def test_every_key_is_covered(self):
+        assert set(CHANGED) == {f.name for f in dataclasses.fields(AugmentParams)}
+
+    @pytest.mark.parametrize("key", list(CHANGED))
+    def test_each_key_changes_the_output(self, run, key):
+        assert run({**ALL_ON, key: CHANGED[key]}) != run(ALL_ON)
+
+    def test_seed_flag_beats_the_config(self, run):
+        assert run({**ALL_ON, "seed": 5}, "--seed", "7") == run({**ALL_ON, "seed": 7})
+        assert run({**ALL_ON, "seed": 5}, "--seed", "7") != run({**ALL_ON, "seed": 5})
+        assert run(ALL_ON) == run(ALL_ON, "--seed", "0")
+
+
 class TestSample:
     def test_plan_written(self, tmp_path):
         videos = tmp_path / "videos.csv"
@@ -603,6 +676,132 @@ class TestSample:
         assert "error:" in err and "Traceback" not in err
         if code == EXIT_DATA:
             assert f"{videos}:2:" in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "length, code", [(2**63 - 1, EXIT_OK), (2**63, EXIT_DATA), (10**20, EXIT_DATA)], ids=["2**63-1", "2**63", "1e20"]
+    )
+    def test_length_fits_int64(self, tmp_path, capsys, length, code):
+        videos = tmp_path / "videos.csv"
+        videos.write_text(f"vidB,200,0\nv1,{length},1\n")
+        out = tmp_path / "p.csv"
+        assert main(["sample", "--videos", str(videos), "--out", str(out)]) == code
+        if code == EXIT_OK:
+            assert all(0 <= int(line.split(",")[1]) < length for line in out.read_text().splitlines()[8:])
+        else:
+            assert capsys.readouterr().err == f"error: {videos}:2: expected video_id,length>=0,label\n"
+            assert not out.exists()
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI run, usage errors included."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, err.getvalue()
+
+
+def assert_contract(rc, err, outputs):
+    """Exit 0, 2, 64 or 65, no traceback, and no output on 64 or 65."""
+    assert rc in (EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, EXIT_DATA), err
+    assert "Traceback" not in err
+    if rc in (EXIT_USAGE, EXIT_DATA):
+        assert not [p for p in outputs if p.exists()], err
+
+
+_FIELD = st.text(st.characters(codec="ascii", exclude_characters=",\n\r"), max_size=4)
+_NUMBER = st.one_of(st.integers(-3, 40), st.integers(2**62, 2**65).map(str), st.sampled_from(["", "1.5", "x", " 7 "]))
+
+
+@st.composite
+def listing_line(draw):
+    """One `sample` listing line: video_id,length,label, or some other field count."""
+    fields = [draw(_FIELD), str(draw(_NUMBER)), str(draw(st.one_of(st.integers(-1, 2), _FIELD)))]
+    if draw(st.integers(0, 5)) == 0:
+        fields = fields[: draw(st.integers(0, 2))] + draw(st.lists(_FIELD, max_size=2))
+    return ",".join(fields)
+
+
+class TestSampleFailureContract:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(listing_line(), max_size=4),
+        st.integers(-1, 4),
+        st.integers(-1, 4),
+        st.integers(-(2**70), 2**70),
+    )
+    def test_exit_codes_and_outputs(self, lines, npos, nneg, seed):
+        with tempfile.TemporaryDirectory() as d:
+            videos, out = Path(d) / "videos.csv", Path(d) / "plan.csv"
+            videos.write_text("\n".join(lines) + "\n")
+            argv = ["--videos", str(videos), "--npos", str(npos), "--nneg", str(nneg), "--seed", str(seed)]
+            assert_contract(*run_cli(["sample", *argv, "--out", str(out)]), [out])
+
+
+_EDGE = st.sampled_from([0.0, 0.5, 1.0, 2.0, 90.0, 1e308, -0.5, -1e308])
+
+
+def augment_value(field):
+    """Config values for an AugmentParams field: valid ones, ones at or past
+    its edges, and a mistyped one for the probabilities."""
+    if field.name == "seed":
+        return st.integers(-(2**70), 2**70)
+    if isinstance(field.default, tuple):
+        return st.lists(st.one_of(_EDGE, st.floats(-2.0, 2.0)), min_size=2, max_size=2)
+    if field.name.endswith("_prob"):  # leaning to 1, so that the transforms they gate run
+        return st.one_of(st.just(1.0), _EDGE, st.just("0.5"))
+    return st.one_of(_EDGE, st.floats(-2.0, 2.0))
+
+
+@st.composite
+def augment_request(draw, d):
+    """The argv of one `augment` run under directory d, and the paths it may write."""
+    img = draw(arrays(np.uint8, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    src = d / "img.pgm"
+    data = b"P5\n%d %d\n255\n" % img.shape[::-1] + img.tobytes()
+    src.write_bytes(data[: draw(st.sampled_from([len(data), len(data) - 1]))])
+    out = d / draw(st.sampled_from(["out.pgm", "missing/out.pgm"]))
+    argv = ["augment", "--image", str(src), "--out", str(out)]
+    written = [out, Path(f"{out}.mask.pgm")]
+    if draw(st.booleans()):
+        shape = draw(st.sampled_from([img.shape, (img.shape[0] + 1, img.shape[1])]))
+        write_label_mask(draw(arrays(np.uint8, shape, elements=st.integers(0, 2))), d / "mask.pgm")
+        argv += ["--mask", str(d / "mask.pgm")]
+        if draw(st.booleans()):
+            mask_out = d / draw(st.sampled_from(["m.pgm", "missing/m.pgm"]))
+            argv += ["--mask-out", str(mask_out)]
+            written.append(mask_out)
+    if draw(st.booleans()):
+        fields = draw(st.lists(st.sampled_from(dataclasses.fields(AugmentParams)), unique=True))
+        config = {f.name: draw(augment_value(f)) for f in fields}
+        (d / "cfg.json").write_text(json.dumps({"augment": config}))
+        argv += ["--config", str(d / "cfg.json")]
+    for flag in ("--seed", "--index"):
+        if draw(st.booleans()):
+            argv += [flag, str(draw(st.integers(-(2**70), 2**70)))]
+    return argv, written
+
+
+class TestAugmentFailureContract:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exit_codes_and_outputs(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            argv, written = data.draw(augment_request(Path(d)))
+            assert_contract(*run_cli(argv), written)
+
+    def test_mask_out_into_a_missing_directory_writes_nothing(self, tmp_path, capsys):
+        src, msk = tmp_path / "img.pgm", tmp_path / "mask.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        write_label_mask(np.zeros((8, 8), np.uint8), msk)
+        out, mask_out = tmp_path / "a.pgm", tmp_path / "missing" / "m.pgm"
+        argv = ["augment", "--image", str(src), "--mask", str(msk), "--mask-out", str(mask_out), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert "No such file or directory" in capsys.readouterr().err
         assert not out.exists()
 
 

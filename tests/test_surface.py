@@ -25,7 +25,6 @@ PKG = ROOT / "src" / "fetalbiometry"
 READERS = sorted(PKG.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 ALLOWED = {
-    "ensemble.vote": "the checked majority vote that tests/test_ensemble_cli.py holds `ensemble --vote` to",
     "phantom.PhantomScene.from_dict": "reads back the scene in the JSON sidecar that `fetalbiometry phantom` writes",
 }
 
@@ -171,3 +170,47 @@ def test_every_public_name_has_a_reader():
     unread = sorted(set(DEFS) - references() - exported() - set(ALLOWED))
     assert unread == [], f"public names read only by unit tests: {unread}"
 
+
+
+# module-level underscore names that another package module may read, and why
+CROSS_MODULE_PRIVATE = {
+    "io_formats._write_prob_map": "`ensemble` writes its float32 average, already checked strip by strip, unchecked",
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def cross_module_private_reads():
+    """(reader module, ``module.name``, line) for each read of another package
+    module's underscore name, as an attribute or an import."""
+    modules = {path.stem for path in PKG.glob("*.py")}
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = _scope(tree, path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _private(node.attr):
+                base = _resolve(node.value, scope)
+                keys = [f"{base}.{node.attr}"] if base in modules else []
+            elif isinstance(node, ast.ImportFrom):
+                keys = [scope[alias.asname or alias.name] for alias in node.names if _private(alias.name)]
+            else:
+                continue
+            found += [(path.stem, key, node.lineno) for key in keys if key.split(".")[0] != path.stem]
+    return found
+
+
+def test_cross_module_private_names_exist():
+    for key in CROSS_MODULE_PRIVATE:
+        mod, name = key.split(".")
+        assert any(
+            isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name
+            for n in ast.parse((PKG / f"{mod}.py").read_text()).body
+        ), key
+
+
+def test_no_module_reads_another_modules_private_names():
+    reads = [r for r in cross_module_private_reads() if r[1] not in CROSS_MODULE_PRIVATE]
+    assert reads == [], f"underscore names read across modules: {reads}"
