@@ -36,21 +36,31 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as f:
-            config = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        raise FormatError(f"cannot read config {path}: {e}")
-    if not isinstance(config, dict):
-        raise FormatError(f"config {path} must hold a JSON object, got {type(config).__name__}")
-    return config
+# the config file's top-level keys, each the parameter object of the subcommands that read it
+_CONFIG_KEYS = ("refine", "augment")
 
 
-def _with_flags(params, args):
-    """A config's params dataclass with the flags given for its fields on top of it."""
+def _params(cls, key, args):
+    """The ``cls`` parameters: the --config file's ``key`` object, then the
+    flags given for its fields on top of it.
+
+    A config that cannot be read, holds a top-level key other than
+    ``_CONFIG_KEYS`` or a bad ``key`` object raises FormatError (exit 65); a
+    flag value the class rejects exits 64.
+    """
+    config = {}
+    if args.config is not None:
+        try:
+            with open(args.config, "rb") as f:
+                config = json.load(f)
+        except (OSError, ValueError) as e:  # ValueError: bad JSON or text encoding
+            raise FormatError(f"cannot read config {args.config}: {e}")
+        if not isinstance(config, dict):
+            raise FormatError(f"config {args.config} must hold a JSON object, got {type(config).__name__}")
+        unknown = ", ".join(k for k in config if k not in _CONFIG_KEYS)
+        if unknown:
+            raise FormatError(f"unknown config key(s) in {args.config}: {unknown}; expected {', '.join(_CONFIG_KEYS)}")
+    params = io_formats.dataclass_from_json(cls, config.get(key, {}))
     flags = {f.name: v for f in dataclasses.fields(params) if (v := getattr(args, f.name, None)) is not None}
     try:
         return dataclasses.replace(params, **flags)
@@ -85,8 +95,7 @@ def _load_labels(path):
 def cmd_measure(args) -> int:
     """Measure the inputs one at a time; only each frame's report row is kept.
     --jobs is accepted and ignored."""
-    config = _load_config(args.config)
-    params = _with_flags(RefineParams.from_dict(config.get("refine", {})), args)
+    params = _params(RefineParams, "refine", args)
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
@@ -100,8 +109,7 @@ def cmd_measure(args) -> int:
         try:
             labels = _load_labels(path)
             res, ps_ref, fh_ref = measure_frame_detailed(labels, params)
-            flags = (res.used_ellipse_ps, res.used_ellipse_fh, res.prune_iters_ps, res.prune_iters_fh)
-            rows.append(io_formats.MeasurementReport(path.stem, res.aop_deg, res.hsd_px, *flags))
+            rows.append((path.stem, res))
         except (FetalBiometryError, OSError, ValueError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             continue
@@ -117,33 +125,33 @@ def cmd_ensemble(args) -> int:
     ``ensemble.average`` or ``ensemble.vote`` checks each member strip as it
     is combined, and ``ensemble.decide`` checks each strip of the average: a
     mean of maps that pass can miss the sum tolerance by a rounding step.
-    The average is cast into one float32 map and decided into one label
-    mask, and each output is written once, after the last strip, so a
-    failure writes nothing and an output that names a member is read in full
-    before it is overwritten.  On a failure the members are read again whole,
-    only to report the error as the frame-level path does.
+    The average is cast into one float32 map, which ``write_prob_map`` checks
+    again (the cast rounds too), and decided into one label mask.  Each
+    output is written once, after the last strip, so a failure writes
+    nothing and an output that names a member is read in full before it is
+    overwritten.  On a failure the members are read again whole, only to
+    report the error as the frame-level path does.
     """
     if not (args.out or args.decide_out):
         print("error: give --out or --decide-out", file=sys.stderr)
         return EXIT_USAGE
-    config = _load_config(args.config)
-    members_paths = list(args.members) or config.get("ensemble_members", [])
-    if not isinstance(members_paths, list) or not all(isinstance(p, str) for p in members_paths):
-        raise FormatError("config ensemble_members must be a list of paths")
-    if not members_paths:
+    if not args.members:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
     try:
-        avg, labels = _ensemble_strips(members_paths, args.vote, bool(args.out))
+        avg, labels = _ensemble_strips(args.members, args.vote, bool(args.out))
     except (FetalBiometryError, OSError, ValueError) as e:  # a plain ValueError is a failed check
-        _raise_frame_level_error(members_paths, args.vote)
+        _raise_frame_level_error(args.members, args.vote)
         raise e if isinstance(e, (FetalBiometryError, OSError)) else FormatError(str(e))
     if args.vote:
         io_formats.write_label_mask(labels, args.decide_out or args.out)
         return EXIT_OK
     _require_dirs(args.out, args.decide_out)
     if args.out:
-        io_formats._write_prob_map(avg, args.out)
+        try:
+            io_formats.write_prob_map(avg, args.out)
+        except ValueError as e:  # checked before the file is opened
+            raise FormatError(f"ensemble average: {e}")
     if args.decide_out:
         io_formats.write_label_mask(labels, args.decide_out)
     return EXIT_OK
@@ -192,8 +200,7 @@ def cmd_metrics(args) -> int:
     if not (args.scores or args.pred):
         print("error: nothing to evaluate: give --scores, or --pred with --gt", file=sys.stderr)
         return EXIT_USAGE
-    config = _load_config(args.config)
-    params = _with_flags(RefineParams.from_dict(config.get("refine", {})), args)
+    params = _params(RefineParams, "refine", args)
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
     failed = False
     if args.scores:
@@ -301,8 +308,7 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_augment(args) -> int:
-    config = _load_config(args.config)
-    p = _with_flags(dataprep.AugmentParams.from_dict(config.get("augment", {})), args)
+    p = _params(dataprep.AugmentParams, "augment", args)
     img = dataprep.normalize_intensity(io_formats.read_greymap(args.image))
     mask = io_formats.read_label_mask(args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, p, args.index)
@@ -316,20 +322,20 @@ def cmd_augment(args) -> int:
 
 def cmd_sample(args) -> int:
     videos = []
-    with open(args.videos) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
+    with open(args.videos, "rb") as f:  # split as text mode splits lines, then decoded line by line
+        lines = f.read().splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            parts = line.decode().strip().split(",")  # a line that is not UTF-8 is a bad line too
+            if parts == [""]:
                 continue
-            parts = line.split(",")
-            try:
-                # a length must fit the int64 frame indices the sampler draws
-                if len(parts) != 3 or not 0 <= int(parts[1]) < 2**63:
-                    raise ValueError
-                videos.append((parts[0], int(parts[1]), int(parts[2])))
-            except ValueError:
-                print(f"error: {args.videos}:{lineno}: expected video_id,length>=0,label", file=sys.stderr)
-                return EXIT_DATA
+            # a length must fit the int64 frame indices the sampler draws
+            if len(parts) != 3 or not 0 <= int(parts[1]) < 2**63:
+                raise ValueError
+            videos.append((parts[0], int(parts[1]), int(parts[2])))
+        except ValueError:
+            print(f"error: {args.videos}:{lineno}: expected video_id,length>=0,label", file=sys.stderr)
+            return EXIT_DATA
     plan = dataprep.sparse_sample(videos, args.npos, args.nneg, args.seed)
     with open(args.out, "w") as f:
         for vid, frames in plan.frames.items():
@@ -362,7 +368,6 @@ def build_parser() -> _Parser:
 
     e = sub.add_parser("ensemble", help="average (or vote) probability-map members")
     e.add_argument("members", nargs="*")
-    e.add_argument("--config")
     e.add_argument("--out")
     e.add_argument("--decide-out")
     e.add_argument("--vote", action="store_true")

@@ -2,7 +2,8 @@
 the stochastic augmentation pipeline.
 
 All randomness is counter-based (Philox) and keyed explicitly, so any sample
-can be regenerated independently of evaluation order.
+can be regenerated independently of evaluation order.  ``keyed_rng`` builds
+every such generator, here and in ``phantom``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import DimensionMismatchError
-from .io_formats import dataclass_from_json
 from .raster import validate_label_mask
 
 _TRANSFORM_IDS = {"flip": 1, "noise": 2, "gamma": 3, "contrast": 4, "affine": 5}
@@ -52,20 +52,19 @@ class AugmentParams:
         if not (0 <= self.translate_range <= 1 and 0 <= self.rotate_range <= 180):
             raise ValueError("translate_range must lie in [0, 1] and rotate_range in [0, 180] degrees")
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AugmentParams":
-        """Parse a config object; unknown keys and mistyped values raise FormatError."""
-        return dataclass_from_json(cls, d)
-
 
 @dataclass
 class SamplePlan:
     frames: dict[str, list[int]] = field(default_factory=dict)
 
 
-def _video_key(seed: int, video_id: str) -> list[int]:
-    digest = hashlib.blake2b(video_id.encode(), digest_size=8).digest()
-    return [seed & 0xFFFFFFFFFFFFFFFF, int.from_bytes(digest, "little")]
+def keyed_rng(*words: int) -> np.random.Generator:
+    """A Philox generator keyed by up to two integer words.
+
+    Each word is reduced mod 2**64 into a uint64 key word, so a negative seed
+    names its own stream; integers equal mod 2**64 share one.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([w % 2**64 for w in words], np.uint64)))
 
 
 def sparse_sample(videos, n_pos: int = 5, n_neg: int = 8, seed: int = 0) -> SamplePlan:
@@ -86,7 +85,8 @@ def sparse_sample(videos, n_pos: int = 5, n_neg: int = 8, seed: int = 0) -> Samp
             )
             plan.frames[video_id] = list(range(length))
             continue
-        rng = np.random.Generator(np.random.Philox(key=_video_key(seed, video_id)))
+        digest = hashlib.blake2b(video_id.encode(), digest_size=8).digest()
+        rng = keyed_rng(seed, int.from_bytes(digest, "little"))
         edges = np.linspace(0, length, want + 1)
         picks = []
         for i in range(want):
@@ -103,12 +103,8 @@ def normalize_intensity(img: np.ndarray) -> np.ndarray:
 
 
 def _rng(params: AugmentParams, sample_index: int, transform: str) -> np.random.Generator:
-    # Philox takes a 2-word key; transform ids fit in the low 3 bits
-    key = [
-        params.seed & 0xFFFFFFFFFFFFFFFF,
-        ((sample_index << 3) | _TRANSFORM_IDS[transform]) & 0xFFFFFFFFFFFFFFFF,
-    ]
-    return np.random.Generator(np.random.Philox(key=key))
+    # transform ids fit in the low 3 bits of the second word
+    return keyed_rng(params.seed, (sample_index << 3) | _TRANSFORM_IDS[transform])
 
 
 def augment(

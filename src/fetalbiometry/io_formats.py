@@ -49,25 +49,6 @@ class FrameRecord:
             raise ValueError(f"label must be 0 or 1, got {self.label}")
 
 
-@dataclass
-class MeasurementReport:
-    frame: str
-    aop_deg: float
-    hsd_px: float
-    used_ellipse_ps: bool
-    used_ellipse_fh: bool
-    prune_iters_ps: int
-    prune_iters_fh: int
-
-    def __post_init__(self):
-        if not (0.0 < self.aop_deg <= 180.0):
-            raise ValueError(f"AoP must lie in (0, 180], got {self.aop_deg}")
-        if self.hsd_px < 0.0:
-            raise ValueError("HSD must be >= 0")
-        if self.prune_iters_ps < 0 or self.prune_iters_fh < 0:
-            raise ValueError("prune iterations must be >= 0")
-
-
 def dataclass_from_json(cls, obj):
     """An instance of the dataclass cls from a decoded JSON object.
 
@@ -285,15 +266,14 @@ def _strips(files, shape):
 
 
 def write_prob_map(p: np.ndarray, path) -> None:
-    _write_prob_map(validate_prob_map(p), path)
-
-
-def _write_prob_map(p: np.ndarray, path) -> None:
-    """Write a checked map."""
+    """Write a map as little-endian float32, checked after the cast, so that
+    what is written reads back."""
+    with np.errstate(over="ignore"):  # a value past the float32 range becomes inf and fails the check
+        p = validate_prob_map(np.asarray(p, "<f4"))
     height, width, channels = p.shape
     with open(path, "wb") as f:
         f.write(b"FPM %d %d %d\n" % (width, height, channels))
-        f.write(np.ascontiguousarray(p, dtype="<f4"))
+        f.write(np.ascontiguousarray(p, "<f4"))
 
 
 REPORT_COLUMNS = (
@@ -307,46 +287,38 @@ REPORT_COLUMNS = (
 )
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".6g")
-
-
-def report_csv_bytes(rows: list[MeasurementReport]) -> bytes:
+def write_report_csv(rows, path) -> None:
+    """Write ``(frame, BiometryResult)`` rows as the report CSV, in order."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(REPORT_COLUMNS)
-    for r in rows:
-        w.writerow(
-            [
-                r.frame,
-                _fmt(r.aop_deg),
-                _fmt(r.hsd_px),
-                int(r.used_ellipse_ps),
-                int(r.used_ellipse_fh),
-                r.prune_iters_ps,
-                r.prune_iters_fh,
-            ]
-        )
-    return buf.getvalue().encode()
-
-
-def write_report_csv(rows: list[MeasurementReport], path) -> None:
+    for frame, r in rows:
+        aop, hsd = format(r.aop_deg, ".6g"), format(r.hsd_px, ".6g")
+        used = int(r.used_ellipse_ps), int(r.used_ellipse_fh)
+        w.writerow([frame, aop, hsd, *used, r.prune_iters_ps, r.prune_iters_fh])
     with open(path, "wb") as f:
-        f.write(report_csv_bytes(rows))
+        f.write(buf.getvalue().encode())
 
 
 def read_frame_scores(path) -> list[FrameRecord]:
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    except UnicodeDecodeError as e:
+        raise FormatError(f"not UTF-8 text: {e.reason}", byte_offset=e.start)
+    except csv.Error as e:  # a field past the csv module's size limit, say
+        raise FormatError(f"bad CSV: {e}")
     records = []
-    with open(path, newline="") as f:
-        for lineno, row in enumerate(csv.reader(f), start=1):
-            if not row:
-                continue
-            if len(row) not in (3, 4):
-                raise FormatError(f"line {lineno}: expected 3 or 4 fields, got {len(row)}")
-            try:
-                score = float(row[2]) if row[2] != "" else None
-                label = int(row[3]) if len(row) == 4 else None
-                records.append(FrameRecord(row[0], int(row[1]), score, label))
-            except ValueError as e:
-                raise FormatError(f"line {lineno}: {e}")
+    for lineno, row in enumerate(rows, start=1):
+        if not row:
+            continue
+        if len(row) not in (3, 4):
+            raise FormatError(f"line {lineno}: expected 3 or 4 fields, got {len(row)}")
+        try:
+            score = float(row[2]) if row[2] != "" else None
+            label = int(row[3]) if len(row) == 4 else None
+            records.append(FrameRecord(row[0], int(row[1]), score, label))
+        except ValueError as e:
+            raise FormatError(f"line {lineno}: {e}")
     return records

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ellipse as el
+from .dataprep import keyed_rng
 from .errors import InfeasiblePerturbationError, OverlapError
 from .morphology import StructuringElement, erode
 from .raster import FH, PS, Point, boundary_mask, validate_label_mask
@@ -61,8 +62,9 @@ class Perturbation:
     classes: tuple[int, ...] = (PS, FH)
 
     def __post_init__(self):
-        if self.holes < 0 or self.protrusions < 0 or not 0 <= self.boundary_noise < math.inf:
-            raise ValueError("perturbation sizes must be nonnegative and finite")
+        # shifts are drawn from (-noise, noise), a range that must be finite
+        if self.holes < 0 or self.protrusions < 0 or not 0 <= 2 * self.boundary_noise < math.inf:
+            raise ValueError("perturbation sizes must be nonnegative, and twice the noise finite")
         if self.hole_radius[0] > self.hole_radius[1] or self.protrusion_size[0] > self.protrusion_size[1]:
             raise ValueError("ranges must be ordered")
 
@@ -158,7 +160,7 @@ def render(scene: PhantomScene) -> np.ndarray:
 
 def random_scene(seed: int, width: int = 512, height: int = 512) -> PhantomScene:
     """Seeded random scene with AoP in [95, 170] degrees and both shapes on canvas."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, 0xF0]))
+    rng = keyed_rng(seed, 0xF0)
     for _ in range(1000):
         ps_a = rng.uniform(25, 45)
         ps_b = rng.uniform(8, 18)
@@ -201,7 +203,7 @@ def perturb(labels: np.ndarray, p: Perturbation) -> np.ndarray:
     """Carve holes, attach protrusions and jitter boundaries, deterministically."""
     labels = validate_label_mask(labels)
     out = labels.copy()
-    rng = np.random.Generator(np.random.Philox(key=[p.seed & 0xFFFFFFFFFFFFFFFF, 0xAB]))
+    rng = keyed_rng(p.seed, 0xAB)
     for cid in p.classes:
         struct = out == cid
         if not struct.any():
@@ -290,7 +292,7 @@ def _jitter_boundary(labels: np.ndarray, cid: int, rng, amplitude: float) -> Non
         if norm == 0:
             continue
         nx, ny = (x - cx0) / norm, (y - cy0) / norm
-        steps = int(round(abs(u)))
+        steps = min(int(round(abs(u))), h + w)  # a step past h + w lands outside the frame
         for s in range(1, steps + 1):
             px = int(round(x + math.copysign(s, u) * nx))
             py = int(round(y + math.copysign(s, u) * ny))

@@ -12,7 +12,6 @@ import numpy as np
 
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
-from .io_formats import dataclass_from_json
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
 
@@ -31,11 +30,6 @@ class RefineParams:
             raise ValueError("prune_distance must be finite and positive, max_prune positive")
         if not (0.0 < self.ellipse_accept_ratio < 1.0):
             raise ValueError("ellipse_accept_ratio must lie in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RefineParams":
-        """Parse a config object; unknown keys and mistyped values raise FormatError."""
-        return dataclass_from_json(cls, d)
 
 
 @dataclass

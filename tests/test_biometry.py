@@ -119,6 +119,13 @@ class TestCircleOracle:
         assert abs(math.hypot(r.hsd_head_point.x - 240.0, r.hsd_head_point.y - 100.0) - 50.0) < 1.0
 
 
+class TestResult:
+    @pytest.mark.parametrize("aop", [0.0, -1.0, 180.5, math.nan])
+    def test_aop_outside_its_range_rejected(self, aop):
+        with pytest.raises(ValueError, match="AoP"):
+            BiometryResult(aop, 1.0, Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0))
+
+
 class TestMeasureFrame:
     def test_missing_structure(self):
         labels = np.zeros((64, 64), np.uint8)

@@ -19,7 +19,6 @@ from fetalbiometry.biometry import measure_frame, measure_frame_detailed
 from fetalbiometry.dataprep import AugmentParams
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.io_formats import (
-    MeasurementReport,
     read_label_mask,
     read_prob_map,
     write_greymap,
@@ -35,6 +34,14 @@ def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
     scene = phantom.random_scene(seed, 256, 256)
     path = tmp_path / name
     write_label_mask(phantom.render(scene), path)
+    return path
+
+
+def make_protrusion_file(tmp_path):
+    """A frame whose PS protrusion needs more than 15 prune rounds."""
+    labels = phantom.render(phantom.random_scene(0, 256, 256))
+    path = tmp_path / "frame0.pgm"
+    write_label_mask(phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0)), path)
     return path
 
 
@@ -153,12 +160,20 @@ class TestMeasure:
         assert sorted(p.name for p in ov.iterdir()) == ["frame0.ppm", "r.csv"]
 
     def test_config_overridden_by_flag(self, tmp_path):
+        # on this protrusion frame max_prune 1 changes the row (see below)
+        inp = make_protrusion_file(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"refine": {"max_prune": 1}}))
-        inp = make_scene_file(tmp_path)
-        out = tmp_path / "r.csv"
-        rc = main(["measure", str(inp), "--config", str(cfg), "--max-prune", "15", "--out", str(out)])
-        assert rc == EXIT_OK
+        reports = {}
+        for name, argv in [
+            ("both", ["--config", str(cfg), "--max-prune", "15"]),
+            ("config", ["--config", str(cfg)]),
+            ("default", []),
+        ]:
+            out = tmp_path / f"{name}.csv"
+            assert main(["measure", str(inp), *argv, "--out", str(out)]) == EXIT_OK
+            reports[name] = out.read_bytes()
+        assert reports["both"] == reports["default"] != reports["config"]
 
     @pytest.mark.parametrize(
         "config",
@@ -168,16 +183,24 @@ class TestMeasure:
             [1],
             {"refine": {"max_prun": 3}},
             {"refine": {"canny_max": 5}},  # a removed knob
+            {"refin": {"max_prune": 3}},  # a mistyped top-level key
+            {"ensemble_members": []},  # a removed top-level key
         ],
     )
-    def test_bad_config_data_error(self, tmp_path, capsys, config):
+    def test_bad_config_data_error(self, tmp_path, capsys, monkeypatch, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         inp = make_scene_file(tmp_path)
-        rc = main(["measure", str(inp), "--config", str(cfg), "--out", str(tmp_path / "r.csv")])
+        calls = []
+        monkeypatch.setattr(cli, "_load_labels", lambda p: calls.append(p))
+        out = tmp_path / "r.csv"
+        rc = main(["measure", str(inp), "--config", str(cfg), "--out", str(out)])
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert calls == [] and not out.exists()
+        if isinstance(config, dict):  # an unknown top-level key is named
+            assert all(key in err for key in set(config) - {"refine"})
 
     def test_bad_flag_value_usage(self, tmp_path):
         inp = make_scene_file(tmp_path)
@@ -204,10 +227,7 @@ class TestMeasure:
 
     def test_max_prune_above_default_cap_reported(self, tmp_path):
         # this frame's PS protrusion needs more than 15 prune rounds
-        labels = phantom.render(phantom.random_scene(0, 256, 256))
-        labels = phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0))
-        inp = tmp_path / "frame0.pgm"
-        write_label_mask(labels, inp)
+        inp = make_protrusion_file(tmp_path)
         out = tmp_path / "r.csv"
         assert main(["measure", str(inp), "--max-prune", "40", "--out", str(out)]) == EXIT_OK
         header, row = out.read_text().splitlines()
@@ -217,16 +237,12 @@ class TestMeasure:
     def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
         # the parser is built once per process; each call must parse afresh.
         # On this frame --max-prune 40 changes the row (see the test above).
-        labels = phantom.render(phantom.random_scene(0, 256, 256))
-        labels = phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0))
-        inp = tmp_path / "frame0.pgm"
-        write_label_mask(labels, inp)
+        inp = make_protrusion_file(tmp_path)
+        labels = read_label_mask(inp)
         rows = []
         for argv, params in [(["--max-prune", "40"], RefineParams(max_prune=40)), ([], RefineParams())]:
-            r = measure_frame(labels, params)
-            fields = (r.aop_deg, r.hsd_px, r.used_ellipse_ps, r.used_ellipse_fh, r.prune_iters_ps, r.prune_iters_fh)
             want = tmp_path / "want.csv"
-            write_report_csv([MeasurementReport("frame0", *fields)], want)
+            write_report_csv([("frame0", measure_frame(labels, params))], want)
             out = tmp_path / "r.csv"
             assert main(["measure", str(inp), *argv, "--out", str(out)]) == EXIT_OK
             assert out.read_bytes() == want.read_bytes()
@@ -333,10 +349,17 @@ class TestEnsemble:
     def test_missing_member_data_error(self, tmp_path):
         assert main(["ensemble", str(tmp_path / "absent.fpm"), "--out", str(tmp_path / "a.fpm")]) == EXIT_DATA
 
-    def test_bad_members_config_data_error(self, tmp_path):
+    def test_config_flag_usage(self, tmp_path):
+        # members come only from argv: ensemble reads no config
+        p1, _ = self.member(tmp_path, "m1.fpm", 0)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"ensemble_members": 5}))
-        assert main(["ensemble", "--config", str(cfg), "--out", str(tmp_path / "a.fpm")]) == EXIT_DATA
+        cfg.write_text(json.dumps({"ensemble_members": [str(p1)]}))
+        out = tmp_path / "a.fpm"
+        for argv in (["--config", str(cfg)], [str(p1), "--config", str(cfg)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["ensemble", *argv, "--out", str(out)])
+            assert exc.value.code == EXIT_USAGE
+            assert not out.exists()
 
     def test_nan_member_data_error(self, tmp_path, capsys):
         good, _ = self.member(tmp_path, "m1.fpm", 0)
@@ -504,11 +527,12 @@ class TestPhantom:
             ["--perturb", "hole=2"],
             ["--perturb", "noise=nan"],
             ["--perturb", "noise=inf"],
+            ["--perturb", "noise=1e308"],  # shifts are drawn from (-noise, noise)
             ["--size", "0"],
             ["--size", "40"],  # no scene fits
             ["--count", "-2"],
         ],
-        ids=["holes=x", "holes=-1", "hole=2", "noise=nan", "noise=inf", "size0", "size40", "count-2"],
+        ids=["holes=x", "holes=-1", "hole=2", "noise=nan", "noise=inf", "noise=1e308", "size0", "size40", "count-2"],
     )
     def test_bad_argument_writes_nothing(self, tmp_path, capsys, argv):
         out_dir = tmp_path / "scenes"
@@ -519,6 +543,12 @@ class TestPhantom:
         assert rc == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    def test_noise_wider_than_the_frame(self, tmp_path):
+        # each boundary pixel's shift stops at the frame, whatever the noise
+        out_dir = tmp_path / "scenes"
+        assert main(["phantom", "--size", "256", "--out-dir", str(out_dir), "--perturb", "noise=8e307"]) == EXIT_OK
+        assert read_label_mask(out_dir / "phantom_0000_perturbed.pgm").shape == (256, 256)
 
     @pytest.mark.parametrize(
         "argv",
@@ -563,6 +593,16 @@ class TestAugment:
         assert rc == EXIT_OK
         assert set(np.unique(read_label_mask(mask_out))).issubset({0, 1, 2})
 
+
+    @pytest.mark.parametrize("seed", ["-1", "-500", str(2**64 - 1)])
+    def test_far_seed_has_its_own_stream(self, tmp_path, seed):
+        src = tmp_path / "img.pgm"
+        write_greymap((np.random.default_rng(0).random((16, 16)) * 255).astype(np.uint8), src)
+        outs = []
+        for s in (seed, "0"):
+            outs.append(tmp_path / f"a{s}.pgm")
+            assert main(["augment", "--image", str(src), "--seed", s, "--out", str(outs[-1])]) == EXIT_OK
+        assert outs[0].read_bytes() != outs[1].read_bytes()
 
     def test_bad_config_data_error(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
@@ -679,6 +719,15 @@ class TestSample:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("line", [b"v\xff1,10,1", b"v1,1\xff0,1", b"\xfe\xff"], ids=["id", "length", "bom"])
+    def test_line_not_utf8_data_error(self, tmp_path, capsys, line):
+        videos = tmp_path / "videos.csv"
+        videos.write_bytes(b"vidB,200,0\r\n" + line + b"\nvidC,100,1\n")
+        out = tmp_path / "p.csv"
+        assert main(["sample", "--videos", str(videos), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {videos}:2: expected video_id,length>=0,label\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "length, code", [(2**63 - 1, EXIT_OK), (2**63, EXIT_DATA), (10**20, EXIT_DATA)], ids=["2**63-1", "2**63", "1e20"]
     )
@@ -713,17 +762,22 @@ def assert_contract(rc, err, outputs):
         assert not [p for p in outputs if p.exists()], err
 
 
-_FIELD = st.text(st.characters(codec="ascii", exclude_characters=",\n\r"), max_size=4)
-_NUMBER = st.one_of(st.integers(-3, 40), st.integers(2**62, 2**65).map(str), st.sampled_from(["", "1.5", "x", " 7 "]))
+# a field: any text but a separator, or bytes that need not be UTF-8
+_FIELD = st.one_of(
+    st.text(st.characters(exclude_characters=",\n\r"), max_size=4).map(str.encode),
+    st.binary(max_size=4).filter(lambda b: not set(b) & set(b",\n\r")),
+)
+_NUMBER = st.one_of(st.integers(-3, 40), st.integers(2**62, 2**65), st.sampled_from(["", "1.5", "x", " 7 "]))
 
 
 @st.composite
 def listing_line(draw):
     """One `sample` listing line: video_id,length,label, or some other field count."""
-    fields = [draw(_FIELD), str(draw(_NUMBER)), str(draw(st.one_of(st.integers(-1, 2), _FIELD)))]
+    number = str(draw(_NUMBER)).encode()
+    fields = [draw(_FIELD), number, draw(st.one_of(st.integers(-1, 2).map(lambda i: b"%d" % i), _FIELD))]
     if draw(st.integers(0, 5)) == 0:
         fields = fields[: draw(st.integers(0, 2))] + draw(st.lists(_FIELD, max_size=2))
-    return ",".join(fields)
+    return b",".join(fields)
 
 
 class TestSampleFailureContract:
@@ -737,7 +791,7 @@ class TestSampleFailureContract:
     def test_exit_codes_and_outputs(self, lines, npos, nneg, seed):
         with tempfile.TemporaryDirectory() as d:
             videos, out = Path(d) / "videos.csv", Path(d) / "plan.csv"
-            videos.write_text("\n".join(lines) + "\n")
+            videos.write_bytes(b"\n".join(lines) + b"\n")
             argv = ["--videos", str(videos), "--npos", str(npos), "--nneg", str(nneg), "--seed", str(seed)]
             assert_contract(*run_cli(["sample", *argv, "--out", str(out)]), [out])
 
@@ -803,6 +857,136 @@ class TestAugmentFailureContract:
         assert main(argv) == EXIT_DATA
         assert "No such file or directory" in capsys.readouterr().err
         assert not out.exists()
+
+
+def sometimes(draw, rare, usual):
+    """A draw from ``rare`` about one time in eight, else from ``usual``."""
+    return draw(rare if draw(st.sampled_from([False] * 7 + [True])) else usual)
+
+
+@st.composite
+def scores_csv(draw):
+    """The bytes of a `metrics --scores` CSV: video_id,frame_index,score[,label]
+    rows, some of one class only, with bad fields or counts, or not UTF-8."""
+    one_class = draw(st.sampled_from([None, None, "0", "1"]))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        index = sometimes(draw, st.sampled_from(["-1", "x", ""]), st.integers(0, 9).map(str))
+        score = sometimes(draw, st.sampled_from(["", "nan", "inf", "x", "-0.5", "1.5"]), st.floats(0.0, 1.0).map(str))
+        label = one_class or sometimes(draw, st.sampled_from(["", "x", "2", "1.0"]), st.sampled_from(["0", "1"]))
+        n = sometimes(draw, st.sampled_from([2, 3, 5]), st.just(4))
+        rows.append(",".join(["v", index, score, label, "extra"][:n]))
+    return "\n".join(rows).encode() + sometimes(draw, st.just(b"\xff\n"), st.sampled_from([b"", b"\n"]))
+
+
+# RefineParams values: valid ones, and ones past their edges or mistyped
+_REFINE_VALUES = {
+    "kernel_w": (st.integers(1, 12), st.sampled_from([0, "3", 2.0])),
+    "kernel_h": (st.integers(1, 12), st.sampled_from([0, "3", 2.0])),
+    "prune_distance": (st.floats(0.5, 10.0), st.sampled_from([0, -1.0, 1e308, "3", None])),
+    "max_prune": (st.integers(1, 40), st.sampled_from([0, True, 2.5])),
+    "ellipse_accept_ratio": (st.floats(0.01, 0.99), st.sampled_from([0, 1, "0.2"])),
+}
+
+
+@st.composite
+def refine_config(draw):
+    """A config object: some refine keys, at times a bad value, an unknown
+    refine key or an unknown top-level key, and at times an augment object."""
+    refine = {k: draw(good) for k, (good, _) in _REFINE_VALUES.items() if draw(st.booleans())}
+    bad = draw(st.sampled_from([None] * 7 + [0, 1, 2]))
+    if bad == 0:
+        key = draw(st.sampled_from(list(_REFINE_VALUES)))
+        refine[key] = draw(_REFINE_VALUES[key][1])
+    elif bad == 1:
+        refine[draw(st.sampled_from(["max_prun", "canny_min", "kernel"]))] = 3
+    config = {"refine": refine}
+    if draw(st.booleans()):
+        config["augment"] = {}
+    if bad == 2:
+        config[draw(st.sampled_from(["refin", "ensemble_members", "Refine"]))] = {}
+    return config
+
+
+@st.composite
+def metrics_request(draw, d):
+    """The argv of one `metrics` run under directory d, and the path it may write."""
+    out = d / sometimes(draw, st.just("missing/m.json"), st.just("m.json"))
+    argv = ["metrics"]
+    scores, pairs = draw(st.sampled_from([(True, 0), (False, 1), (False, 2), (True, 1), (False, 0)]))
+    if scores:
+        (d / "scores.csv").write_bytes(draw(scores_csv()))
+        argv += ["--scores", str(d / "scores.csv")]
+    pairs = draw(st.lists(st.tuples(measure_input(), measure_input()), min_size=pairs, max_size=pairs))
+    preds, gts = [], []
+    for i, (pred, gt) in enumerate(pairs):
+        (d / f"pred{i}.pgm").write_bytes(pred[1])
+        (d / f"gt{i}.pgm").write_bytes(gt[1])
+        preds.append(str(d / f"pred{i}.pgm"))
+        gts.append(str(d / f"gt{i}.pgm"))
+    if pairs and sometimes(draw, st.just(True), st.just(False)):  # unpaired
+        (preds if draw(st.booleans()) else gts).pop()
+    if preds or gts or draw(st.booleans()):
+        argv += ["--pred", *preds, "--gt", *gts]
+    if draw(st.booleans()):
+        (d / "cfg.json").write_text(json.dumps(draw(refine_config())))
+        argv += ["--config", str(d / "cfg.json")]
+    if draw(st.booleans()):
+        argv.append(f"--max-prune={sometimes(draw, st.integers(-1, 0), st.integers(1, 40))}")
+    return [*argv, "--out", str(out)], out
+
+
+class TestMetricsFailureContract:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_exit_codes_and_outputs(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            argv, out = data.draw(metrics_request(Path(d)))
+            assert_contract(*run_cli(argv), [out])
+
+
+@st.composite
+def perturb_spec(draw):
+    """A --perturb string: mostly known keys with small values, at times an
+    unknown key, a bad value or a noise at the edge of its range."""
+    good = {
+        "holes": st.integers(0, 2).map(str),
+        "protrusions": st.integers(0, 2).map(str),
+        "noise": st.sampled_from(["0", "0.5", "1.5", "8e307"]),
+        "seed": st.integers(-(2**70), 2**70).map(str),
+    }
+    parts = []
+    for key in draw(st.lists(st.sampled_from(list(good)), max_size=3, unique=True)):
+        value = sometimes(draw, st.sampled_from(["-1", "1e308", "nan", "x", "", "1.5"]), good[key])
+        parts.append(f"{sometimes(draw, st.sampled_from(['hole', ' noise', '']), st.just(key))}={value}")
+    return ",".join(parts)
+
+
+@st.composite
+def phantom_request(draw, d):
+    """The argv of one `phantom` run under directory d, and its output directory."""
+    out_dir = d / sometimes(draw, st.just("file"), st.sampled_from(["scenes", "a/b"]))
+    argv = [
+        "phantom",
+        f"--size={sometimes(draw, st.sampled_from([-1, 0, 1, 40]), st.integers(250, 260))}",
+        f"--count={sometimes(draw, st.integers(-1, 0), st.integers(1, 3))}",
+        f"--seed={draw(st.integers(-(2**70), 2**70))}",
+        f"--out-dir={out_dir}",
+    ]
+    if draw(st.booleans()):
+        argv.append(f"--perturb={draw(perturb_spec())}")
+    return argv, out_dir
+
+
+class TestPhantomFailureContract:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exit_codes_and_outputs(self, data):
+        with tempfile.TemporaryDirectory() as d:
+            (Path(d) / "file").write_text("")
+            argv, out_dir = data.draw(phantom_request(Path(d)))
+            rc, err = run_cli(argv)
+            assert_contract(rc, err, list(out_dir.iterdir()) if out_dir.is_dir() else [])
 
 
 class TestUsage:

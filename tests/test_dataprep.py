@@ -1,9 +1,25 @@
 import numpy as np
 import pytest
 
-from fetalbiometry.dataprep import AugmentParams, augment, normalize_intensity, sparse_sample
+from fetalbiometry.dataprep import AugmentParams, augment, keyed_rng, normalize_intensity, sparse_sample
 from fetalbiometry.errors import DimensionMismatchError, FormatError
+from fetalbiometry.io_formats import dataclass_from_json
 from fetalbiometry.raster import FH, PS
+
+# seeds whose key word numpy cast through float, onto the key of seed 0, when
+# keys were lists of Python ints
+FAR_SEEDS = [-1, -500, -5000, 2**64 - 1]
+
+
+class TestKeyedRng:
+    @pytest.mark.parametrize("words", [(0, 0xF0), (7, 0xAB), (2**63 - 1, 5), (3, 2**63 - 1)])
+    def test_words_below_2_63_keep_their_streams(self, words):
+        want = np.random.Generator(np.random.Philox(key=list(words))).random(4)
+        assert np.array_equal(keyed_rng(*words).random(4), want)
+
+    def test_words_are_taken_mod_2_64(self):
+        assert np.array_equal(keyed_rng(-1, -2).random(4), keyed_rng(2**64 - 1, 2**64 - 2).random(4))
+        assert not np.array_equal(keyed_rng(-1, 0).random(4), keyed_rng(0, 0).random(4))
 
 
 class TestSparseSample:
@@ -35,6 +51,11 @@ class TestSparseSample:
         a = sparse_sample(self.VIDEOS, seed=0)
         b = sparse_sample(self.VIDEOS, seed=1)
         assert a.frames != b.frames
+
+    def test_far_seeds_have_their_own_streams(self):
+        plans = [sparse_sample(self.VIDEOS, seed=s).frames for s in (0, *FAR_SEEDS[:3])]
+        assert all(a != b for i, a in enumerate(plans) for b in plans[i + 1 :])
+        assert sparse_sample(self.VIDEOS, seed=FAR_SEEDS[3]).frames == plans[1]  # 2**64 - 1 is -1 mod 2**64
 
     def test_order_independent_per_video(self):
         a = sparse_sample(self.VIDEOS, seed=5)
@@ -84,6 +105,17 @@ class TestAugment:
         a2, m2 = augment(img, self.mask(), p, sample_index=4)
         assert np.array_equal(a1, a2)
         assert np.array_equal(m1, m2)
+
+    @pytest.mark.parametrize("seed", FAR_SEEDS)
+    def test_far_seed_has_its_own_stream(self, seed):
+        img = self.image()
+        far, zero = (augment(img, None, AugmentParams(seed=s), 0)[0] for s in (seed, 0))
+        assert not np.array_equal(far, zero)
+
+    def test_negative_indices_have_their_own_streams(self):
+        img = self.image()
+        outs = [augment(img, None, AugmentParams(), i)[0] for i in (-2, -1, 0)]
+        assert not np.array_equal(outs[0], outs[1]) and not np.array_equal(outs[1], outs[2])
 
     def test_index_independent_of_order(self):
         p = AugmentParams(seed=11)
@@ -145,7 +177,7 @@ class TestAugment:
     def test_params_from_dict_round_trip(self):
         p = AugmentParams(seed=9, gamma_range=(0.5, 0.9))
         d = {k: getattr(p, k) for k in AugmentParams.__dataclass_fields__}
-        assert AugmentParams.from_dict(d) == p
+        assert dataclass_from_json(AugmentParams, d) == p
 
     @pytest.mark.parametrize(
         "d",
@@ -153,10 +185,10 @@ class TestAugment:
     )
     def test_params_from_dict_rejects(self, d):
         with pytest.raises(FormatError):
-            AugmentParams.from_dict(d)
+            dataclass_from_json(AugmentParams, d)
 
     def test_params_from_dict_takes_lists(self):
-        assert AugmentParams.from_dict({"gamma_range": [0.5, 1]}) == AugmentParams(gamma_range=(0.5, 1.0))
+        assert dataclass_from_json(AugmentParams, {"gamma_range": [0.5, 1]}) == AugmentParams(gamma_range=(0.5, 1.0))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 """The ensemble path of the CLI: each member row is checked once, as it is
-read strip by strip, and each average row once more; the files written equal
-what the public functions compute, and a failure is reported as the
-frame-level path reports it."""
+read strip by strip, and each average row once more, and the float32 average
+written to --out is checked whole; the files written equal what the public
+functions compute, and a failure is reported as the frame-level path reports
+it."""
 
 import contextlib
 import io
@@ -65,6 +66,41 @@ def rounding_counterexample():
     return [np.array([[[1.0, a * ULP, (k + 0.5 - a) * ULP]]], np.float32) for a in (a0, a0, a1)]
 
 
+def passes(p):
+    try:
+        validate_prob_map(p)
+    except ValueError:
+        return False
+    return True
+
+
+def cast_counterexample():
+    """Two 1x1 float32 members that pass, whose float64 average passes too,
+    while that average cast to float32 misses the sum tolerance.
+
+    The members are A = (u0+, u1+, u2) and B = (u0, u1, u2+), where + is the
+    next float32 up and u sums to just under 1 + PROB_SUM_TOL.  Each channel
+    of the average is a float32 midpoint, which the cast rounds to its even
+    neighbour: where that is up in every channel, the cast sums like
+    (u0+, u1+, u2+), above both members.  Seeded search, a few draws deep.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        raw = rng.random(3) + 0.1
+        u = (raw / raw.sum() * (1.0 + PROB_SUM_TOL)).astype(np.float32)
+        big = int(u.argmax())
+        while True:
+            up = np.nextafter(u, np.float32(1))
+            members = [np.array([[[up[0], up[1], u[2]]]], np.float32), np.array([[[u[0], u[1], up[2]]]], np.float32)]
+            if all(map(passes, members)):
+                break
+            u[big] = np.nextafter(u[big], np.float32(0))
+        mean = average(members)
+        if passes(mean) and not passes(mean.astype(np.float32)):
+            return members
+    raise AssertionError("no counterexample in 100 draws")
+
+
 class TestAverageTolerance:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -101,6 +137,19 @@ class TestAverageTolerance:
             assert "ensemble average" in capsys.readouterr().err
         assert main(["ensemble", *paths, "--vote", "--out", str(tmp_path / "vote.pgm")]) == EXIT_OK
 
+    def test_cli_rejects_the_float32_average(self, tmp_path, capsys):
+        # the float64 average passes, its float32 cast would not read back
+        paths = []
+        for i, m in enumerate(cast_counterexample()):
+            paths.append(str(tmp_path / f"m{i}.fpm"))
+            write_prob_map(m, paths[-1])
+        avg, labels = tmp_path / "avg.fpm", tmp_path / "labels.pgm"
+        assert main(["ensemble", *paths, "--out", str(avg), "--decide-out", str(labels)]) == EXIT_DATA
+        assert not avg.exists() and not labels.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ensemble average: ") and "worst pixel (0, 0)" in err
+        assert main(["ensemble", *paths, "--decide-out", str(labels)]) == EXIT_OK
+
 
 @pytest.fixture
 def prob_map_checks(monkeypatch):
@@ -132,12 +181,13 @@ def write_members(dirpath, n, shape=(6, 5), channels=3, seed=0):
 class TestChecksOnce:
     @pytest.mark.parametrize("n", [1, 3])
     def test_average_request(self, tmp_path, prob_map_checks, n):
-        # one check per member as it is read, one for the average
+        # one check per member as it is read, one for the average, one for
+        # its float32 cast as it is written
         paths = write_members(tmp_path, n)
         prob_map_checks.clear()
         argv = ["ensemble", *paths, "--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(argv) == EXIT_OK
-        assert len(prob_map_checks) == n + 1
+        assert len(prob_map_checks) == n + 2
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_vote_request(self, tmp_path, prob_map_checks, n):
@@ -272,6 +322,8 @@ def expected_exit(paths, use_vote, outputs):
             vote(ms)
         else:
             validate_prob_map(average(ms))
+            if "--out" in outputs:  # written as float32
+                validate_prob_map(average(ms).astype(np.float32))
     except (FetalBiometryError, OSError, ValueError):
         return EXIT_DATA
     return EXIT_OK
@@ -314,7 +366,8 @@ TALL = (35, 2048)
 
 class TestRowsCheckedOnce:
     """Across strips, validate_prob_map sees each member row and each average
-    row exactly once, strip by strip in order."""
+    row exactly once, strip by strip in order; the float32 average written
+    to --out is checked whole, once more."""
 
     @pytest.mark.parametrize("n", [1, 3])
     @pytest.mark.parametrize("use_vote", [False, True])
@@ -327,7 +380,8 @@ class TestRowsCheckedOnce:
             outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(["ensemble", *paths, *outputs]) == EXIT_OK
         strips = [10, 10, 10, 5]
-        assert [s[0] for t, s in prob_map_checks if t == np.float32] == [r for r in strips for _ in range(n)]
+        written = [] if use_vote else [TALL[0]]
+        assert [s[0] for t, s in prob_map_checks if t == np.float32] == [r for r in strips for _ in range(n)] + written
         assert [s[0] for t, s in prob_map_checks if t == np.float64] == ([] if use_vote else strips)
 
     def test_measure(self, tmp_path, prob_map_checks):

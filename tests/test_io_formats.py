@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
+from fetalbiometry.biometry import BiometryResult
 from fetalbiometry.errors import FormatError
 from fetalbiometry.io_formats import (
     FrameRecord,
-    MeasurementReport,
     read_frame_scores,
     read_label_mask,
     read_prob_map,
@@ -12,6 +12,13 @@ from fetalbiometry.io_formats import (
     write_prob_map,
     write_report_csv,
 )
+from fetalbiometry.raster import PROB_SUM_TOL, Point, validate_prob_map
+
+
+def result(aop, hsd, used_ps=False, used_fh=False, iters_ps=0, iters_fh=0):
+    """A BiometryResult with these report fields and placeholder landmarks."""
+    pts = Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0)
+    return BiometryResult(aop, hsd, *pts, used_ps, used_fh, iters_ps, iters_fh)
 
 
 class TestLabelMask:
@@ -117,6 +124,30 @@ class TestProbMap:
         write_prob_map(p, path)
         assert path.read_bytes() == b"FPM 3 3 3\n" + p.astype("<f4").tobytes()
 
+    def test_write_checks_the_float32_cast(self, tmp_path):
+        # the float64 sum sits at the tolerance edge; the cast rounds it over
+        p = np.array([[[0.1, 1.0 + PROB_SUM_TOL - 0.1]]])
+        validate_prob_map(p)
+        path = tmp_path / "p.fpm"
+        with pytest.raises(ValueError, match="worst pixel"):
+            write_prob_map(p, path)
+        assert not path.exists()
+
+    def test_write_accepts_what_the_cast_brings_into_range(self, tmp_path):
+        p = np.array([[[1.0 + 1e-12, 0.0]]])
+        with pytest.raises(ValueError):
+            validate_prob_map(p)
+        path = tmp_path / "p.fpm"
+        write_prob_map(p, path)
+        assert read_prob_map(path).tolist() == [[[1.0, 0.0]]]
+
+    def test_write_rejects_a_value_past_the_float32_range(self, tmp_path):
+        # the cast makes it inf, quietly: a RuntimeWarning fails the suite
+        path = tmp_path / "p.fpm"
+        with pytest.raises(ValueError, match="must lie in"):
+            write_prob_map(np.array([[[1e300, 0.0]]]), path)
+        assert not path.exists()
+
     def test_bad_sum(self, tmp_path):
         path = tmp_path / "s.fpm"
         payload = np.array([0.5, 0.4], "<f4").tobytes()
@@ -157,27 +188,22 @@ class TestReportCsv:
 
     def test_one_row(self, tmp_path):
         path = tmp_path / "r.csv"
-        row = MeasurementReport("f0", 150.0, 50.0, True, False, 2, 0)
-        write_report_csv([row], path)
+        write_report_csv([("f0", result(150.0, 50.0, True, False, 2, 0))], path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2
         assert lines[1].split(",") == ["f0", "150", "50", "1", "0", "2", "0"]
 
     def test_order_stable(self, tmp_path):
-        rows = [
-            MeasurementReport("b", 120.0, 10.0, False, False, 0, 0),
-            MeasurementReport("a", 130.0, 20.0, False, False, 0, 0),
-        ]
+        rows = [("b", result(120.0, 10.0)), ("a", result(130.0, 20.0))]
         path = tmp_path / "r.csv"
         write_report_csv(rows, path)
         lines = path.read_text().splitlines()
         assert lines[1].startswith("b,") and lines[2].startswith("a,")
 
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            MeasurementReport("f", 200.0, 1.0, False, False, 0, 0)
-        with pytest.raises(ValueError):
-            MeasurementReport("f", 150.0, 1.0, False, False, -1, 0)
+    def test_six_significant_digits(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_report_csv([("f", result(127.19345678, 0.000140357))], path)
+        assert path.read_text().splitlines()[1] == "f,127.193,0.000140357,0,0,0,0"
 
 
 class TestFrameScores:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,10 @@ from fetalbiometry.phantom import (
     render,
     validate_scene,
 )
+
+# seeds whose key word numpy cast through float, onto the key of seed 0, when
+# keys were lists of Python ints
+FAR_SEEDS = [-1, -500, -5000, 2**64 - 1]
 from fetalbiometry.raster import FH, PS, boundary_mask
 
 
@@ -123,6 +128,10 @@ class TestRandomScene:
     def test_seeds_differ(self):
         assert random_scene(0) != random_scene(1)
 
+    @pytest.mark.parametrize("seed", FAR_SEEDS)
+    def test_far_seed_has_its_own_stream(self, seed):
+        assert random_scene(seed, 256, 256) != random_scene(0, 256, 256)
+
 
 class TestPerturb:
     def test_identity_when_disabled(self):
@@ -147,6 +156,12 @@ class TestPerturb:
         labels = render(circle_scene())
         p = Perturbation(holes=1, protrusions=1, boundary_noise=1.5, seed=9, classes=(FH,))
         assert np.array_equal(perturb(labels, p), perturb(labels, p))
+
+    @pytest.mark.parametrize("seed", FAR_SEEDS)
+    def test_far_seed_has_its_own_stream(self, seed):
+        labels = render(circle_scene())
+        p = Perturbation(holes=1, protrusions=1, boundary_noise=1.5, classes=(FH,))
+        assert not np.array_equal(perturb(labels, replace(p, seed=seed)), perturb(labels, p))
 
     def test_input_untouched(self):
         labels = render(circle_scene())

@@ -13,6 +13,7 @@ from hypothesis.extra.numpy import arrays
 from fetalbiometry import edges, ellipse as el, morphology, phantom
 from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, FormatError, NoEdgesError
+from fetalbiometry.io_formats import dataclass_from_json
 from fetalbiometry.metrics import dice
 from fetalbiometry.raster import FH, PS, mask_set_counts, validate_binary_mask
 from fetalbiometry.refine import RefinedShape, RefineParams, protrusion_ratio, prune, refine
@@ -87,7 +88,7 @@ class TestParams:
 
     def test_dict_round_trip(self):
         p = RefineParams(kernel_w=6, max_prune=9)
-        assert RefineParams.from_dict(dataclasses.asdict(p)) == p
+        assert dataclass_from_json(RefineParams, dataclasses.asdict(p)) == p
 
     @pytest.mark.parametrize(
         "d",
@@ -106,10 +107,10 @@ class TestParams:
     )
     def test_from_dict_rejects(self, d):
         with pytest.raises(FormatError):
-            RefineParams.from_dict(d)
+            dataclass_from_json(RefineParams, d)
 
     def test_from_dict_takes_int_for_float(self):
-        p = RefineParams.from_dict({"prune_distance": 4, "max_prune": 7})
+        p = dataclass_from_json(RefineParams, {"prune_distance": 4, "max_prune": 7})
         assert p == RefineParams(prune_distance=4.0, max_prune=7)
         assert type(p.prune_distance) is float
 
@@ -279,6 +280,12 @@ class TestRefine:
                 continue
             r = refine(m)
             assert r.prune_iterations <= 15
+
+
+class TestRefinedShape:
+    def test_negative_prune_count_rejected(self):
+        with pytest.raises(ValueError, match="prune_iterations"):
+            RefinedShape(np.ones((2, 2), np.uint8), None, False, -1, 0.0, (0, 0, 2, 2), (2, 2))
 
 
 class TestShapeIsItsWindow:

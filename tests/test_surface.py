@@ -8,7 +8,7 @@ package's ``__all__``, or be on ``ALLOWED`` with the reason it stays.
 References are found statically:
 - a name or dotted path that resolves, through the file's imports and its
   module's own definitions, to a definition (``from .raster import x``,
-  ``el.fit_ams``, ``RefineParams.from_dict``);
+  ``el.fit_ams``, ``PhantomScene.from_dict``);
 - a string constant equal to the name of exactly one definition, which is
   how ``perfbench/tracing.py`` looks functions up with ``getattr``;
 - ``obj.member`` on an object of unknown class: it counts for the one class
@@ -173,9 +173,7 @@ def test_every_public_name_has_a_reader():
 
 
 # module-level underscore names that another package module may read, and why
-CROSS_MODULE_PRIVATE = {
-    "io_formats._write_prob_map": "`ensemble` writes its float32 average, already checked strip by strip, unchecked",
-}
+CROSS_MODULE_PRIVATE = {}
 
 
 def _private(name):
