@@ -101,21 +101,14 @@ def convex_hull(points: np.ndarray) -> np.ndarray:
 
 
 def _diameter_endpoints(points: np.ndarray) -> tuple[Point, Point]:
-    """Most distant pair of points (exact over the convex hull)."""
+    """Most distant pair of points (exact over the convex hull); of tied pairs,
+    the first in row-major order of the hull's pairwise distances."""
     hull = convex_hull(points)
-    best = None
-    best_d = -1.0
-    for i in range(len(hull)):
-        d = ((hull[i + 1 :] - hull[i]) ** 2).sum(axis=1)
-        if d.size == 0:
-            continue
-        j = int(np.argmax(d))
-        if d[j] > best_d:
-            best_d = float(d[j])
-            best = (hull[i], hull[i + 1 + j])
-    if best is None:
+    if len(hull) < 2:
         raise EmptyShapeError("not enough boundary points for a diameter")
-    a, b = sorted(best, key=lambda p: (p[1], p[0]))
+    d = ((hull[None] - hull[:, None]) ** 2).sum(axis=2)
+    i, j = np.unravel_index(int(np.argmax(d)), d.shape)
+    a, b = sorted((hull[i], hull[j]), key=lambda p: (p[1], p[0]))
     return Point(*a), Point(*b)
 
 

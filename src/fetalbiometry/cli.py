@@ -122,6 +122,8 @@ def cmd_measure(args) -> int:
 def cmd_ensemble(args) -> int:
     """Average or vote the members, a strip of rows at a time.
 
+    --out is always the float32 average, so --vote writes only the label mask
+    --decide-out, and --vote with --out exits 64 before any member is opened.
     ``ensemble.average`` or ``ensemble.vote`` checks each member strip as it
     is combined, and ``ensemble.decide`` checks each strip of the average: a
     mean of maps that pass can miss the sum tolerance by a rounding step.
@@ -132,8 +134,11 @@ def cmd_ensemble(args) -> int:
     overwritten.  On a failure the members are read again whole, only to
     report the error as the frame-level path does.
     """
+    if args.vote and args.out:
+        print("error: --vote writes --decide-out only; --out is the average", file=sys.stderr)
+        return EXIT_USAGE
     if not (args.out or args.decide_out):
-        print("error: give --out or --decide-out", file=sys.stderr)
+        print(f"error: give {'--decide-out' if args.vote else '--out or --decide-out'}", file=sys.stderr)
         return EXIT_USAGE
     if not args.members:
         print("error: no ensemble members given", file=sys.stderr)
@@ -143,9 +148,6 @@ def cmd_ensemble(args) -> int:
     except (FetalBiometryError, OSError, ValueError) as e:  # a plain ValueError is a failed check
         _raise_frame_level_error(args.members, args.vote)
         raise e if isinstance(e, (FetalBiometryError, OSError)) else FormatError(str(e))
-    if args.vote:
-        io_formats.write_label_mask(labels, args.decide_out or args.out)
-        return EXIT_OK
     _require_dirs(args.out, args.decide_out)
     if args.out:
         try:
@@ -158,10 +160,10 @@ def cmd_ensemble(args) -> int:
 
 
 def _ensemble_strips(paths, use_vote: bool, want_avg: bool):
-    """(float32 average or None, label mask) of the members: the vote, or the
-    average if asked for and its decision."""
+    """(float32 average if asked for, else None; label mask) of the members:
+    the vote, or the average's decision."""
     with io_formats.prob_map_strips(paths) as (shape, strips):
-        avg = np.empty(shape, "<f4") if want_avg and not use_vote else None
+        avg = np.empty(shape, "<f4") if want_avg else None
         labels = np.empty(shape[:2], np.uint8)
         for rows, members in strips:
             if use_vote:
@@ -308,6 +310,11 @@ def cmd_phantom(args) -> int:
 
 
 def cmd_augment(args) -> int:
+    """Augment the image into --out, and the --mask into --mask-out (default
+    ``<out>.mask.pgm``); --mask-out without --mask exits 64 before any read."""
+    if args.mask_out and not args.mask:
+        print("error: --mask-out needs --mask", file=sys.stderr)
+        return EXIT_USAGE
     p = _params(dataprep.AugmentParams, "augment", args)
     img = dataprep.normalize_intensity(io_formats.read_greymap(args.image))
     mask = io_formats.read_label_mask(args.mask) if args.mask else None

@@ -40,7 +40,6 @@ class MissingStructureError(FetalBiometryError, ValueError):
 
     def __init__(self, class_name):
         super().__init__(f"label mask contains no {class_name} pixels")
-        self.class_name = class_name
 
 
 class OverlapError(FetalBiometryError, ValueError):

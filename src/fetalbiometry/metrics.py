@@ -26,12 +26,12 @@ class ConfusionCounts:
         return self.tp + self.tn + self.fp + self.fn
 
 
-def confusion(scores, labels, threshold: float = POSITIVE_THRESHOLD) -> ConfusionCounts:
+def confusion(scores, labels) -> ConfusionCounts:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if scores.size == 0 or scores.shape != labels.shape:
         raise MetricError("scores and labels must be non-empty and equal length")
-    pred = scores >= threshold
+    pred = scores >= POSITIVE_THRESHOLD
     pos = labels == 1
     return ConfusionCounts(
         tp=int(np.count_nonzero(pred & pos)),

@@ -45,26 +45,24 @@ def draw_line(img: np.ndarray, p0, p1, color) -> None:
             y0 += sy
 
 
-def draw_ellipse(img: np.ndarray, e: Ellipse, color, samples: int = 720) -> None:
-    t = np.linspace(0.0, 2 * math.pi, samples, endpoint=False)
+def draw_ellipse(img: np.ndarray, e: Ellipse, color) -> None:
+    t = np.linspace(0.0, 2 * math.pi, 720, endpoint=False)
     local = np.column_stack([e.a * np.cos(t), e.b * np.sin(t)])
     pts = e.from_local(local)
     for x, y in pts:
         _put(img, int(round(x)), int(round(y)), color)
 
 
-def render_overlay(labels: np.ndarray, result: BiometryResult, shapes=None) -> np.ndarray:
-    """RGB overlay: structures in grey, ellipses/axis/tangent/HSD annotated."""
+def render_overlay(labels: np.ndarray, result: BiometryResult, shapes) -> np.ndarray:
+    """RGB overlay: structures in grey, the fitted ellipses of the (PS, FH)
+    refined ``shapes``, and the result's axis, tangent and HSD lines."""
     h, w = labels.shape
     img = np.zeros((h, w, 3), dtype=np.uint8)
     for cid, g in _STRUCT_GREY.items():
         img[labels == cid] = (g, g, g)
-    if shapes is not None:
-        ps_shape, fh_shape = shapes
-        if ps_shape.ellipse is not None:
-            draw_ellipse(img, ps_shape.ellipse, GREEN)
-        if fh_shape.ellipse is not None:
-            draw_ellipse(img, fh_shape.ellipse, RED)
+    for shape, color in zip(shapes, (GREEN, RED)):
+        if shape.ellipse is not None:
+            draw_ellipse(img, shape.ellipse, color)
     draw_line(img, result.ps_proximal, result.ps_apex, YELLOW)
     draw_line(img, result.ps_apex, result.tangent_point, CYAN)
     draw_line(img, result.ps_apex, result.hsd_head_point, WHITE)

@@ -51,6 +51,10 @@ class PhantomScene:
         return cls(el.Ellipse(**d["ps"]), el.Ellipse(**d["fh"]), d["width"], d["height"])
 
 
+# each protrusion runs a Python loop over the pixels of its box
+MAX_PROTRUSIONS = 100
+
+
 @dataclass(frozen=True)
 class Perturbation:
     holes: int = 0
@@ -65,6 +69,8 @@ class Perturbation:
         # shifts are drawn from (-noise, noise), a range that must be finite
         if self.holes < 0 or self.protrusions < 0 or not 0 <= 2 * self.boundary_noise < math.inf:
             raise ValueError("perturbation sizes must be nonnegative, and twice the noise finite")
+        if self.protrusions > MAX_PROTRUSIONS:
+            raise ValueError(f"at most {MAX_PROTRUSIONS} protrusions, got {self.protrusions}")
         if self.hole_radius[0] > self.hole_radius[1] or self.protrusion_size[0] > self.protrusion_size[1]:
             raise ValueError("ranges must be ordered")
 
@@ -103,11 +109,12 @@ def _angle_between(apex: Point, u_to: Point, v_to) -> float:
     return math.degrees(math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy))
 
 
-def point_ellipse_distance(e: el.Ellipse, p, tol: float = 1e-10, max_iter: int = 200) -> float:
+def point_ellipse_distance(e: el.Ellipse, p) -> float:
     """Exact distance from an external point to the ellipse boundary.
 
     Newton iteration on the boundary parameter with a bisection safeguard;
-    always converges on [0, pi/2] after folding into the first quadrant.
+    always converges on [0, pi/2] after folding into the first quadrant: it
+    stops at a step below 1e-10 rad, or after 200 steps.
     """
     loc = e.to_local(np.asarray(p, dtype=np.float64).reshape(1, 2))[0]
     qa, qb = abs(loc[0]), abs(loc[1])
@@ -121,7 +128,7 @@ def point_ellipse_distance(e: el.Ellipse, p, tol: float = 1e-10, max_iter: int =
 
     lo, hi = 0.0, math.pi / 2
     t = math.atan2(a * qb, b * qa) if (qa or qb) else 0.0
-    for _ in range(max_iter):
+    for _ in range(200):
         val = g(t)
         if val > 0:
             hi = t
@@ -134,7 +141,7 @@ def point_ellipse_distance(e: el.Ellipse, p, tol: float = 1e-10, max_iter: int =
             step_ok = lo < t_new < hi
         if not step_ok:
             t_new = 0.5 * (lo + hi)
-        if abs(t_new - t) < tol:
+        if abs(t_new - t) < 1e-10:
             t = t_new
             break
         t = t_new
@@ -190,13 +197,9 @@ def random_scene(seed: int, width: int = 512, height: int = 512) -> PhantomScene
     raise RuntimeError(f"could not generate a feasible scene for seed {seed}")
 
 
-def _fits(e: el.Ellipse, width: int, height: int, margin: float = 4.0) -> bool:
-    return (
-        e.cx - e.a >= margin
-        and e.cx + e.a <= width - margin
-        and e.cy - e.a >= margin
-        and e.cy + e.a <= height - margin
-    )
+def _fits(e: el.Ellipse, width: int, height: int) -> bool:
+    """The ellipse's circumscribed circle lies at least 4 px inside the canvas."""
+    return e.cx - e.a >= 4.0 and e.cx + e.a <= width - 4.0 and e.cy - e.a >= 4.0 and e.cy + e.a <= height - 4.0
 
 
 def perturb(labels: np.ndarray, p: Perturbation) -> np.ndarray:

@@ -56,8 +56,8 @@ def validate_binary_mask(m: np.ndarray) -> np.ndarray:
     return m.astype(np.uint8, copy=False)
 
 
-def validate_prob_map(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
-    """Check shape, range and channel sums; return ``p`` as a float array.
+def validate_prob_map(p: np.ndarray) -> np.ndarray:
+    """Check shape, range and channel sums (within ``PROB_SUM_TOL``); return ``p`` as a float array.
 
     A float32 map is returned as it is, without a copy; any other input goes
     to float64.  Channel sums accumulate in float64, channel by channel in
@@ -76,11 +76,11 @@ def validate_prob_map(p: np.ndarray, tol: float = PROB_SUM_TOL) -> np.ndarray:
         for c in range(2, p.shape[2]):
             sums += p[..., c]
         # max |s - 1| from the extremes, so the passing path makes no more copies
-        if max(sums.max() - 1.0, 1.0 - sums.min()) > tol:
+        if max(sums.max() - 1.0, 1.0 - sums.min()) > PROB_SUM_TOL:
             err = np.abs(sums - 1.0)
             y, x = np.unravel_index(int(err.argmax()), err.shape)
             raise ValueError(
-                f"channel sums must equal 1 within {tol}; worst pixel ({x}, {y}) sums to {sums[y, x]:.6g}"
+                f"channel sums must equal 1 within {PROB_SUM_TOL}; worst pixel ({x}, {y}) sums to {sums[y, x]:.6g}"
             )
     return p
 

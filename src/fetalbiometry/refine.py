@@ -14,6 +14,9 @@ from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
+# the closing kernel's largest side: closing loops over its ~w x h offsets
+MAX_KERNEL = 64
+
 
 @dataclass(frozen=True)
 class RefineParams:
@@ -24,8 +27,8 @@ class RefineParams:
     ellipse_accept_ratio: float = 0.20
 
     def __post_init__(self):
-        if self.kernel_w < 1 or self.kernel_h < 1:
-            raise ValueError("kernel size must be positive")
+        if not (1 <= self.kernel_w <= MAX_KERNEL and 1 <= self.kernel_h <= MAX_KERNEL):
+            raise ValueError(f"kernel size must lie in [1, {MAX_KERNEL}]")
         if not 0.0 < self.prune_distance < math.inf or self.max_prune <= 0:
             raise ValueError("prune_distance must be finite and positive, max_prune positive")
         if not (0.0 < self.ellipse_accept_ratio < 1.0):

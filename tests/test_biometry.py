@@ -14,6 +14,7 @@ from fetalbiometry.biometry import (
     _angle_at,
     _apex_inside,
     _cross2,
+    _diameter_endpoints,
     _orient,
     boundary_points,
     compute_hsd,
@@ -270,6 +271,7 @@ def ref_convex_hull(points):
 
 
 def ref_diameter_endpoints(points):
+    """The hull pair of the first maximum, scanning each point's later partners in hull order."""
     hull = ref_convex_hull(points)
     best = None
     best_d = -1.0
@@ -488,3 +490,18 @@ class TestHullMatchesChain:
     @given(hull_points())
     def test_same_vertices_in_the_same_order(self, pts):
         assert_same_array(convex_hull(pts), ref_convex_hull(pts))
+
+
+class TestDiameterMatchesScan:
+    @settings(max_examples=500, deadline=None)
+    @given(hull_points())
+    def test_same_pair(self, pts):
+        # ties are common on the quarter grid: the first maximum must be the scan's
+        assert outcome(_diameter_endpoints, pts) == outcome(ref_diameter_endpoints, pts)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_pair_on_phantom_boundaries(self, seed):
+        labels = phantom.render(phantom.random_scene(seed, 256, 256))
+        for c in (PS, FH):
+            pts = boundary_points((labels == c).astype(np.uint8))
+            assert _diameter_endpoints(pts) == ref_diameter_endpoints(pts)

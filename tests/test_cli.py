@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fetalbiometry import cli, phantom
+from fetalbiometry import cli, io_formats, morphology, phantom
 from fetalbiometry.biometry import measure_frame, measure_frame_detailed
 from fetalbiometry.dataprep import AugmentParams
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
@@ -219,6 +219,27 @@ class TestMeasure:
         assert exc.value.code == EXIT_USAGE
         assert calls == [] and not out.exists()
 
+    @pytest.mark.parametrize("argv, code", [
+        (["--kernel-w", "65"], EXIT_USAGE),
+        (["--kernel-h", "100000"], EXIT_USAGE),
+        (["--config", "{cfg}"], EXIT_DATA),
+    ])
+    def test_kernel_above_its_bound_builds_no_kernel(self, tmp_path, capsys, monkeypatch, argv, code):
+        # a kernel's cost grows with w x h: one past the bound is refused before any is built
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"refine": {"kernel_w": 65}}))
+        inp = make_scene_file(tmp_path)
+
+        def fail(w, h):
+            raise AssertionError("a kernel was built")
+
+        monkeypatch.setattr(morphology, "elliptical_kernel", fail)
+        out = tmp_path / "r.csv"
+        rc, err = run_cli(["measure", str(inp), *[a.format(cfg=cfg) for a in argv], "--out", str(out)])
+        assert rc == code, err
+        assert "kernel size must lie in [1, 64]" in err
+        assert not out.exists()
+
     def test_removed_flag_usage(self, tmp_path):
         inp = make_scene_file(tmp_path)
         with pytest.raises(SystemExit) as exc:
@@ -340,7 +361,7 @@ class TestEnsemble:
         p1, _ = self.member(tmp_path, "m1.fpm", 0)
         p2, _ = self.member(tmp_path, "m2.fpm", 1)
         out = tmp_path / "vote.pgm"
-        assert main(["ensemble", str(p1), str(p2), "--vote", "--out", str(out)]) == EXIT_OK
+        assert main(["ensemble", str(p1), str(p2), "--vote", "--decide-out", str(out)]) == EXIT_OK
         assert read_label_mask(out).shape == (8, 8)
 
     def test_no_members_usage(self, tmp_path):
@@ -386,7 +407,7 @@ class TestEnsemble:
         f = str(fpm)
         assert main(["ensemble", f, "--out", str(tmp_path / "o.fpm")]) == EXIT_OK
         assert main(["ensemble", f, "--decide-out", str(tmp_path / "d.pgm")]) == EXIT_OK
-        assert main(["ensemble", f, "--vote", "--out", str(tmp_path / "v.pgm")]) == EXIT_OK
+        assert main(["ensemble", f, "--vote", "--decide-out", str(tmp_path / "v.pgm")]) == EXIT_OK
         assert read_label_mask(tmp_path / "d.pgm").tolist() == labels.tolist()
         assert main(["measure", f, "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
@@ -398,7 +419,7 @@ class TestEnsemble:
     def test_vote_without_output_usage(self, tmp_path, capsys):
         p1, _ = self.member(tmp_path, "m1.fpm", 0)
         assert main(["ensemble", str(p1), "--vote"]) == EXIT_USAGE
-        assert "--out" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: give --decide-out\n"
 
     def test_average_without_output_usage(self, tmp_path):
         # the member is never read, so even a missing one is a usage error
@@ -508,6 +529,18 @@ class TestPhantom:
             assert abs(aop - side["aop_deg"]) < 1e-9
             assert abs(hsd - side["hsd_px"]) < 1e-9
 
+    def test_protrusions_above_their_bound_usage(self, tmp_path, capsys, monkeypatch):
+        # each protrusion is a Python loop: one past the bound is refused before any is attached
+        def fail(*args):
+            raise AssertionError("a protrusion was attached")
+
+        monkeypatch.setattr(phantom, "_attach_protrusion", fail)
+        out_dir = tmp_path / "scenes"
+        rc, err = run_cli(["phantom", "--size", "256", "--out-dir", str(out_dir), "--perturb", "protrusions=101"])
+        assert rc == EXIT_USAGE
+        assert "at most 100 protrusions" in err
+        assert not out_dir.exists()
+
     def test_perturbed_variant(self, tmp_path):
         out_dir = tmp_path / "scenes"
         rc = main(
@@ -592,6 +625,21 @@ class TestAugment:
         )
         assert rc == EXIT_OK
         assert set(np.unique(read_label_mask(mask_out))).issubset({0, 1, 2})
+
+    def test_mask_out_without_mask_usage(self, tmp_path, capsys, monkeypatch):
+        # --mask-out names the augmented mask, so without --mask there is nothing to write there
+        src = tmp_path / "img.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+
+        def fail(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(io_formats, "read_greymap", fail)
+        monkeypatch.setattr(io_formats, "read_label_mask", fail)
+        out, mask_out = tmp_path / "a.pgm", tmp_path / "m.pgm"
+        assert main(["augment", "--image", str(src), "--mask-out", str(mask_out), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --mask-out needs --mask\n"
+        assert not out.exists() and not mask_out.exists()
 
 
     @pytest.mark.parametrize("seed", ["-1", "-500", str(2**64 - 1)])
@@ -764,7 +812,7 @@ def assert_contract(rc, err, outputs):
 
 # a field: any text but a separator, or bytes that need not be UTF-8
 _FIELD = st.one_of(
-    st.text(st.characters(exclude_characters=",\n\r"), max_size=4).map(str.encode),
+    st.text(st.characters(codec="utf-8", exclude_characters=",\n\r"), max_size=4).map(str.encode),
     st.binary(max_size=4).filter(lambda b: not set(b) & set(b",\n\r")),
 )
 _NUMBER = st.one_of(st.integers(-3, 40), st.integers(2**62, 2**65), st.sampled_from(["", "1.5", "x", " 7 "]))
@@ -825,10 +873,10 @@ def augment_request(draw, d):
         shape = draw(st.sampled_from([img.shape, (img.shape[0] + 1, img.shape[1])]))
         write_label_mask(draw(arrays(np.uint8, shape, elements=st.integers(0, 2))), d / "mask.pgm")
         argv += ["--mask", str(d / "mask.pgm")]
-        if draw(st.booleans()):
-            mask_out = d / draw(st.sampled_from(["m.pgm", "missing/m.pgm"]))
-            argv += ["--mask-out", str(mask_out)]
-            written.append(mask_out)
+    if draw(st.booleans()):  # without --mask, a usage error
+        mask_out = d / draw(st.sampled_from(["m.pgm", "missing/m.pgm"]))
+        argv += ["--mask-out", str(mask_out)]
+        written.append(mask_out)
     if draw(st.booleans()):
         fields = draw(st.lists(st.sampled_from(dataclasses.fields(AugmentParams)), unique=True))
         config = {f.name: draw(augment_value(f)) for f in fields}
@@ -881,8 +929,8 @@ def scores_csv(draw):
 
 # RefineParams values: valid ones, and ones past their edges or mistyped
 _REFINE_VALUES = {
-    "kernel_w": (st.integers(1, 12), st.sampled_from([0, "3", 2.0])),
-    "kernel_h": (st.integers(1, 12), st.sampled_from([0, "3", 2.0])),
+    "kernel_w": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
+    "kernel_h": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
     "prune_distance": (st.floats(0.5, 10.0), st.sampled_from([0, -1.0, 1e308, "3", None])),
     "max_prune": (st.integers(1, 40), st.sampled_from([0, True, 2.5])),
     "ellipse_accept_ratio": (st.floats(0.01, 0.99), st.sampled_from([0, 1, "0.2"])),
@@ -948,10 +996,11 @@ class TestMetricsFailureContract:
 @st.composite
 def perturb_spec(draw):
     """A --perturb string: mostly known keys with small values, at times an
-    unknown key, a bad value or a noise at the edge of its range."""
+    unknown key, a bad value, a noise at the edge of its range or one
+    protrusion past the bound."""
     good = {
         "holes": st.integers(0, 2).map(str),
-        "protrusions": st.integers(0, 2).map(str),
+        "protrusions": st.one_of(st.integers(0, 2), st.just(101)).map(str),
         "noise": st.sampled_from(["0", "0.5", "1.5", "8e307"]),
         "seed": st.integers(-(2**70), 2**70).map(str),
     }

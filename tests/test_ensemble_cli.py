@@ -135,7 +135,7 @@ class TestAverageTolerance:
             assert main(["ensemble", *paths, flag, str(tmp_path / name)]) == EXIT_DATA
             assert not (tmp_path / name).exists()
             assert "ensemble average" in capsys.readouterr().err
-        assert main(["ensemble", *paths, "--vote", "--out", str(tmp_path / "vote.pgm")]) == EXIT_OK
+        assert main(["ensemble", *paths, "--vote", "--decide-out", str(tmp_path / "vote.pgm")]) == EXIT_OK
 
     def test_cli_rejects_the_float32_average(self, tmp_path, capsys):
         # the float64 average passes, its float32 cast would not read back
@@ -193,7 +193,7 @@ class TestChecksOnce:
     def test_vote_request(self, tmp_path, prob_map_checks, n):
         paths = write_members(tmp_path, n)
         prob_map_checks.clear()
-        assert main(["ensemble", *paths, "--vote", "--out", str(tmp_path / "v.pgm")]) == EXIT_OK
+        assert main(["ensemble", *paths, "--vote", "--decide-out", str(tmp_path / "v.pgm")]) == EXIT_OK
         assert len(prob_map_checks) == n
 
     def test_measure_request(self, tmp_path, prob_map_checks):
@@ -233,7 +233,7 @@ def assert_same_files(n, channels, h, w, seed):
         ms = [read_prob_map(p) for p in paths]
         argv = ["ensemble", *paths, "--out", str(out / "a.fpm"), "--decide-out", str(out / "d.pgm")]
         assert main(argv) == EXIT_OK
-        assert main(["ensemble", *paths, "--vote", "--out", str(out / "v.pgm")]) == EXIT_OK
+        assert main(["ensemble", *paths, "--vote", "--decide-out", str(out / "v.pgm")]) == EXIT_OK
         write_prob_map(average(ms), out / "a_ref.fpm")
         write_label_mask(decide(average(ms)), out / "d_ref.pgm")
         write_label_mask(vote(ms), out / "v_ref.pgm")
@@ -277,7 +277,8 @@ class TestSameFiles:
         (tmp_path / "b").mkdir()
         paths = write_members(tmp_path / "a", 1, (4, 4), 3) + write_members(tmp_path / "b", 1, (4, 5), 3)
         out = tmp_path / "o"
-        assert main(["ensemble", *paths, *vote_flag, "--out", str(out)]) == EXIT_DATA
+        flag = "--decide-out" if vote_flag else "--out"
+        assert main(["ensemble", *paths, *vote_flag, flag, str(out)]) == EXIT_DATA
         assert not out.exists()
         assert "member 1 has shape" in capsys.readouterr().err
 
@@ -313,8 +314,9 @@ _OUTPUTS = {"--out": "out", "--decide-out": "decided.pgm"}
 
 
 def expected_exit(paths, use_vote, outputs):
-    """The exit code the public functions imply for an ensemble call."""
-    if not outputs:
+    """The exit code the public functions imply for an ensemble call: --out is
+    the average, so --vote takes --decide-out only."""
+    if not outputs or use_vote and "--out" in outputs:
         return EXIT_USAGE
     try:
         ms = [read_prob_map(p) for p in paths]
@@ -352,12 +354,7 @@ class TestFailureContract:
             assert rc == expected_exit(paths, use_vote, outputs), err.getvalue()
             assert "Traceback" not in err.getvalue()
             written = {flag for flag in outputs if (d / _OUTPUTS[flag]).exists()}
-            if rc != EXIT_OK:
-                assert not written
-            elif use_vote:  # the vote goes to --decide-out, else to --out
-                assert written == {"--decide-out" if "--decide-out" in outputs else "--out"}
-            else:
-                assert written == set(outputs)
+            assert written == (set(outputs) if rc == EXIT_OK else set())
 
 
 # 4 strips of 10, 10, 10 and 5 rows at this geometry
@@ -375,7 +372,7 @@ class TestRowsCheckedOnce:
         paths = write_members(tmp_path, n, TALL, 3)
         prob_map_checks.clear()
         if use_vote:
-            outputs = ["--vote", "--out", str(tmp_path / "v.pgm")]
+            outputs = ["--vote", "--decide-out", str(tmp_path / "v.pgm")]
         else:
             outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(["ensemble", *paths, *outputs]) == EXIT_OK
@@ -460,7 +457,9 @@ class TestFailuresBelowTheFirstStrip:
         for m, p in zip(ms, paths):
             write_raw(m, p)
         want = frame_level_stderr(paths, use_vote)
-        outputs = ["--out", str(tmp_path / "o"), "--decide-out", str(tmp_path / "d.pgm")]
+        outputs = ["--decide-out", str(tmp_path / "d.pgm")]
+        if not use_vote:
+            outputs += ["--out", str(tmp_path / "o")]
         rc = main(["ensemble", *paths, *(["--vote"] if use_vote else []), *outputs])
         if use_vote and member is None:  # the vote has no average to check
             assert rc == EXIT_OK and want == ""
@@ -480,7 +479,8 @@ class TestFailuresBelowTheFirstStrip:
         want = frame_level_stderr(paths, use_vote)
         assert want.startswith(f"error: {paths[1]}: truncated payload")
         out = tmp_path / "o"
-        assert main(["ensemble", *paths, *(["--vote"] if use_vote else []), "--out", str(out)]) == EXIT_DATA
+        flags = ["--vote", "--decide-out"] if use_vote else ["--out"]
+        assert main(["ensemble", *paths, *flags, str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == want
         assert not out.exists()
 
@@ -496,7 +496,7 @@ class TestFailuresBelowTheFirstStrip:
         assert capsys.readouterr().err == f"error: {path}: {want.value}\n"
 
 
-@pytest.mark.parametrize("flags", [["--out"], ["--vote", "--out"]])
+@pytest.mark.parametrize("flags", [["--out"], ["--vote", "--decide-out"]])
 def test_out_names_a_member(tmp_path, flags):
     # every member is read in full before the output replaces one of them
     paths = write_members(tmp_path, 3, TALL, 3)
@@ -508,3 +508,27 @@ def test_out_names_a_member(tmp_path, flags):
         write_prob_map(average(ms), ref)
     assert main(["ensemble", *paths, *flags, paths[1]]) == EXIT_OK
     assert Path(paths[1]).read_bytes() == ref.read_bytes()
+
+
+@pytest.fixture
+def no_member_opened(monkeypatch):
+    """Fail the test if any probability map is opened."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a member was opened")
+
+    monkeypatch.setattr(io_formats, "prob_map_strips", fail)
+    monkeypatch.setattr(io_formats, "read_prob_map", fail)
+
+
+@pytest.mark.parametrize("decide_out", [False, True])
+def test_vote_with_out_usage(tmp_path, capsys, no_member_opened, decide_out):
+    # --out is the average; the vote goes to --decide-out only
+    paths = write_members(tmp_path, 2)
+    before = sorted(tmp_path.iterdir())
+    argv = ["ensemble", *paths, "--vote", "--out", str(tmp_path / "v.fpm")]
+    if decide_out:
+        argv += ["--decide-out", str(tmp_path / "d.pgm")]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --vote writes --decide-out only; --out is the average\n"
+    assert sorted(tmp_path.iterdir()) == before

@@ -180,6 +180,9 @@ class TestPerturb:
     def test_invalid(self):
         with pytest.raises(ValueError):
             Perturbation(holes=-1)
+        assert Perturbation(protrusions=100).protrusions == 100
+        with pytest.raises(ValueError, match="at most 100 protrusions"):
+            Perturbation(protrusions=101)
         with pytest.raises(ValueError):
             Perturbation(hole_radius=(5.0, 2.0))
 

@@ -117,6 +117,10 @@ class TestParams:
     def test_invalid(self):
         with pytest.raises(ValueError):
             RefineParams(kernel_w=0)
+        for field in ("kernel_w", "kernel_h"):
+            assert getattr(RefineParams(**{field: 64}), field) == 64
+            with pytest.raises(ValueError, match=r"\[1, 64\]"):
+                RefineParams(**{field: 65})
         with pytest.raises(ValueError):
             RefineParams(ellipse_accept_ratio=1.5)
         for d in (0.0, -1.0, math.nan, math.inf):

@@ -212,3 +212,106 @@ def test_cross_module_private_names_exist():
 def test_no_module_reads_another_modules_private_names():
     reads = [r for r in cross_module_private_reads() if r[1] not in CROSS_MODULE_PRIVATE]
     assert reads == [], f"underscore names read across modules: {reads}"
+
+
+# defaulted parameters that no reader sets, and why each stays
+ALLOWED_DEFAULTS = {}
+
+
+def _own_names(tree, path):
+    """Each module-level function and class of a package module, underscore names included."""
+    if path.parent != PKG:
+        return {}
+    return {n.name: f"{path.stem}.{n.name}" for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+
+
+def defaulted_parameters():
+    """{key: (path, node, defaulted names, is a method)} for each function in
+    ``src/fetalbiometry`` with a defaulted parameter, keyed ``module.name``,
+    ``module.Class.name`` or ``module.outer.name``, underscore names included."""
+    found = {}
+    for path in sorted(PKG.glob("*.py")):
+
+        def visit(body, prefix, in_class):
+            for node in body:
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}.{node.name}", True)
+                elif isinstance(node, ast.FunctionDef):
+                    a = node.args
+                    positional = a.posonlyargs + a.args
+                    names = [p.arg for p in positional[len(positional) - len(a.defaults) :]]
+                    names += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    if names:
+                        found[f"{prefix}.{node.name}"] = (path, node, names, in_class)
+                    visit(node.body, f"{prefix}.{node.name}", False)
+
+        visit(ast.parse(path.read_text()).body, path.stem, False)
+    return found
+
+
+def _parameters_set(call, func, bound):
+    """The parameter names of ``func`` that ``call`` passes: all of them for a
+    ``*`` or ``**`` splat, else those its positional and keyword arguments
+    fill; ``bound`` skips the ``self`` or ``cls`` the call binds implicitly."""
+    a = func.args
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(k.arg is None for k in call.keywords):
+        return {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+    positional = (a.posonlyargs + a.args)[1 if bound else 0 :]
+    return {p.arg for p in positional[: len(call.args)]} | {k.arg for k in call.keywords}
+
+
+def defaults_set():
+    """{key: names} of the defaulted parameters that some reader's call sets,
+    each call outside the function's own definition.
+
+    A call resolves as ``references`` resolves a name: through the file's
+    imports and its module's own definitions.  A call of a class counts for
+    its ``__init__``; ``obj.name(...)`` on an object of unknown class counts
+    for every method so named.
+    """
+    defaulted = defaulted_parameters()
+    methods = {}
+    for key, (_, _, _, is_method) in defaulted.items():
+        if is_method:
+            methods.setdefault(key.rsplit(".", 1)[1], []).append(key)
+    seen = {}
+    for path in READERS:
+        tree = ast.parse(path.read_text())
+        scope = {**_own_names(tree, path), **_scope(tree, path)}
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            key = _resolve(call.func, scope)
+            if key is not None and f"{key}.__init__" in defaulted:
+                targets = [f"{key}.__init__"]
+            elif key is not None:
+                targets = [key]
+            else:
+                attr = call.func.attr if isinstance(call.func, ast.Attribute) else None
+                targets = methods.get(attr, [])
+            for target in targets:
+                if target not in defaulted:
+                    continue
+                def_path, func, names, is_method = defaulted[target]
+                if path == def_path and func.lineno <= call.lineno <= func.end_lineno:
+                    continue
+                seen.setdefault(target, set()).update(_parameters_set(call, func, is_method) & set(names))
+    return seen
+
+
+def test_allowed_defaults_exist():
+    defaulted = defaulted_parameters()
+    assert not [k for k in ALLOWED_DEFAULTS if k.rsplit(".", 1)[0] not in defaulted]
+
+
+def test_every_default_is_set_by_a_reader():
+    """A defaulted parameter is a setting: some call in ``src/``, ``perfbench/``
+    or ``tests/test_acceptance.py`` must set it, or it is a constant in disguise."""
+    seen = defaults_set()
+    unset = sorted(
+        f"{key}.{name}"
+        for key, (_, _, names, _) in defaulted_parameters().items()
+        for name in names
+        if name not in seen.get(key, set()) and f"{key}.{name}" not in ALLOWED_DEFAULTS
+    )
+    assert unset == [], f"defaulted parameters that no reader sets: {unset}"
