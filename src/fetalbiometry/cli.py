@@ -281,7 +281,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# every frame is held in memory until the last is made: 1,024 frames at 512^2
+_MAX_PHANTOM_PIXELS = 2**28
+
+
 def cmd_phantom(args) -> int:
+    if args.count * args.size**2 > _MAX_PHANTOM_PIXELS:
+        print(f"error: --count x --size^2 exceeds {_MAX_PHANTOM_PIXELS} pixels", file=sys.stderr)
+        return EXIT_USAGE
     try:  # every scene is placed before any file is written
         scenes = [phantom.random_scene(seed, args.size, args.size) for seed in range(args.seed, args.seed + args.count)]
     except RuntimeError as e:

@@ -1,10 +1,12 @@
 """Ellipse fitting and geometry.
 
 The fit minimizes the gradient-weighted (approximate mean square) algebraic
-distance of the conic, solved as a generalized eigenproblem after centering
-and isotropic scaling of the input points.  If the minimizer is not of
-elliptic type, the ellipse-constrained direct least-squares fit is used
-instead.
+distance of the conic, solved as a generalized eigenproblem on centred,
+isotropically scaled copies of the input points.  The conic is turned into an
+ellipse in that normalized frame, and the ellipse is mapped back: a shift and
+an isotropic scale carry an ellipse onto an ellipse exactly.  Whenever the
+gradient-weighted conic is not a real ellipse, the ellipse-constrained direct
+least-squares fit (Fitzgibbon, Pilu & Fisher 1999) is used instead.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def _taubin_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _direct_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ellipse-constrained direct least-squares fit (4AC - B^2 = 1)."""
-    d1 = np.column_stack([x * x, x * y, y * y])
-    d2 = np.column_stack([x, y, np.ones_like(x)])
+    z = _design(x, y)
+    d1, d2 = z[:, :3], z[:, 3:]
     s1 = d1.T @ d1
     s2 = d1.T @ d2
     s3 = d2.T @ d2
@@ -99,11 +101,6 @@ def _direct_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     if best is None:
         raise DegenerateInputError("no elliptic solution from the direct fit")
     return np.concatenate([best, t @ best])
-
-
-def _conic_matrix(c: np.ndarray) -> np.ndarray:
-    a, b, cc, d, e, f = c
-    return np.array([[a, b / 2, d / 2], [b / 2, cc, e / 2], [d / 2, e / 2, f]])
 
 
 def _conic_to_ellipse(c: np.ndarray) -> Ellipse:
@@ -143,24 +140,12 @@ def fit_ams(points: np.ndarray) -> Ellipse:
     xn = centered[:, 0] * scale
     yn = centered[:, 1] * scale
     try:
-        conic = _taubin_conic(xn, yn)
-        if conic[1] ** 2 - 4 * conic[0] * conic[2] >= 0:
-            conic = _direct_conic(xn, yn)
+        e = _conic_to_ellipse(_taubin_conic(xn, yn))
     except DegenerateInputError:
-        conic = _direct_conic(xn, yn)
+        e = _conic_to_ellipse(_direct_conic(xn, yn))
     # undo normalization: x_n = (x - mx) * s, y_n = (y - my) * s
-    t = np.array(
-        [
-            [scale, 0.0, -scale * mean[0]],
-            [0.0, scale, -scale * mean[1]],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    cm = t.T @ _conic_matrix(conic) @ t
-    denorm = np.array(
-        [cm[0, 0], 2 * cm[0, 1], cm[1, 1], 2 * cm[0, 2], 2 * cm[1, 2], cm[2, 2]]
-    )
-    return _conic_to_ellipse(denorm)
+    cx, cy = e.cx / scale + mean[0], e.cy / scale + mean[1]
+    return Ellipse(float(cx), float(cy), e.a / scale, e.b / scale, e.theta_deg)
 
 
 def contains(e: Ellipse, p) -> bool:
@@ -221,8 +206,5 @@ def external_tangents(e: Ellipse, p) -> tuple[np.ndarray, np.ndarray]:
     t1 = q / d2 + root * perp
     t2 = q / d2 - root * perp
     cand = sorted([t1, t2], key=lambda t: math.atan2(t[1], t[0]))
-    out = []
-    for t in cand:
-        local = np.array([t[0] * e.a, t[1] * e.b])
-        out.append(e.from_local(local.reshape(1, 2))[0])
+    out = e.from_local(np.array(cand) * (e.a, e.b))
     return out[0], out[1]

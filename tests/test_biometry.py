@@ -505,3 +505,33 @@ class TestDiameterMatchesScan:
         for c in (PS, FH):
             pts = boundary_points((labels == c).astype(np.uint8))
             assert _diameter_endpoints(pts) == ref_diameter_endpoints(pts)
+
+
+# Oracle floors on 40 perturbed 512^2 scenes (seeds 0-39).  Measured at the
+# time of writing: boundary_noise=1 had 35/40 frames within 1.5 deg / 2 px,
+# AoP/HSD error p95 0.88 deg / 2.10 px; boundary_noise=2 had 12/40, 1.89 deg /
+# 3.96 px; one PS protrusion had 6/40, 15.32 deg / 29.02 px; no frame failed.
+# Slack: two frames on the count, 20% on each p95.
+ORACLE_FLOORS = {
+    "noise-1": ({"boundary_noise": 1.0}, 33, 1.06, 2.52),
+    "noise-2": ({"boundary_noise": 2.0}, 10, 2.27, 4.75),
+    "ps-protrusion": ({"protrusions": 1, "classes": (PS,)}, 4, 18.38, 34.82),
+}
+
+
+class TestOracleFloors:
+    @pytest.mark.parametrize("case", sorted(ORACLE_FLOORS))
+    def test_sweep_meets_floor(self, case):
+        perturbation, min_within, aop_p95, hsd_p95 = ORACLE_FLOORS[case]
+        aop_err, hsd_err = [], []
+        for seed in range(40):
+            scene = phantom.random_scene(seed)
+            p = phantom.Perturbation(seed=seed, **perturbation)
+            r = measure_frame(phantom.perturb(phantom.render(scene), p))
+            aop_gt, hsd_gt = phantom.analytic_biometry(scene)
+            aop_err.append(abs(r.aop_deg - aop_gt))
+            hsd_err.append(abs(r.hsd_px - hsd_gt))
+        aop_err, hsd_err = np.array(aop_err), np.array(hsd_err)
+        assert int(((aop_err <= 1.5) & (hsd_err <= 2.0)).sum()) >= min_within
+        assert np.percentile(aop_err, 95) <= aop_p95
+        assert np.percentile(hsd_err, 95) <= hsd_p95

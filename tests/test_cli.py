@@ -541,6 +541,19 @@ class TestPhantom:
         assert "at most 100 protrusions" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("argv", [["--count", "1025"], ["--size", "16385"]], ids=["count", "size"])
+    def test_pixel_bound_usage(self, tmp_path, capsys, monkeypatch, argv):
+        # frames are held in memory until the last is made: refused before any scene is placed
+        def fail(*args):
+            raise AssertionError("a scene was placed")
+
+        monkeypatch.setattr(phantom, "random_scene", fail)
+        out_dir = tmp_path / "scenes"
+        rc, err = run_cli(["phantom", "--out-dir", str(out_dir), *argv])
+        assert rc == EXIT_USAGE
+        assert "exceeds 268435456 pixels" in err
+        assert not out_dir.exists()
+
     def test_perturbed_variant(self, tmp_path):
         out_dir = tmp_path / "scenes"
         rc = main(

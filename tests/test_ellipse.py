@@ -5,7 +5,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry.ellipse import Ellipse, contains, external_tangents, fit_ams, raster_window, rasterize
+from fetalbiometry.ellipse import (
+    Ellipse,
+    _conic_to_ellipse,
+    _direct_conic,
+    _taubin_conic,
+    contains,
+    external_tangents,
+    fit_ams,
+    raster_window,
+    rasterize,
+)
 from fetalbiometry.errors import DegenerateInputError, NoTangentError
 from fetalbiometry.metrics import dice
 
@@ -55,6 +65,110 @@ class TestFit:
         assert abs(f.b - e.b) < 1e-9 * e.b + 1e-9
         assert np.allclose([f.cx, f.cy], shift, atol=1e-8)
         assert min(abs(f.theta_deg - ang % 180.0), 180 - abs(f.theta_deg - ang % 180.0)) < 1e-6
+
+
+    def test_large_offsets(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            a = float(rng.uniform(20, 200))
+            e = Ellipse(
+                float(1e4 + rng.uniform(-100, 100)),
+                float(1e4 + rng.uniform(-100, 100)),
+                a,
+                a * float(rng.uniform(0.3, 1.0)),
+                float(rng.uniform(0, 180)),
+            )
+            f = fit_ams(sample_ellipse(e, 64))
+            assert max(abs(f.cx - e.cx), abs(f.cy - e.cy), abs(f.a - e.a), abs(f.b - e.b)) < 1e-10
+
+    def test_hyperbolic_conic_falls_back_to_direct_fit(self):
+        rng = np.random.default_rng(1)
+        t = rng.uniform(-1.5, 1.5, 20)
+        pts = np.column_stack([20 * np.cosh(t), 10 * np.sinh(t)]) + rng.normal(0, 0.5, (20, 2))
+        c = _taubin_conic(*normalized(pts)[:2])
+        assert c[1] ** 2 - 4 * c[0] * c[2] >= 0
+        assert fit_ams(pts) == direct_fit(pts)
+
+
+def normalized(points):
+    """(x, y, mean, scale): the points centred and scaled to RMS radius sqrt(2), as the fit sees them."""
+    mean = points.mean(axis=0)
+    centered = points - mean
+    scale = math.sqrt(2.0) / np.sqrt((centered**2).sum(axis=1).mean())
+    return centered[:, 0] * scale, centered[:, 1] * scale, mean, scale
+
+
+def direct_fit(points):
+    """The direct fit's ellipse, scaled back from the normalized frame."""
+    x, y, mean, scale = normalized(points)
+    e = _conic_to_ellipse(_direct_conic(x, y))
+    return Ellipse(float(e.cx / scale + mean[0]), float(e.cy / scale + mean[1]), e.a / scale, e.b / scale, e.theta_deg)
+
+
+# Reference: the fit that maps the conic back through the normalizing
+# congruence before converting it, and raises when a gradient-weighted conic
+# of elliptic type turns out to be imaginary.
+def ref_fit_ams(points):
+    x, y, mean, scale = normalized(points)
+    try:
+        conic = _taubin_conic(x, y)
+        if conic[1] ** 2 - 4 * conic[0] * conic[2] >= 0:
+            conic = _direct_conic(x, y)
+    except DegenerateInputError:
+        conic = _direct_conic(x, y)
+    t = np.array([[scale, 0.0, -scale * mean[0]], [0.0, scale, -scale * mean[1]], [0.0, 0.0, 1.0]])
+    a, b, c, d, e, f = conic
+    cm = t.T @ np.array([[a, b / 2, d / 2], [b / 2, c, e / 2], [d / 2, e / 2, f]]) @ t
+    return _conic_to_ellipse(np.array([cm[0, 0], 2 * cm[0, 1], cm[1, 1], 2 * cm[0, 2], 2 * cm[1, 2], cm[2, 2]]))
+
+
+def outcome(fit, points):
+    try:
+        return fit(points)
+    except DegenerateInputError as exc:
+        return exc
+
+
+@st.composite
+def frame_point_sets(draw):
+    """Noisy samples of a frame-scale ellipse: full or an arc of at least a quarter turn."""
+    a = draw(st.floats(8.0, 400.0))
+    e = Ellipse(
+        draw(st.floats(0.0, 2048.0)),
+        draw(st.floats(0.0, 2048.0)),
+        a,
+        draw(st.floats(max(8.0, 0.3 * a), a)),
+        draw(st.floats(0.0, 180.0, exclude_max=True)),
+    )
+    n = draw(st.integers(8, 400))
+    span = draw(st.one_of(st.just(2 * math.pi), st.floats(math.pi / 2, 2 * math.pi)))
+    t = draw(st.floats(0.0, 2 * math.pi)) + np.linspace(0.0, span, n, endpoint=span < 2 * math.pi)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.normal(0.0, draw(st.floats(0.0, 2.0)), (n, 2))
+    return e.from_local(np.column_stack([e.a * np.cos(t), e.b * np.sin(t)])) + noise
+
+
+class TestFitMatchesCongruence:
+    @settings(max_examples=300, deadline=None)
+    @given(frame_point_sets())
+    def test_same_ellipse(self, pts):
+        got, ref = outcome(fit_ams, pts), outcome(ref_fit_ams, pts)
+        if isinstance(ref, DegenerateInputError) and isinstance(got, Ellipse):
+            # the one changed case: an imaginary gradient-weighted ellipse now falls back
+            x, y, _, _ = normalized(pts)
+            c = _taubin_conic(x, y)
+            assert c[1] ** 2 - 4 * c[0] * c[2] < 0
+            with pytest.raises(DegenerateInputError, match="no real elliptic axes"):
+                _conic_to_ellipse(c)
+            assert got == direct_fit(pts)
+            return
+        if isinstance(ref, DegenerateInputError):
+            assert isinstance(got, DegenerateInputError)
+            return
+        assert max(abs(got.cx - ref.cx), abs(got.cy - ref.cy), abs(got.a - ref.a), abs(got.b - ref.b)) < 1e-7
+        if (got.a - got.b) / got.a > 1e-3:
+            d = abs(got.theta_deg - ref.theta_deg) % 180.0
+            assert min(d, 180.0 - d) < 1e-9
 
 
 class TestContains:

@@ -55,15 +55,23 @@ class TestLabelMask:
             (b"P512 2 255\n" + bytes(24), "magic", 0),  # int() would read a 12x2 mask
             (b"P5\n+2 1\n255\n" + bytes(2), "non-integer", 3),
             (b"P5\n2_0 1\n255\n" + bytes(20), "non-integer", 3),
+            (b"P5\n2 1", "truncated header", 6),
+            (b"P5\n2 1\n255", "missing whitespace", 10),
+            (b"P5\n2 1\n65535\n" + bytes(4), "maxval", None),
         ],
-        ids=["magic-run-on", "sign", "underscore"],
+        ids=["magic-run-on", "sign", "underscore", "truncated", "no-whitespace", "maxval"],
     )
-    def test_header_fields_are_decimal_digits(self, tmp_path, data, message, offset):
+    def test_header_errors(self, tmp_path, data, message, offset):
         path = tmp_path / "h.pgm"
         path.write_bytes(data)
         with pytest.raises(FormatError, match=message) as exc:
             read_label_mask(path)
         assert exc.value.byte_offset == offset
+
+    def test_header_comments(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n# width height\n2 # one row\n1\n# maxval\n255\n" + bytes([127, 0]))
+        assert read_label_mask(path).tolist() == [[1, 0]]
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "short.pgm"
