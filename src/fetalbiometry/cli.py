@@ -20,7 +20,7 @@ import numpy as np
 
 from . import dataprep, ensemble, io_formats, metrics, overlay, phantom
 from .biometry import measure_frame, measure_frame_detailed
-from .errors import FetalBiometryError, FormatError
+from .errors import FetalBiometryError, FormatError, MemberError
 from .refine import RefineParams
 
 EXIT_OK = 0
@@ -76,6 +76,14 @@ def _require_dirs(*paths) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
 
 
+def _read(read, path):
+    """``read(path)``, naming the path in a FormatError."""
+    try:
+        return read(path)
+    except FormatError as e:
+        raise FormatError(f"{path}: {e}") from e
+
+
 def _load_labels(path):
     p = str(path)
     if not p.endswith(".fpm"):
@@ -85,10 +93,9 @@ def _load_labels(path):
         with io_formats.prob_map_strips([p]) as (shape, strips):
             labels = np.empty(shape[:2], np.uint8)
             for rows, (strip,) in strips:
-                labels[rows] = ensemble.decide(strip)
-    except ValueError:
-        io_formats.read_prob_map(p)  # raises the frame-level error
-        raise
+                labels[rows] = ensemble.decide(strip, (0, rows.start))
+    except MemberError as e:  # the one member is the frame
+        raise e.__cause__
     return labels
 
 
@@ -102,6 +109,12 @@ def cmd_measure(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.emit_overlays) if args.emit_overlays else None
     if out_dir:
+        first = {}  # stem -> the first input with it: each input's overlay is <stem>.ppm
+        for path in inputs:
+            if path.stem in first:
+                print(f"error: --emit-overlays: {first[path.stem]} and {path} share a stem", file=sys.stderr)
+                return EXIT_USAGE
+            first[path.stem] = path
         out_dir.mkdir(parents=True, exist_ok=True)
     _require_dirs(args.out)  # after the mkdir, which may create it
     rows = []
@@ -124,15 +137,10 @@ def cmd_ensemble(args) -> int:
 
     --out is always the float32 average, so --vote writes only the label mask
     --decide-out, and --vote with --out exits 64 before any member is opened.
-    ``ensemble.average`` or ``ensemble.vote`` checks each member strip as it
-    is combined, and ``ensemble.decide`` checks each strip of the average: a
-    mean of maps that pass can miss the sum tolerance by a rounding step.
-    The average is cast into one float32 map, which ``write_prob_map`` checks
-    again (the cast rounds too), and decided into one label mask.  Each
-    output is written once, after the last strip, so a failure writes
-    nothing and an output that names a member is read in full before it is
-    overwritten.  On a failure the members are read again whole, only to
-    report the error as the frame-level path does.
+    Each output is written once, after the last strip, so a failure writes
+    nothing and an output may replace a member.  The error names the first
+    failure in read order: the member or the average, and any pixel in the
+    frame's coordinates.
     """
     if args.vote and args.out:
         print("error: --vote writes --decide-out only; --out is the average", file=sys.stderr)
@@ -145,15 +153,13 @@ def cmd_ensemble(args) -> int:
         return EXIT_USAGE
     try:
         avg, labels = _ensemble_strips(args.members, args.vote, bool(args.out))
-    except (FetalBiometryError, OSError, ValueError) as e:  # a plain ValueError is a failed check
-        _raise_frame_level_error(args.members, args.vote)
-        raise e if isinstance(e, (FetalBiometryError, OSError)) else FormatError(str(e))
-    _require_dirs(args.out, args.decide_out)
-    if args.out:
-        try:
-            io_formats.write_prob_map(avg, args.out)
-        except ValueError as e:  # checked before the file is opened
-            raise FormatError(f"ensemble average: {e}")
+        _require_dirs(args.out, args.decide_out)
+        if args.out:
+            io_formats.write_prob_map(avg, args.out)  # checked before the file is opened
+    except MemberError as e:
+        raise FormatError(f"{args.members[e.index]}: {e.__cause__}")
+    except ValueError as e:  # the average failed a check: a strip as decided, or its float32 cast
+        raise FormatError(f"ensemble average: {e}")
     if args.decide_out:
         io_formats.write_label_mask(labels, args.decide_out)
     return EXIT_OK
@@ -166,33 +172,15 @@ def _ensemble_strips(paths, use_vote: bool, want_avg: bool):
         avg = np.empty(shape, "<f4") if want_avg else None
         labels = np.empty(shape[:2], np.uint8)
         for rows, members in strips:
+            origin = (0, rows.start)
             if use_vote:
-                labels[rows] = ensemble.vote(members)
+                labels[rows] = ensemble.vote(members, origin)
                 continue
-            mean = ensemble.average(members)
-            labels[rows] = ensemble.decide(mean)  # the average's one check, even when only --out is asked
+            mean = ensemble.average(members, origin)
+            labels[rows] = ensemble.decide(mean, origin)  # the average's one check, even when only --out is asked
             if avg is not None:
                 avg[rows] = mean
     return avg, labels
-
-
-def _raise_frame_level_error(paths, use_vote: bool) -> None:
-    """Read the members whole, in order, and combine them as the request
-    does, to raise the first failure as the frame-level path names it: the
-    member, or the average's worst pixel over the whole frame.  Returns if
-    nothing fails."""
-    members = []
-    for p in paths:
-        try:
-            members.append(io_formats.read_prob_map(p))
-        except FormatError as e:
-            raise FormatError(f"{p}: {e}")
-    combined = (ensemble.vote if use_vote else ensemble.average)(members)
-    if not use_vote:
-        try:
-            ensemble.decide(combined)
-        except ValueError as e:
-            raise FormatError(f"ensemble average: {e}")
 
 
 def cmd_metrics(args) -> int:
@@ -206,7 +194,7 @@ def cmd_metrics(args) -> int:
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
     failed = False
     if args.scores:
-        records = io_formats.read_frame_scores(args.scores)
+        records = _read(io_formats.read_frame_scores, args.scores)
         labelled = [(r.score, r.label) for r in records if r.score is not None and r.label is not None]
         if not labelled:
             failed = True
@@ -223,8 +211,8 @@ def cmd_metrics(args) -> int:
         d_aops, d_hsds = [], []
         for pp, gp in zip(args.pred, args.gt):
             try:
-                pred = io_formats.read_label_mask(pp)
-                gt = io_formats.read_label_mask(gp)
+                pred = _read(io_formats.read_label_mask, pp)
+                gt = _read(io_formats.read_label_mask, gp)
                 s = metrics.segmentation_scores(pred, gt)
             except (FetalBiometryError, OSError) as e:
                 failed = True
@@ -323,8 +311,8 @@ def cmd_augment(args) -> int:
         print("error: --mask-out needs --mask", file=sys.stderr)
         return EXIT_USAGE
     p = _params(dataprep.AugmentParams, "augment", args)
-    img = dataprep.normalize_intensity(io_formats.read_greymap(args.image))
-    mask = io_formats.read_label_mask(args.mask) if args.mask else None
+    img = dataprep.normalize_intensity(_read(io_formats.read_greymap, args.image))
+    mask = _read(io_formats.read_label_mask, args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, p, args.index)
     mask_out = args.mask_out or f"{args.out}.mask.pgm"
     _require_dirs(args.out, mask_out if out_mask is not None else None)
@@ -336,6 +324,7 @@ def cmd_augment(args) -> int:
 
 def cmd_sample(args) -> int:
     videos = []
+    listed = {}  # video id -> the line that lists it
     with open(args.videos, "rb") as f:  # split as text mode splits lines, then decoded line by line
         lines = f.read().splitlines()
     for lineno, line in enumerate(lines, start=1):
@@ -346,10 +335,20 @@ def cmd_sample(args) -> int:
             # a length must fit the int64 frame indices the sampler draws
             if len(parts) != 3 or not 0 <= int(parts[1]) < 2**63:
                 raise ValueError
-            videos.append((parts[0], int(parts[1]), int(parts[2])))
+            vid, length, label = parts[0], int(parts[1]), int(parts[2])
         except ValueError:
-            print(f"error: {args.videos}:{lineno}: expected video_id,length>=0,label", file=sys.stderr)
-            return EXIT_DATA
+            problem = "expected video_id,length>=0,label"
+        else:
+            if label not in (0, 1):
+                problem = f"label must be 0 or 1, got {label}"
+            elif vid in listed:  # the sampler would keep only the later line's frames
+                problem = f"video id {vid!r} is listed on line {listed[vid]} already"
+            else:
+                listed[vid] = lineno
+                videos.append((vid, length, label))
+                continue
+        print(f"error: {args.videos}:{lineno}: {problem}", file=sys.stderr)
+        return EXIT_DATA
     plan = dataprep.sparse_sample(videos, args.npos, args.nneg, args.seed)
     with open(args.out, "w") as f:
         for vid, frames in plan.frames.items():

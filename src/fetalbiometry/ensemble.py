@@ -5,23 +5,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, MemberError
 from .raster import validate_prob_map
 
 
-def _check_members(members: list[np.ndarray]) -> list[np.ndarray]:
-    """The members, each checked, all of one shape."""
+def _check_members(members: list[np.ndarray], origin: tuple[int, int]) -> list[np.ndarray]:
+    """The members, each checked (a failed check raises MemberError), all of one shape."""
     if not members:
         raise ValueError("ensemble needs at least one member")
-    members = [validate_prob_map(m) for m in members]
-    shape = members[0].shape
-    for i, m in enumerate(members[1:], start=1):
+    checked = []
+    for i, m in enumerate(members):
+        try:
+            checked.append(validate_prob_map(m, origin))
+        except ValueError as e:
+            raise MemberError(i, e)
+    shape = checked[0].shape
+    for i, m in enumerate(checked[1:], start=1):
         if m.shape != shape:
             raise DimensionMismatchError(f"member {i} has shape {m.shape}, expected {shape}")
-    return members
+    return checked
 
 
-def average(members: list[np.ndarray]) -> np.ndarray:
+def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Per-pixel, per-channel arithmetic mean of the members, as float64.
 
     The result never aliases a member, and is not checked itself: a mean of
@@ -33,7 +38,7 @@ def average(members: list[np.ndarray]) -> np.ndarray:
     always as the right operand of ``+=``; its cast to float64 there is
     exact, so no copy of it is made.
     """
-    members = _check_members(members)
+    members = _check_members(members, origin)
     n = len(members)
     if n == 1:
         return members[0].astype(np.float64)
@@ -66,14 +71,14 @@ def _argmax_channels(p: np.ndarray) -> np.ndarray:
     return labels
 
 
-def vote(members: list[np.ndarray]) -> np.ndarray:
+def vote(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Per-pixel majority vote of member argmaxes; ties to the lowest class index."""
-    members = _check_members(members)
+    members = _check_members(members, origin)
     votes = np.stack([_argmax_channels(m) for m in members])
     counts = np.stack([(votes == c).sum(axis=0) for c in range(members[0].shape[2])], axis=2)
     return _argmax_channels(counts)
 
 
-def decide(p: np.ndarray) -> np.ndarray:
+def decide(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Per-pixel argmax label mask of ``p``, checked first (ties to the lowest class index)."""
-    return _argmax_channels(validate_prob_map(p))
+    return _argmax_channels(validate_prob_map(p, origin))

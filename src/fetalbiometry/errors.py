@@ -19,6 +19,15 @@ class FormatError(FetalBiometryError, ValueError):
         self.byte_offset = byte_offset
 
 
+class MemberError(FetalBiometryError, ValueError):
+    """Ensemble member ``index`` (from 0) failed the check that is its ``__cause__``."""
+
+    def __init__(self, index, cause):
+        super().__init__(f"member {index}: {cause}")
+        self.index = index
+        self.__cause__ = cause
+
+
 class DegenerateInputError(FetalBiometryError, ValueError):
     """Geometric input too degenerate to process (collinear points, <5 samples...)."""
 

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionMismatchError, FormatError
+from .errors import DimensionMismatchError, FormatError, MemberError
 from .raster import validate_label_mask, validate_prob_map
 
 # display palette for P5 masks; raw {0,1,2} is accepted too
@@ -238,19 +238,23 @@ def read_prob_map(path) -> np.ndarray:
 def prob_map_strips(paths):
     """Read FPM files of one shape together, a strip of rows at a time.
 
-    Yields ``(shape, strips)`` once every header and payload length has been
-    checked.  ``strips`` yields ``(rows, maps)``: a slice of the frame's rows
-    and each file's float32 map of those rows, as read.  The maps are not
-    checked here: the caller checks each strip as it combines it (see
-    ``ensemble``).  Each file's strip is read into one buffer reused for the
-    next strip, so a caller copies out what it keeps.
+    Yields ``(shape, strips)`` once each file in turn is open and its header,
+    payload length and shape pass (else MemberError).  ``strips`` yields
+    ``(rows, maps)``: a slice of the frame's rows and each file's float32 map
+    of those rows, as read and unchecked: the caller checks each strip as it
+    combines it (see ``ensemble``).  Each file's strip is read into one buffer
+    reused for the next strip, so a caller copies out what it keeps.
     """
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "rb")) for p in paths]
-        shapes = [_read_fpm_header(f) for f in files]
-        for path, shape in zip(paths[1:], shapes[1:]):
-            if shape != shapes[0]:
-                raise DimensionMismatchError(f"{path} has shape {shape}, expected {shapes[0]}")
+        files, shapes = [], []
+        for i, path in enumerate(paths):
+            files.append(stack.enter_context(open(path, "rb")))
+            try:
+                shapes.append(_read_fpm_header(files[-1]))
+            except FormatError as e:
+                raise MemberError(i, e)
+            if shapes[-1] != shapes[0]:
+                raise MemberError(i, DimensionMismatchError(f"shape {shapes[-1]}, expected {shapes[0]}"))
         yield shapes[0], _strips(files, shapes[0])
 
 
@@ -260,8 +264,11 @@ def _strips(files, shape):
     buffers = [np.empty((min(rows, height), width, channels), "<f4") for _ in files]
     for y0 in range(0, height, rows):
         n = min(rows, height - y0)
-        for f, buf in zip(files, buffers):
-            _read_payload(f, buf[:n])
+        for i, (f, buf) in enumerate(zip(files, buffers)):
+            try:
+                _read_payload(f, buf[:n])
+            except FormatError as e:
+                raise MemberError(i, e)
         yield slice(y0, y0 + n), [buf[:n] for buf in buffers]
 
 

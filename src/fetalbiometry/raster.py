@@ -56,12 +56,12 @@ def validate_binary_mask(m: np.ndarray) -> np.ndarray:
     return m.astype(np.uint8, copy=False)
 
 
-def validate_prob_map(p: np.ndarray) -> np.ndarray:
+def validate_prob_map(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
     """Check shape, range and channel sums (within ``PROB_SUM_TOL``); return ``p`` as a float array.
 
     A float32 map is returned as it is, without a copy; any other input goes
     to float64.  Channel sums accumulate in float64, channel by channel in
-    index order.
+    index order.  A pixel is named at (x, y) + origin, as in ``pixel_centers``.
     """
     p = np.asarray(p)
     if p.dtype != np.float32:
@@ -80,7 +80,8 @@ def validate_prob_map(p: np.ndarray) -> np.ndarray:
             err = np.abs(sums - 1.0)
             y, x = np.unravel_index(int(err.argmax()), err.shape)
             raise ValueError(
-                f"channel sums must equal 1 within {PROB_SUM_TOL}; worst pixel ({x}, {y}) sums to {sums[y, x]:.6g}"
+                f"channel sums must equal 1 within {PROB_SUM_TOL}; "
+                f"worst pixel ({x + origin[0]}, {y + origin[1]}) sums to {sums[y, x]:.6g}"
             )
     return p
 

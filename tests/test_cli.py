@@ -143,6 +143,15 @@ class TestMeasure:
     def test_no_inputs_usage(self, tmp_path):
         assert main(["measure", "--out", str(tmp_path / "r.csv")]) == EXIT_USAGE
 
+    def test_emit_overlays_shared_stem_usage(self, tmp_path, monkeypatch, capsys):
+        # f.pgm and f.fpm would both write f.ppm
+        first, second = str(tmp_path / "f.pgm"), str(tmp_path / "f.fpm")
+        monkeypatch.setattr(cli, "_load_labels", lambda path: pytest.fail(f"{path} was read"))
+        ov, out = tmp_path / "ov", tmp_path / "r.csv"
+        assert main(["measure", first, second, "--emit-overlays", str(ov), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --emit-overlays: {first} and {second} share a stem\n"
+        assert not ov.exists() and not out.exists()
+
     def test_out_into_a_missing_directory_fails_before_measuring(self, tmp_path, monkeypatch, capsys):
         inp = make_scene_file(tmp_path)
         calls = []
@@ -504,6 +513,21 @@ class TestMetrics:
         assert main(["metrics", "--gt", str(gt), "--out", str(out)]) == EXIT_USAGE
         assert not out.exists()
 
+    def test_scores_read_error_names_the_file(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("v,0,0.9,1\nv,1\n")
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--scores", str(scores), "--out", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {scores}: line 2: expected 3 or 4 fields, got 2\n"
+        assert not out.exists()
+
+    def test_pair_read_error_names_the_file(self, tmp_path, capsys):
+        pred, gt = make_scene_file(tmp_path, "pred.pgm"), tmp_path / "gt.pgm"
+        gt.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+        out = tmp_path / "metrics.json"
+        assert main(["metrics", "--pred", str(pred), "--gt", str(gt), "--out", str(out)]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == f"warning: pair skipped for {pred}: {gt}: bad magic, expected 'P5' (byte offset 0)\n"
+
     def test_unlabelled_scores_partial(self, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         scores.write_text("v,0,0.9\nv,1,0.2\nv,2,,1\n")  # no row holds both a score and a label
@@ -609,6 +633,18 @@ class TestPhantom:
 
 
 class TestAugment:
+    @pytest.mark.parametrize("bad", ["--image", "--mask"])
+    def test_read_error_names_the_file(self, tmp_path, capsys, bad):
+        files = {"--image": tmp_path / "img.pgm", "--mask": tmp_path / "mask.csv"}
+        write_greymap(np.zeros((4, 4), np.uint8), files["--image"])
+        write_label_mask(np.zeros((4, 4), np.uint8), files["--mask"])
+        files[bad].write_text("v,0,0.5\n")
+        out = tmp_path / "a.pgm"
+        argv = ["augment", "--image", str(files["--image"]), "--mask", str(files["--mask"]), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {files[bad]}: bad magic, expected 'P5' (byte offset 0)\n"
+        assert not out.exists()
+
     def test_round_trip_deterministic(self, tmp_path):
         rng = np.random.default_rng(0)
         img = (rng.random((32, 32)) * 255).astype(np.uint8)
@@ -779,6 +815,23 @@ class TestSample:
             assert f"{videos}:2:" in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "listing, message",
+        [
+            ("v1,100,1\nv2,50,1\nv1,100,0\n", "video id 'v1' is listed on line 1 already"),
+            ("v1,100,1\nv2,50,7\n", "label must be 0 or 1, got 7"),
+        ],
+        ids=["repeated-id", "label-7"],
+    )
+    def test_listing_error_names_the_line(self, tmp_path, capsys, listing, message):
+        videos = tmp_path / "videos.csv"
+        videos.write_text(listing)
+        out = tmp_path / "p.csv"
+        assert main(["sample", "--videos", str(videos), "--out", str(out)]) == EXIT_DATA
+        lineno = listing.count("\n")
+        assert capsys.readouterr().err == f"error: {videos}:{lineno}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("line", [b"v\xff1,10,1", b"v1,1\xff0,1", b"\xfe\xff"], ids=["id", "length", "bom"])
     def test_line_not_utf8_data_error(self, tmp_path, capsys, line):

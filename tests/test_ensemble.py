@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fetalbiometry.ensemble import average, decide, vote
-from fetalbiometry.errors import DimensionMismatchError
+from fetalbiometry.errors import DimensionMismatchError, MemberError
 from fetalbiometry.raster import PROB_SUM_TOL, validate_label_mask, validate_prob_map
 
 # Reference implementations: every map upcast to a float64 copy, channel sums
@@ -32,12 +32,17 @@ def ref_validate_prob_map(p):
 def _ref_check_members(members):
     if not members:
         raise ValueError("ensemble needs at least one member")
-    members = [ref_validate_prob_map(m) for m in members]
-    shape = members[0].shape
-    for i, m in enumerate(members[1:], start=1):
+    checked = []
+    for i, m in enumerate(members):
+        try:
+            checked.append(ref_validate_prob_map(m))
+        except ValueError as e:
+            raise MemberError(i, e) from e
+    shape = checked[0].shape
+    for i, m in enumerate(checked[1:], start=1):
         if m.shape != shape:
             raise DimensionMismatchError(f"member {i} has shape {m.shape}, expected {shape}")
-    return members
+    return checked
 
 
 def _ref_pairwise_sum(arrays):
@@ -69,9 +74,12 @@ def ref_decide(p):
 
 
 def outcome(f, *args):
-    """The array ``f`` returns, or the type and message of what it raises."""
+    """The array ``f`` returns, or the type and message of what it raises,
+    and for a MemberError the member's index and its cause's message."""
     try:
         return f(*args)
+    except MemberError as e:
+        return MemberError, str(e), e.index, str(e.__cause__)
     except (ValueError, DimensionMismatchError) as e:
         return type(e), str(e)
 

@@ -1,9 +1,10 @@
 """The ensemble path of the CLI: each member row is checked once, as it is
 read strip by strip, and each average row once more, and the float32 average
 written to --out is checked whole; the files written equal what the public
-functions compute, and a failure is reported as the frame-level path reports
-it."""
+functions compute, and an error names the first failure in read order."""
 
+import builtins
+import collections
 import contextlib
 import io
 import sys
@@ -280,7 +281,7 @@ class TestSameFiles:
         flag = "--decide-out" if vote_flag else "--out"
         assert main(["ensemble", *paths, *vote_flag, flag, str(out)]) == EXIT_DATA
         assert not out.exists()
-        assert "member 1 has shape" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {paths[1]}: shape (4, 5, 3), expected (4, 4, 3)\n"
 
 
 @st.composite
@@ -388,20 +389,59 @@ class TestRowsCheckedOnce:
         assert [s[0] for t, s in prob_map_checks] == [10, 10, 10, 5]
 
 
-def frame_level_stderr(paths, use_vote):
-    """What the frame-level path prints: members read whole and in order, then
-    the whole average checked."""
+def unchecked_map(path):
+    """The float32 map of an FPM file as written, unchecked; None when its
+    header or payload length is bad."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    fields = line.split()
+    if len(fields) != 4 or fields[0] != b"FPM" or not all(f.isdigit() for f in fields[1:]):
+        return None
+    w, h, c = map(int, fields[1:])
+    if len(payload) < w * h * c * 4:
+        return None
+    return np.frombuffer(payload, "<f4", w * h * c).reshape(h, w, c)
+
+
+def strip_error(strip, y0, height):
+    """validate_prob_map's message for a strip that starts at row ``y0`` of a
+    frame ``height`` rows high, with its pixel in the frame, or None: the
+    frame's other rows are one-hot, which sum to exactly 1, so the worst pixel
+    lies in the strip."""
+    frame = np.zeros((height, *strip.shape[1:]), strip.dtype)
+    frame[..., 0] = 1
+    frame[y0 : y0 + len(strip)] = strip
+    try:
+        validate_prob_map(frame)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def strip_order_stderr(paths, use_vote):
+    """What the CLI prints for these members: the first failure in read order.
+    Every header, payload length and shape, in the order given; then strip by
+    strip, each member's rows in order and then the rows of their average;
+    then the float32 cast of the average, which --out writes."""
     members = []
     for p in paths:
-        try:
-            members.append(read_prob_map(p))
-        except FormatError as e:
-            return f"error: {p}: {e}\n"
-    if not use_vote:
-        try:
-            validate_prob_map(average(members))
-        except ValueError as e:
+        m = unchecked_map(p)
+        if m is None:
+            with pytest.raises(FormatError) as e:  # the reader's own message for a bad header
+                read_prob_map(p)
+            return f"error: {p}: {e.value}\n"
+        if members and m.shape != members[0].shape:
+            return f"error: {p}: shape {m.shape}, expected {members[0].shape}\n"
+        members.append(m)
+    h, w, c = members[0].shape
+    for y0 in range(0, h, strip_rows(w, c)):
+        strips = [m[y0 : y0 + strip_rows(w, c)] for m in members]
+        for p, strip in zip(paths, strips):
+            if (e := strip_error(strip, y0, h)) is not None:
+                return f"error: {p}: {e}\n"
+        if not use_vote and (e := strip_error(average(strips), y0, h)) is not None:
             return f"error: ensemble average: {e}\n"
+    if not use_vote and (e := strip_error(average(members).astype(np.float32), 0, h)) is not None:
+        return f"error: ensemble average: {e}\n"
     return ""
 
 
@@ -411,9 +451,21 @@ def tall_members(n):
     return list((raw / raw.sum(axis=3, keepdims=True)).astype(np.float32))
 
 
-def write_raw(m, path):
-    """Write a map's float32 bytes as they are, unchecked."""
-    Path(path).write_bytes(b"FPM %d %d %d\n" % (m.shape[1], m.shape[0], m.shape[2]) + m.astype("<f4").tobytes())
+def fpm_file(m):
+    """A map's FPM bytes: its float32 values as they are, unchecked."""
+    return b"FPM %d %d %d\n" % (m.shape[1], m.shape[0], m.shape[2]) + m.astype("<f4").tobytes()
+
+
+def write_planted(ms, dirpath):
+    """Write each member, a map or the bytes of a file, to its own file."""
+    paths = [str(Path(dirpath) / f"m{i}.fpm") for i in range(len(ms))]
+    for m, p in zip(ms, paths):
+        Path(p).write_bytes(m if isinstance(m, bytes) else fpm_file(m))
+    return paths
+
+
+# Each plant breaks members of tall_members(3) and returns the member its
+# error names (None: the average) and the pixel, if it names one.
 
 
 def plant_nan(ms):
@@ -427,12 +479,20 @@ def plant_range(ms):
 
 
 def plant_sums(ms):
-    # member 0 misses a little in the third strip and most in the last, and
-    # member 2 fails earlier, in the second strip: member 0 and (5, 34) are named
+    # member 0 misses a little in the third strip and most in the last, but
+    # member 2 fails earlier, in the second strip: member 2 is named
     ms[0][22, 3] *= 1.002
     ms[0][34, 5] *= 1.004
     ms[2][11, 9, 0] = np.nan
-    return 0, (5, 34)
+    return 2, None
+
+
+def plant_strip_worst(ms):
+    # member 0 alone, as in plant_sums: its third strip fails first, so the
+    # worst pixel of that strip is named, not the frame's worst at (5, 34)
+    ms[0][22, 3] *= 1.002
+    ms[0][34, 5] *= 1.004
+    return 0, (3, 22)
 
 
 def plant_rounding(ms):
@@ -444,19 +504,40 @@ def plant_rounding(ms):
     return None, (100, 17)
 
 
-PLANTS = {"nan": plant_nan, "range": plant_range, "sums": plant_sums, "rounding": plant_rounding}
+def plant_header(ms):
+    # member 0 fails in the first strip, but every header is read first
+    ms[0][3, 5, 0] = np.nan
+    ms[2] = b"FPX" + fpm_file(ms[2])[3:]
+    return 2, None
+
+
+def plant_shape(ms):
+    ms[0][3, 5, 0] = np.nan
+    ms[1] = ms[1][:, :-1]
+    return 1, None
+
+
+PLANTS = {
+    "nan": plant_nan,
+    "range": plant_range,
+    "sums": plant_sums,
+    "strip_worst": plant_strip_worst,
+    "rounding": plant_rounding,
+    "header": plant_header,
+    "shape": plant_shape,
+}
 
 
 class TestFailuresBelowTheFirstStrip:
+    """The error names the first failure in read order, and its pixel in frame coordinates."""
+
     @pytest.mark.parametrize("use_vote", [False, True])
     @pytest.mark.parametrize("plant", list(PLANTS))
     def test_frame_level_report(self, tmp_path, capsys, plant, use_vote):
         ms = tall_members(3)
         member, pixel = PLANTS[plant](ms)
-        paths = [str(tmp_path / f"m{i}.fpm") for i in range(len(ms))]
-        for m, p in zip(ms, paths):
-            write_raw(m, p)
-        want = frame_level_stderr(paths, use_vote)
+        paths = write_planted(ms, tmp_path)
+        want = strip_order_stderr(paths, use_vote)
         outputs = ["--decide-out", str(tmp_path / "d.pgm")]
         if not use_vote:
             outputs += ["--out", str(tmp_path / "o")]
@@ -476,7 +557,7 @@ class TestFailuresBelowTheFirstStrip:
         paths = write_members(tmp_path, 3, TALL, 3)
         data = Path(paths[1]).read_bytes()
         Path(paths[1]).write_bytes(data[: len(data) - 4 * TALL[1] * 3])  # drops the last row
-        want = frame_level_stderr(paths, use_vote)
+        want = strip_order_stderr(paths, use_vote)
         assert want.startswith(f"error: {paths[1]}: truncated payload")
         out = tmp_path / "o"
         flags = ["--vote", "--decide-out"] if use_vote else ["--out"]
@@ -486,14 +567,45 @@ class TestFailuresBelowTheFirstStrip:
 
     @pytest.mark.parametrize("plant", ["nan", "sums"])
     def test_measure(self, tmp_path, capsys, plant):
+        # each failing member measured alone: the map is its one member
         ms = tall_members(3)
-        member, _ = PLANTS[plant](ms)
-        path = tmp_path / "f.fpm"
-        write_raw(ms[member], path)
-        with pytest.raises(FormatError) as want:
-            read_prob_map(path)
-        assert main(["measure", str(path), "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
-        assert capsys.readouterr().err == f"error: {path}: {want.value}\n"
+        PLANTS[plant](ms)
+        wants = {p: strip_order_stderr([p], True) for p in write_planted(ms, tmp_path)}
+        failing = [p for p, want in wants.items() if want]
+        assert main(["measure", *failing, "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
+        assert capsys.readouterr().err == "".join(wants[p] for p in failing)
+        if plant == "sums":  # the worst pixel of the failing strip, not of the whole frame at (5, 34)
+            assert "worst pixel (3, 22)" in wants[failing[0]]
+
+
+@pytest.fixture
+def opens(monkeypatch):
+    """The number of times each path is opened, through the builtin open."""
+    counts = collections.Counter()
+    real = builtins.open
+
+    def counting(file, *args, **kwargs):
+        counts[str(file)] += 1
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting)
+    return counts
+
+
+@pytest.mark.parametrize("plant", ["nan", "range", "sums", "rounding", "header"])
+def test_failure_opens_each_member_once(tmp_path, opens, plant):
+    # the error comes from the one read, not from reading the members again
+    ms = tall_members(3)
+    PLANTS[plant](ms)
+    paths = write_planted(ms, tmp_path)
+    outputs = ["--out", str(tmp_path / "o"), "--decide-out", str(tmp_path / "d.pgm")]
+    assert main(["ensemble", *paths, *outputs]) == EXIT_DATA
+    assert [opens[p] for p in paths] == [1, 1, 1]
+    for p in paths:
+        if strip_order_stderr([p], True):  # a map that fails on its own
+            opens.clear()
+            assert main(["measure", p, "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
+            assert opens[p] == 1
 
 
 @pytest.mark.parametrize("flags", [["--out"], ["--vote", "--decide-out"]])

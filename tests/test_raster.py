@@ -57,6 +57,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="worst pixel"):
             validate_prob_map(p)
 
+    def test_prob_map_worst_pixel_in_the_frame(self):
+        # a window whose pixel (0, 0) is pixel (3, 10) of its frame
+        p = np.dstack([np.full((2, 3), 0.5), np.full((2, 3), 0.5)])
+        p[1, 2, 0] = 0.6
+        with pytest.raises(ValueError, match=r"worst pixel \(2, 1\)"):
+            validate_prob_map(p)
+        with pytest.raises(ValueError, match=r"worst pixel \(5, 11\)"):
+            validate_prob_map(p, (3, 10))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_prob_map_nan(self, dtype):
         with pytest.raises(ValueError, match="must lie in"):
