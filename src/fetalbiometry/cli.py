@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +87,7 @@ def _read(read, path):
 
 def _load_labels(path):
     p = str(path)
-    if not p.endswith(".fpm"):
+    if Path(p).suffix.lower() != ".fpm":
         return io_formats.read_label_mask(p)
     # decide checks each strip of the map, and measuring checks the labels
     try:
@@ -349,9 +350,16 @@ def cmd_sample(args) -> int:
                 continue
         print(f"error: {args.videos}:{lineno}: {problem}", file=sys.stderr)
         return EXIT_DATA
-    plan = dataprep.sparse_sample(videos, args.npos, args.nneg, args.seed)
+    plan = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for vid, length, label in videos:  # one video per call, so that its warning can name its line
+            plan.update(dataprep.sparse_sample([(vid, length, label)], args.npos, args.nneg, args.seed).frames)
+            for w in caught:
+                print(f"warning: {args.videos}:{listed[vid]}: {w.message}", file=sys.stderr)
+            caught.clear()
     with open(args.out, "w") as f:
-        for vid, frames in plan.frames.items():
+        for vid, frames in plan.items():
             for idx in frames:
                 f.write(f"{vid},{idx}\n")
     return EXIT_OK

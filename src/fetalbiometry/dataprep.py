@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DimensionMismatchError
 from .raster import validate_label_mask
@@ -166,6 +165,8 @@ def augment(
 
 def _affine(arr: np.ndarray, angle_deg: float, tx: float, ty: float, scale: float, order: int):
     """Rotate/scale about the image center, then translate; background fill 0."""
+    from scipy import ndimage  # imported here, so that the CLI's import does not load scipy
+
     t = np.radians(angle_deg)
     c, s = np.cos(t), np.sin(t)
     fwd = scale * np.array([[c, -s], [s, c]])  # (y, x) index convention

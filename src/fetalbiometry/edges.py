@@ -18,10 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import NoEdgesError
-from .morphology import EIGHT_CONN
 from .raster import validate_binary_mask
 
 # neighbor offsets by quantized gradient angle, 45 degrees apart, y down
@@ -88,8 +86,10 @@ def extract_chains(edges: np.ndarray) -> list[EdgeChain]:
     The chains partition the edge pixels and come in row-major order of their
     first pixel.
     """
+    from scipy import ndimage  # imported here, so that the CLI's import does not load scipy
+
     edges = validate_binary_mask(edges)
-    labels, n = ndimage.label(edges, structure=EIGHT_CONN)
+    labels, n = ndimage.label(edges, structure=np.ones((3, 3), dtype=np.uint8))
     idx = np.flatnonzero(labels)
     ids = labels.ravel()[idx]
     # a stable sort by label keeps each component's pixels in row-major order

@@ -1,8 +1,13 @@
 """Ellipse fitting and geometry.
 
 The fit minimizes the gradient-weighted (approximate mean square) algebraic
-distance of the conic, solved as a generalized eigenproblem on centred,
-isotropically scaled copies of the input points.  The conic is turned into an
+distance of the conic, solved as a generalized eigenproblem M v = lambda N v
+on centred, isotropically scaled copies of the input points.  The constant
+term has no gradient, so its row and column of N are zero: it is eliminated
+from M by the Schur complement, and the remaining 5 x 5 symmetric-definite
+problem is reduced by the Cholesky factor L of N to the ordinary symmetric
+one L^-1 S L^-T, which ``eigh`` solves; the constant term is then
+back-substituted.  The conic is turned into an
 ellipse in that normalized frame, and the ellipse is mapped back: a shift and
 an isotropic scale carry an ellipse onto an ellipse exactly.  Whenever the
 gradient-weighted conic is not a real ellipse, the ellipse-constrained direct
@@ -15,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateInputError, NoTangentError
 from .raster import paste
@@ -64,17 +68,33 @@ def _design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _taubin_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = _design(x, y)
     m = z.T @ z
-    zx = np.column_stack([2 * x, y, np.zeros_like(x), np.ones_like(x), np.zeros_like(x), np.zeros_like(x)])
-    zy = np.column_stack([np.zeros_like(x), x, 2 * y, np.zeros_like(x), np.ones_like(x), np.zeros_like(x)])
-    n = zx.T @ zx + zy.T @ zy
-    # m and n are fresh finite locals: skip the check and let LAPACK reuse them
-    w, v = scipy.linalg.eig(m, n, check_finite=False, overwrite_a=True, overwrite_b=True)
-    w = np.real(w)
-    finite = np.isfinite(w) & (w > -1e-9)
-    if not finite.any():
+    if not m[5, 5] > 0:
+        raise DegenerateInputError("no points to fit")
+    # N sums the outer products of the gradients (2x, y, 0, 1, 0) and
+    # (0, x, 2y, 0, 1) of the first five monomials; its sums are entries of m
+    sxx, sxy, syy, sx, sy, count = m[3, 3], m[3, 4], m[4, 4], m[3, 5], m[4, 5], m[5, 5]
+    n = np.array(
+        [
+            [4 * sxx, 2 * sxy, 0.0, 2 * sx, 0.0],
+            [2 * sxy, sxx + syy, 2 * sxy, sy, sx],
+            [0.0, 2 * sxy, 4 * syy, 0.0, 2 * sy],
+            [2 * sx, sy, 0.0, count, 0.0],
+            [0.0, sx, 2 * sy, 0.0, count],
+        ]
+    )
+    # the constant term f = -k . u makes the last row of M v = lambda N v hold
+    k = m[:5, 5] / m[5, 5]
+    s = m[:5, :5] - np.outer(k, m[5, :5])
+    try:
+        l_inv = np.linalg.inv(np.linalg.cholesky(n))
+    except np.linalg.LinAlgError:
+        raise DegenerateInputError("gradient-weighted scatter is not positive definite")
+    w, v = np.linalg.eigh(l_inv @ s @ l_inv.T)
+    admissible = np.flatnonzero(w > -1e-9)  # w ascends
+    if admissible.size == 0:
         raise DegenerateInputError("gradient-weighted fit has no admissible eigenvalue")
-    idx = np.flatnonzero(finite)[np.argmin(w[finite])]
-    return np.real(v[:, idx])
+    u = l_inv.T @ v[:, admissible[0]]
+    return np.append(u, -k @ u)
 
 
 def _direct_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import MetricError
 from .raster import boundary_mask, mask_set_counts, pixel_centers, require_same_shape, validate_binary_mask
@@ -92,6 +91,8 @@ def surface_distances(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     Boundaries are foreground pixels with a background 4-neighbor or on the
     image border; distances are Euclidean, center to center.
     """
+    from scipy.spatial import cKDTree  # imported here, so that the CLI's import does not load scipy
+
     a = validate_binary_mask(a)
     b = validate_binary_mask(b)
     require_same_shape(a, b)

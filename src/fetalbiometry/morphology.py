@@ -10,6 +10,15 @@ border as wide as the kernel's ``reach``, then ORs (or ANDs) one
 image-sized slice of that copy per kernel offset into its output, in place.
 No offset reads past the border, so no slice needs clipping, and a closing
 allocates two padded copies and two outputs, not a shifted copy per offset.
+
+``largest_component`` labels row runs, not pixels.  One diff over a copy
+padded with a background column on each side finds every run's start and
+(exclusive) end, in row-major order.  Run j of the next row touches run i
+when s_j <= e_i and e_j >= s_i; two ``searchsorted`` calls over the flat
+run bounds find all such pairs.  Each pair hooks its larger label onto its
+smaller, and pointer jumping then flattens the label forest, until no pair
+joins two labels.  A component's label is thus its smallest run index, the
+run that holds its first row-major pixel.
 """
 
 from __future__ import annotations
@@ -17,13 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .raster import validate_binary_mask
-
-# the neighborhood of every connected component and edge chain
-EIGHT_CONN = np.ones((3, 3), dtype=np.uint8)
-
 
 @dataclass(frozen=True)
 class StructuringElement:
@@ -103,11 +107,46 @@ def close(m: np.ndarray, k: StructuringElement) -> np.ndarray:
 def largest_component(m: np.ndarray) -> np.ndarray:
     """Keep only the largest 8-connected component (ties: smallest row-major pixel)."""
     m = validate_binary_mask(m)
-    labels, n = ndimage.label(m, structure=EIGHT_CONN)
+    h, w = m.shape
+    wp = w + 2
+    p = np.zeros((h, wp), dtype=bool)
+    p[:, 1:-1] = m
+    # flat indices in p of each run's start and end; the changes alternate
+    bounds = np.flatnonzero(np.diff(p.ravel())) + 1
+    starts, ends = bounds[0::2], bounds[1::2]
+    n = starts.size
     if n == 0:
-        return np.zeros_like(m)
-    # labels follow row-major order of each component's first pixel, so the
-    # first maximum is the documented tie winner; only foreground is counted,
-    # so bin 0 stays empty and never wins
-    best = np.bincount(labels[labels > 0]).argmax()
-    return (labels == best).astype(np.uint8)
+        return np.zeros((h, w), dtype=np.uint8)
+    # the runs j touching run i are those of [lo_i, lo_i + cnt_i): one row
+    # down is wp further on, and the bounds are integers, so "s_j <= e_i" is
+    # "s_j < e_i + 1"
+    lo = np.searchsorted(ends, starts + wp)
+    cnt = np.searchsorted(starts, ends + (wp + 1)) - lo
+    labels = np.arange(n)
+    pairs = int(cnt.sum())
+    if pairs:
+        i = np.repeat(labels, cnt)
+        j = np.arange(pairs) + np.repeat(lo - (np.cumsum(cnt) - cnt), cnt)
+        small, large = i, j  # i < j: run i lies in the row above
+        # a label never exceeds its run's index, so no chain is longer than n
+        # and n.bit_length() jumps flatten any forest
+        jumps = n.bit_length()
+        while True:
+            np.minimum.at(labels, large, small)
+            for _ in range(jumps):
+                labels = labels[labels]
+            a, b = labels[i], labels[j]
+            apart = a != b
+            if not apart.any():
+                break
+            a, b = a[apart], b[apart]
+            small, large = np.minimum(a, b), np.maximum(a, b)
+    lengths = ends - starts
+    # only roots have a nonzero size, and the first maximum is the smallest root
+    drop = labels != np.bincount(labels, lengths).argmax()
+    out = p[:, 1:-1].astype(np.uint8)  # C order, 0/1; most masks hold one component
+    if drop.any():
+        s, k = starts[drop], lengths[drop]
+        s = s - 2 * (s // wp) - 1  # flat index in m: each row above held two pad columns
+        out.reshape(-1)[np.arange(k.sum()) + np.repeat(s - (np.cumsum(k) - k), k)] = 0
+    return out

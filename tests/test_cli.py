@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from fetalbiometry import cli, io_formats, morphology, phantom
 from fetalbiometry.biometry import measure_frame, measure_frame_detailed
-from fetalbiometry.dataprep import AugmentParams
+from fetalbiometry.dataprep import AugmentParams, sparse_sample
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.io_formats import (
     read_label_mask,
@@ -65,6 +65,18 @@ class TestMeasure:
         out = tmp_path / "report.csv"
         assert main(["measure", str(fpm), "--out", str(out)]) == EXIT_OK
         assert len(out.read_text().splitlines()) == 2
+
+    def test_prob_map_suffix_in_any_case(self, tmp_path):
+        labels = read_label_mask(make_scene_file(tmp_path))
+        prob = np.stack([np.where(labels == c, 0.9, 0.05) for c in range(3)], axis=-1)
+        reports = []
+        for suffix in (".fpm", ".FPM", ".Fpm"):
+            (tmp_path / suffix).mkdir()
+            fpm, out = tmp_path / suffix / f"f{suffix}", tmp_path / suffix / "report.csv"
+            write_prob_map(prob, fpm)
+            assert main(["measure", str(fpm), "--out", str(out)]) == EXIT_OK
+            reports.append(out.read_bytes())
+        assert reports[0].count(b"\n") == 2 and reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_partial_failure(self, tmp_path, capsys):
         good = make_scene_file(tmp_path)
@@ -783,6 +795,18 @@ class TestSample:
         main(["sample", "--videos", str(videos), "--seed", "4", "--out", str(o1)])
         main(["sample", "--videos", str(videos), "--seed", "4", "--out", str(o2)])
         assert o1.read_bytes() == o2.read_bytes()
+
+    def test_short_video_warns_naming_its_line(self, tmp_path, capsys):
+        videos = tmp_path / "v.csv"
+        videos.write_text("vidA,120,1\nv1,3,1\nvidB,200,0\n")
+        out = tmp_path / "p.csv"
+        assert main(["sample", "--videos", str(videos), "--out", str(out)]) == EXIT_OK
+        warning = f"warning: {videos}:2: video 'v1' has 3 frames, fewer than the requested 5; taking all\n"
+        assert capsys.readouterr().err == warning
+        # the plan is the one the sampler draws for the whole listing
+        with pytest.warns(UserWarning):
+            plan = sparse_sample([("vidA", 120, 1), ("v1", 3, 1), ("vidB", 200, 0)])
+        assert out.read_text() == "".join(f"{vid},{i}\n" for vid, frames in plan.frames.items() for i in frames)
 
     def test_malformed_csv(self, tmp_path):
         videos = tmp_path / "videos.csv"

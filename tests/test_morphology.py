@@ -232,3 +232,77 @@ class TestComponents:
             # ties go to the component with the smallest row-major pixel
             _, want, _ = min(comps, key=lambda c: (-c[2], int(np.flatnonzero(c[1])[0])))
             assert np.array_equal(out, want.astype(np.uint8))
+
+
+# Reference for the run labeller: ndimage.label's components, the first
+# maximum of their sizes (labels follow row-major first pixels) kept.
+def ref_largest_component(m):
+    labels, n = ndimage.label(m, structure=np.ones((3, 3), np.uint8))
+    if n == 0:
+        return np.zeros(m.shape, np.uint8)
+    return (labels == np.bincount(labels[labels > 0]).argmax()).astype(np.uint8)
+
+
+def _ties():
+    """Three 4-pixel components; the one whose first pixel is row-major first must win."""
+    m = np.zeros((6, 9), np.uint8)
+    m[0, 5:9] = 1  # first pixel (0, 5)
+    m[1:3, 0:2] = 1  # first pixel (1, 0)
+    m[4, 2:4] = m[5, 4:6] = 1  # diagonal step, first pixel (4, 2)
+    return m
+
+
+def _checkerboard(h, w):
+    return (np.indices((h, w)).sum(axis=0) % 2 == 0).astype(np.uint8)
+
+
+LABELLER_CASES = {
+    "empty": np.zeros((5, 7), np.uint8),
+    "full": np.ones((5, 7), np.uint8),
+    "1xN": np.array([[1, 1, 0, 1, 1, 1, 0, 1]], np.uint8),
+    "Nx1": np.array([[1], [1], [0], [1], [1], [1], [0], [1]], np.uint8),
+    "1x1-set": np.ones((1, 1), np.uint8),
+    "1x1-clear": np.zeros((1, 1), np.uint8),
+    # runs that meet only corner to corner, across each row boundary
+    "diagonal-down": np.eye(6, dtype=np.uint8),
+    "diagonal-up": np.eye(6, dtype=np.uint8)[::-1].copy(),
+    "diagonal-runs": np.array([[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1], [0, 0, 1, 1, 0, 0]], np.uint8),
+    # one column apart: not touching
+    "gap-runs": np.array([[1, 1, 0, 0, 0], [0, 0, 0, 1, 1], [1, 1, 1, 0, 0]], np.uint8),
+    # a run ending at column w-1 must not join one starting at column 0 of the next row
+    "edge-columns": np.array([[0, 0, 0, 1], [1, 0, 0, 0], [1, 0, 0, 1], [0, 0, 0, 1]], np.uint8),
+    "checkerboard": _checkerboard(7, 8),
+    "ties": _ties(),
+    # a U: two arms joined only at the bottom, merged after both were labelled
+    "u-shape": np.array([[1, 0, 0, 1], [1, 0, 0, 1], [1, 1, 1, 1], [0, 0, 0, 0], [1, 1, 1, 0]], np.uint8),
+}
+
+
+class TestRunLabeller:
+    @pytest.mark.parametrize("m", LABELLER_CASES.values(), ids=LABELLER_CASES.keys())
+    def test_matches_ndimage(self, m):
+        out = largest_component(m)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous
+        assert not np.shares_memory(out, m)
+        assert out.tobytes() == ref_largest_component(m).tobytes()
+
+    def test_tie_goes_to_the_first_pixel(self):
+        want = np.zeros((6, 9), np.uint8)
+        want[0, 5:9] = 1
+        assert np.array_equal(largest_component(_ties()), want)
+
+    def test_checkerboard_is_one_component(self):
+        m = _checkerboard(7, 8)
+        assert np.array_equal(largest_component(m), m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(masks())
+    def test_random_masks(self, m):
+        out = largest_component(m)
+        assert out.dtype == np.uint8 and out.flags.c_contiguous and not np.shares_memory(out, m)
+        assert out.tobytes() == ref_largest_component(m).tobytes()
+
+    def test_bool_and_noncontiguous_input(self):
+        m = _ties().T  # a transposed view
+        assert largest_component(m.astype(bool)).tobytes() == ref_largest_component(m).tobytes()
+        assert largest_component(m).tobytes() == ref_largest_component(m).tobytes()
