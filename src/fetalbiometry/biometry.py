@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ellipse as el, morphology
+from . import ellipse as el
 from .errors import EmptyShapeError, MissingStructureError, OverlapError
 from .raster import (
     CLASS_NAMES,
@@ -192,18 +192,8 @@ def _class_window(labels: np.ndarray, c: int) -> tuple[int, int, np.ndarray]:
     return win
 
 
-def _refine_largest(win: tuple[int, int, np.ndarray], frame: tuple[int, int], params: RefineParams) -> RefinedShape:
-    """Refine the largest component of a class window.
-
-    The window holds every pixel of its class and is a sub-rectangle of the
-    frame, so its row-major order is the frame's and the tie rule holds.
-    """
-    x0, y0, m = win
-    return refine(morphology.largest_component(m), params, origin=(x0, y0), frame=frame)
-
-
 def measure_frame(labels: np.ndarray, params: RefineParams = RefineParams()) -> BiometryResult:
-    """Full per-frame measurement: component filtering, refinement, AoP and HSD."""
+    """Full per-frame measurement: refinement (component filter included), AoP and HSD."""
     result, _, _ = measure_frame_detailed(labels, params)
     return result
 
@@ -215,10 +205,10 @@ def measure_frame_detailed(
     labels = validate_label_mask(labels)
     frame = (labels.shape[1], labels.shape[0])
     # the class boxes are the only full-frame reads; all else runs in windows
-    ps_win = _class_window(labels, PS)
-    fh_win = _class_window(labels, FH)
-    ps_ref = _refine_largest(ps_win, frame, params)
-    fh_ref = _refine_largest(fh_win, frame, params)
+    ps_x, ps_y, ps_win = _class_window(labels, PS)
+    fh_x, fh_y, fh_win = _class_window(labels, FH)
+    ps_ref = refine(ps_win, params, origin=(ps_x, ps_y), frame=frame)
+    fh_ref = refine(fh_win, params, origin=(fh_x, fh_y), frame=frame)
 
     fh_centroid = centroid(*fh_ref.closed_window)
     proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)

@@ -8,7 +8,6 @@ every such generator, here and in ``phantom``.
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -73,6 +72,8 @@ def sparse_sample(videos, n_pos: int = 5, n_neg: int = 8, seed: int = 0) -> Samp
     positive (standard-plane) videos.  Positives contribute n_pos frames,
     negatives n_neg.  Short videos contribute every frame and warn.
     """
+    import hashlib  # imported here, so that the CLI's import does not load it
+
     if n_pos < 1 or n_neg < 1:
         raise ValueError("frame counts must be >= 1")
     plan = SamplePlan()

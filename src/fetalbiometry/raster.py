@@ -36,24 +36,25 @@ class Point(NamedTuple):
     y: float
 
 
-def validate_label_mask(m: np.ndarray) -> np.ndarray:
+def _validate_mask(m: np.ndarray, kind: str, top: int) -> np.ndarray:
+    """m as a 2-D uint8 array, with no copy when it is one; every value must lie in [0, top]."""
     m = np.asarray(m)
     if m.ndim != 2:
-        raise ValueError(f"label mask must be 2-D, got shape {m.shape}")
-    if m.size and m.max() > 2:
-        raise ValueError("label mask values must lie in {0, 1, 2}")
+        raise ValueError(f"{kind} mask must be 2-D, got shape {m.shape}")
+    # written so that NaN, which fails every comparison, is rejected; an
+    # unsigned or bool mask cannot go below 0, so it takes a single pass
+    if m.size and not (m.max() <= top and (m.dtype.kind in "ub" or m.min() >= 0)):
+        values = ", ".join(str(v) for v in range(top + 1))
+        raise ValueError(f"{kind} mask values must lie in {{{values}}}")
     return m.astype(np.uint8, copy=False)
+
+
+def validate_label_mask(m: np.ndarray) -> np.ndarray:
+    return _validate_mask(m, "label", FH)
 
 
 def validate_binary_mask(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError(f"binary mask must be 2-D, got shape {m.shape}")
-    if m.dtype == bool:
-        return m.astype(np.uint8)
-    if m.size and m.max() > 1:
-        raise ValueError("binary mask values must lie in {0, 1}")
-    return m.astype(np.uint8, copy=False)
+    return _validate_mask(m, "binary", 1)
 
 
 def validate_prob_map(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
@@ -96,11 +97,9 @@ def mask_set_counts(a: np.ndarray, b: np.ndarray) -> tuple[int, int, int]:
     a = validate_binary_mask(a)
     b = validate_binary_mask(b)
     require_same_shape(a, b)
-    fa = a.astype(bool)
-    fb = b.astype(bool)
-    both = int(np.count_nonzero(fa & fb))
-    only_a = int(np.count_nonzero(fa)) - both
-    only_b = int(np.count_nonzero(fb)) - both
+    both = int(np.count_nonzero(a & b))
+    only_a = int(np.count_nonzero(a)) - both
+    only_b = int(np.count_nonzero(b)) - both
     return only_a, only_b, both
 
 

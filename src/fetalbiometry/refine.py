@@ -1,5 +1,6 @@
-"""Per-structure shape refinement: hole closing, boundary extraction, ellipse
-fitting, iterative protrusion pruning, and the ellipse-vs-mask decision rule.
+"""Per-structure shape refinement: largest-component filtering, hole closing,
+boundary extraction, ellipse fitting, iterative protrusion pruning, and the
+ellipse-vs-mask decision rule.
 """
 
 from __future__ import annotations
@@ -148,14 +149,18 @@ def refine(
     origin: tuple[int, int] = (0, 0),
     frame: Optional[tuple[int, int]] = None,
 ) -> RefinedShape:
-    """Run the closing / fitting / pruning / decision sequence on one structure.
+    """Run the component / closing / fitting / pruning / decision sequence on one structure.
 
     raw is a window of a (width, height) frame, its pixel (0, 0) at origin;
-    by default the frame is raw itself.  Everything runs inside the
-    structure's padded bounding box (``_crop_box``), and the returned shape
-    keeps the hole-closed mask over that box only.
+    by default the frame is raw itself.  Only raw's largest 8-connected
+    component is refined.  A class window is a sub-rectangle of the frame
+    holding every pixel of its class, so its row-major order is the frame's
+    and the component tie rule picks what it would pick on the whole frame.
+    Everything else runs inside the component's padded bounding box
+    (``_crop_box``), and the returned shape keeps the hole-closed mask over
+    that box only.
     """
-    raw = validate_binary_mask(raw)
+    raw = morphology.largest_component(raw)
     w, h = frame or (raw.shape[1], raw.shape[0])
     # trimmed to the foreground: a window may hold pixels outside the padded box
     core = bounding_window(raw, origin)
@@ -176,8 +181,7 @@ def refine(
         # the ellipse window may overrun the crop: its pixels there count as E-only
         while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < params.max_prune:
             s_mask = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
-            if not s_mask.any():
-                raise DegenerateInputError("pruning removed the whole mask")
+            # a pruned-away mask has no edges: _fit_boundary raises NoEdgesError
             fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
             iterations += 1
     except (DegenerateInputError, NoEdgesError):

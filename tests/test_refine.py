@@ -15,7 +15,7 @@ from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, FormatError, NoEdgesError
 from fetalbiometry.io_formats import dataclass_from_json
 from fetalbiometry.metrics import dice
-from fetalbiometry.raster import FH, PS, mask_set_counts, validate_binary_mask
+from fetalbiometry.raster import FH, PS, mask_set_counts
 from fetalbiometry.refine import RefinedShape, RefineParams, protrusion_ratio, prune, refine
 
 
@@ -28,9 +28,9 @@ def class_mask(labels: np.ndarray, c: int) -> np.ndarray:
 refine_mod = importlib.import_module("fetalbiometry.refine")
 
 
-# Reference implementation: the full-frame refinement that ran closing, Canny,
-# chains, prune and the ratios on the whole frame.  The cropped production
-# code must match it field for field.
+# Reference implementation: the full-frame refinement that kept the largest
+# component, then ran closing, Canny, chains, prune and the ratios on the
+# whole frame.  The cropped production code must match it field for field.
 def _ref_fit_boundary(mask):
     edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
@@ -41,7 +41,7 @@ def _ref_fit_boundary(mask):
 
 
 def ref_refine(raw, params=RefineParams()):
-    raw = validate_binary_mask(raw)
+    raw = morphology.largest_component(raw)
     if not raw.any():
         raise EmptyShapeError("cannot refine an empty mask")
     kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
@@ -332,12 +332,12 @@ def _arc(w, h, cx, cy, r, thickness, start_deg, span_deg):
 
 
 @st.composite
-def refine_inputs(draw):
-    """Binary masks on small frames, often touching the border, with kernels
-    of 1..13 (odd and even) and prune caps of 1..15."""
+def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
+    """Binary masks of the given kinds on small frames, often touching the
+    border, with kernels of 1..13 (odd and even) and prune caps of 1..15."""
     h = draw(st.integers(8, 64))
     w = draw(st.integers(8, 64))
-    kind = draw(st.sampled_from(["blob", "ellipse", "arc", "protrusion"]))
+    kind = draw(st.sampled_from(kinds))
     coord = st.floats(-0.25, 1.25)
     if kind == "blob":
         patch = draw(arrays(np.uint8, st.tuples(st.integers(1, 16), st.integers(1, 16)), elements=st.integers(0, 1)))
@@ -400,6 +400,25 @@ class TestCropMatchesFullFrame:
         for cid in (PS, FH):
             m = morphology.largest_component(class_mask(labels, cid))
             assert_same_shape(refine(m), ref_refine(m))
+
+
+class TestRefinesTheLargestComponent:
+    """refine(m) is the refinement of m's largest component alone."""
+
+    @staticmethod
+    def assert_refines_largest(m, params=RefineParams()):
+        got, want = refine(m, params), refine(morphology.largest_component(m), params)
+        assert_same_shape(got, want)
+        assert got.box == want.box
+
+    def test_two_disjoint_ellipses(self):
+        m = ellipse_mask(40, 40, 30, 20, 10, 200, 120) | ellipse_mask(150, 70, 20, 12, 60, 200, 120)
+        self.assert_refines_largest(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(refine_inputs(kinds=("blob",)))
+    def test_blobs(self, case):
+        self.assert_refines_largest(*case)
 
 
 class TestCallCounts:
