@@ -23,6 +23,7 @@ run that holds its first row-major pixel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,14 +40,18 @@ class StructuringElement:
         if not self.offsets:
             raise ValueError("structuring element must be non-empty")
 
-    @property
+    @functools.cached_property
     def reach(self) -> int:
         """Largest |dx| or |dy| of an offset: how far from a pixel the kernel reads."""
         return max(max(abs(dx), abs(dy)) for dx, dy in self.offsets)
 
 
+@functools.lru_cache(maxsize=32)
 def elliptical_kernel(w: int, h: int) -> StructuringElement:
-    """Filled discrete ellipse inscribed in a w x h box (row-span rasterization)."""
+    """Filled discrete ellipse inscribed in a w x h box (row-span rasterization).
+
+    Kernels are immutable, so one is built per size and shared by every caller.
+    """
     if w < 1 or h < 1:
         raise ValueError(f"kernel size must be >= 1, got {w}x{h}")
     cx = (w - 1) / 2.0

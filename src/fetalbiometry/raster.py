@@ -37,13 +37,18 @@ class Point(NamedTuple):
 
 
 def _validate_mask(m: np.ndarray, kind: str, top: int) -> np.ndarray:
-    """m as a 2-D uint8 array, with no copy when it is one; every value must lie in [0, top]."""
+    """m as a 2-D uint8 array, with no copy when it is one; every value must be one of 0, ..., top."""
     m = np.asarray(m)
     if m.ndim != 2:
         raise ValueError(f"{kind} mask must be 2-D, got shape {m.shape}")
     # written so that NaN, which fails every comparison, is rejected; an
-    # unsigned or bool mask cannot go below 0, so it takes a single pass
-    if m.size and not (m.max() <= top and (m.dtype.kind in "ub" or m.min() >= 0)):
+    # unsigned or bool mask cannot go below 0, so it takes a single pass, and
+    # only a float mask can hold a fraction
+    if m.size and not (
+        m.max() <= top
+        and (m.dtype.kind in "ub" or m.min() >= 0)
+        and (m.dtype.kind != "f" or np.array_equal(m, np.trunc(m)))
+    ):
         values = ", ".join(str(v) for v in range(top + 1))
         raise ValueError(f"{kind} mask values must lie in {{{values}}}")
     return m.astype(np.uint8, copy=False)

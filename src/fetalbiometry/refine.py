@@ -1,6 +1,16 @@
 """Per-structure shape refinement: largest-component filtering, hole closing,
 boundary extraction, ellipse fitting, iterative protrusion pruning, and the
 ellipse-vs-mask decision rule.
+
+The plain AMS fit of the closed mask's largest edge component decides
+whether the prune loop runs: it does when the fitted ellipse covers at least
+as many pixels outside the mask as the mask has outside the ellipse.  That
+fit leans toward a protrusion, so inside the loop every ellipse comes from a
+consensus search instead (RANSAC, Fischler & Bolles 1981): 5-point conics
+through seeded subsets of the edge points, each scored by how many points lie
+within 1.5 px of it in Sampson distance (Sampson 1982), and the largest such
+set refitted by AMS.  The first prune uses the consensus fit of the very
+points the plain fit saw, so most of the protrusion goes in the first round.
 """
 
 from __future__ import annotations
@@ -11,12 +21,20 @@ from typing import Optional
 
 import numpy as np
 
-from . import edges, ellipse as el, morphology
+from . import dataprep, edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
 # the closing kernel's largest side: closing loops over its ~w x h offsets
 MAX_KERNEL = 64
+
+# the consensus search: 5-point subsets drawn per fit, the Sampson distance
+# (px) within which a point supports a conic, and the sampling key's first word
+_CONSENSUS_SUBSETS = 32
+_CONSENSUS_INLIER_PX = 1.5
+_CONSENSUS_KEY = 0xE111
+# row j: the design columns left once column j is deleted, for the minors
+_MINOR_COLUMNS = np.array([[c for c in range(6) if c != j] for j in range(6)])
 
 
 @dataclass(frozen=True)
@@ -122,24 +140,62 @@ def _joint(*windows: tuple[int, int, np.ndarray]) -> list[np.ndarray]:
     return [paste(win, box) for win in windows]
 
 
-def _fit_boundary(
-    mask: np.ndarray, origin: tuple[int, int], frame: tuple[int, int]
-) -> tuple[el.Ellipse, tuple[int, int, np.ndarray]]:
-    """Ellipse fitted to the largest Canny edge of the crop mask, in frame
-    coordinates, and its raster window on the (width, height) frame.
+def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
+    """Frame centers of the largest Canny edge of the crop mask, the points every fit sees.
 
-    The fitted points are the centers of the largest 8-connected edge
-    component in row-major order: the pixels, order and floats of
+    They are the centers of the largest 8-connected edge component in
+    row-major order: the pixels, order and floats of
     ``edges.longest_chain(edges.extract_chains(edge_map))``, whose tie rule
-    is the component's, without building a tuple per pixel.
+    is the component's, without building a tuple per pixel.  Fits take frame
+    coordinates and the fitted ellipse is never shifted: the fit must see the
+    very floats a full-frame fit sees, or boundary pixels flip.
     """
     edge_map = edges.canny(mask)
     if not edge_map.any():
         raise NoEdgesError("no edge pixels to fit")
-    # fit frame coordinates, never shift the fitted ellipse: the fit must see
-    # the very floats a full-frame fit sees, or boundary pixels flip
-    fitted = el.fit_ams(pixel_centers(morphology.largest_component(edge_map), origin))
-    return fitted, el.raster_window(fitted, *frame)
+    return pixel_centers(morphology.largest_component(edge_map), origin)
+
+
+def _consensus_fit(points: np.ndarray) -> el.Ellipse:
+    """AMS fit of the largest set of points within _CONSENSUS_INLIER_PX of one 5-point ellipse.
+
+    The search runs on the points centred and isotropically scaled, as the
+    AMS fit normalizes them.  Each subset's conic is the null vector of its
+    5 x 6 design matrix: entry j is the matrix's 5 x 5 minor without column
+    j, signed (-1)^j.  Conics that are not ellipses (b^2 - 4ac >= 0) are dropped, and with them the
+    zero conic of a subset that repeats an index.  A point lies within t of
+    conic Q when its Sampson distance |Q(p)| / |grad Q(p)| is at most t,
+    tested squared so that no gradient is divided by.  The subsets come from
+    a generator keyed by the point count, so equal points give equal fits.
+    The plain fit of all points stands in when no subset gives an ellipse or
+    the refit is degenerate.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    n = len(pts)
+    if n < 5:
+        return el.fit_ams(pts)  # raises DegenerateInputError
+    # edge points are distinct pixel centers, so five of them never coincide
+    centered = pts - pts.mean(axis=0)
+    scale = math.sqrt(2.0) / math.sqrt((centered**2).sum(axis=1).mean())
+    x, y = centered[:, 0] * scale, centered[:, 1] * scale
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    design = np.column_stack([x * x, x * y, y * y, x, y, one])
+    subsets = design[dataprep.keyed_rng(_CONSENSUS_KEY, n).integers(0, n, size=(_CONSENSUS_SUBSETS, 5))]
+    # (K, 6, 5, 5): minor j of each subset drops design column j
+    minors = subsets[:, :, _MINOR_COLUMNS].transpose(0, 2, 1, 3)
+    conics = np.linalg.det(minors) * (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+    conics = conics[conics[:, 1] ** 2 - 4.0 * conics[:, 0] * conics[:, 2] < 0.0]
+    if not len(conics):
+        return el.fit_ams(pts)
+    value = design @ conics.T
+    gx = np.column_stack([2.0 * x, y, zero, one, zero, zero]) @ conics.T
+    gy = np.column_stack([zero, x, 2.0 * y, zero, one, zero]) @ conics.T
+    inside = value**2 <= (_CONSENSUS_INLIER_PX * scale) ** 2 * (gx**2 + gy**2)
+    best = inside[:, int(inside.sum(axis=0).argmax())]
+    try:
+        return el.fit_ams(pts[best])
+    except DegenerateInputError:
+        return el.fit_ams(pts)
 
 
 def refine(
@@ -177,12 +233,19 @@ def refine(
     s_mask = closed
     iterations = 0
     try:
-        fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
+        points = _boundary_points(s_mask, (x0, y0))
+        fitted = el.fit_ams(points)
+        e_win = el.raster_window(fitted, w, h)
         # the ellipse window may overrun the crop: its pixels there count as E-only
         while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < params.max_prune:
+            if iterations == 0:
+                # the plain fit that entered the loop leans toward the protrusion
+                fitted = _consensus_fit(points)
             s_mask = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
-            # a pruned-away mask has no edges: _fit_boundary raises NoEdgesError
-            fitted, e_win = _fit_boundary(s_mask, (x0, y0), (w, h))
+            # a pruned-away mask has no edges: _boundary_points raises NoEdgesError
+            points = _boundary_points(s_mask, (x0, y0))
+            fitted = _consensus_fit(points)
+            e_win = el.raster_window(fitted, w, h)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))

@@ -38,10 +38,10 @@ def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
 
 
 def make_protrusion_file(tmp_path):
-    """A frame whose PS protrusion needs more than 15 prune rounds."""
-    labels = phantom.render(phantom.random_scene(0, 256, 256))
+    """A frame whose PS prune loop runs to the cap, whether it is 1, 15 or 40 rounds."""
+    labels = phantom.render(phantom.random_scene(1, 256, 256))
     path = tmp_path / "frame0.pgm"
-    write_label_mask(phantom.perturb(labels, phantom.Perturbation(protrusions=1, seed=0)), path)
+    write_label_mask(phantom.perturb(labels, phantom.Perturbation(holes=2, protrusions=1, seed=1)), path)
     return path
 
 
@@ -268,7 +268,7 @@ class TestMeasure:
         assert exc.value.code == EXIT_USAGE
 
     def test_max_prune_above_default_cap_reported(self, tmp_path):
-        # this frame's PS protrusion needs more than 15 prune rounds
+        # this frame's PS prune loop runs to any cap
         inp = make_protrusion_file(tmp_path)
         out = tmp_path / "r.csv"
         assert main(["measure", str(inp), "--max-prune", "40", "--out", str(out)]) == EXIT_OK

@@ -8,6 +8,7 @@ from fetalbiometry import io_formats, morphology, phantom
 from fetalbiometry.biometry import measure_frame
 from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import (
+    PS,
     mask_set_counts,
     validate_binary_mask,
     validate_label_mask,
@@ -75,6 +76,26 @@ class TestValidation:
             out = validate(m)
             assert out.dtype == np.uint8 and out.tolist() == [[0, 1], [1, 0]]
             assert (out is m) == (dtype is np.uint8)  # a uint8 mask is not copied
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fractions_rejected(self, dtype):
+        # a fraction used to be truncated: 0.5 read as 0, 1.7 as 1
+        with pytest.raises(ValueError, match=r"^binary mask values must lie in \{0, 1\}$"):
+            validate_binary_mask(np.array([[0.5, 1.0]], dtype))
+        with pytest.raises(ValueError, match=r"^label mask values must lie in \{0, 1, 2\}$"):
+            validate_label_mask(np.array([[1.7, 2.0]], dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_float_values_accepted(self, dtype):
+        m = np.array([[0.0, 1.0], [2.0, -0.0]], dtype)
+        assert validate_label_mask(m).tolist() == [[0, 1], [2, 0]]
+        assert validate_binary_mask(m.clip(0, 1)).tolist() == [[0, 1], [1, 0]]
+
+    def test_measure_frame_rejects_a_fractional_pixel(self):
+        labels = phantom.render(phantom.random_scene(0, 256, 256)).astype(np.float64)
+        labels[labels == PS] = 1.7  # measured exactly like the clean frame before
+        with pytest.raises(ValueError, match="label mask values"):
+            measure_frame(labels)
 
     def test_dilate_rejects_a_negative_pixel(self):
         m = np.zeros((5, 5), np.int8)

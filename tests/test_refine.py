@@ -31,11 +31,16 @@ refine_mod = importlib.import_module("fetalbiometry.refine")
 # Reference implementation: the full-frame refinement that kept the largest
 # component, then ran closing, Canny, chains, prune and the ratios on the
 # whole frame.  The cropped production code must match it field for field.
-def _ref_fit_boundary(mask):
+# It runs the same consensus search as refine: what it checks is that crop
+# and full frame agree, not the search itself.
+def _ref_boundary_points(mask):
     edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
-    pts = np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
-    fitted = el.fit_ams(pts)
+    return np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
+
+
+def _ref_fit(mask, fit):
+    fitted = fit(_ref_boundary_points(mask))
     h, w = mask.shape
     return fitted, el.rasterize(fitted, w, h)
 
@@ -52,12 +57,14 @@ def ref_refine(raw, params=RefineParams()):
     h, w = closed.shape
     iterations = 0
     try:
-        fitted, e_mask = _ref_fit_boundary(s_mask)
+        fitted, e_mask = _ref_fit(s_mask, el.fit_ams)
         while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < params.max_prune:
+            if iterations == 0:
+                fitted = refine_mod._consensus_fit(_ref_boundary_points(s_mask))
             s_mask = prune(s_mask, fitted, params.prune_distance)
             if not s_mask.any():
                 raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_mask = _ref_fit_boundary(s_mask)
+            fitted, e_mask = _ref_fit(s_mask, refine_mod._consensus_fit)
             iterations += 1
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, (0, 0, w, h), (w, h))
@@ -147,9 +154,9 @@ class TestEveryKnobActs:
 
     @pytest.fixture(scope="class")
     def mask(self):
-        # the PS of this scene is pruned 3 rounds and keeps its ellipse at a ratio of 0.083
+        # the PS of this scene is pruned to the 15-round cap and keeps its ellipse at a ratio of 0.057
         labels = phantom.perturb(
-            phantom.render(phantom.random_scene(0, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=0)
+            phantom.render(phantom.random_scene(1, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=1)
         )
         return morphology.largest_component(class_mask(labels, PS))
 
@@ -421,9 +428,46 @@ class TestRefinesTheLargestComponent:
         self.assert_refines_largest(*case)
 
 
+class TestConsensusFit:
+    TRUTH = Ellipse(100.0, 80.0, 40.0, 25.0, 30.0)
+
+    @classmethod
+    def spurred_points(cls):
+        """240 points: 200 pixel centers on the ellipse, then a 40-point spur off its major-axis end."""
+        t = np.linspace(0.0, 2 * math.pi, 200, endpoint=False)
+        rim = cls.TRUTH.from_local(np.column_stack([40.0 * np.cos(t), 25.0 * np.sin(t)]))
+        spur = cls.TRUTH.from_local(np.column_stack([np.linspace(41.0, 80.0, 40), np.full(40, 1.0)]))
+        return np.floor(np.concatenate([rim, spur])) + 0.5
+
+    @staticmethod
+    def miss(e, truth):
+        return max(abs(e.cx - truth.cx), abs(e.cy - truth.cy), abs(e.a - truth.a), abs(e.b - truth.b))
+
+    def test_recovers_the_ellipse_under_a_spur(self):
+        pts = self.spurred_points()
+        assert self.miss(refine_mod._consensus_fit(pts), self.TRUTH) < 0.5
+        assert self.miss(el.fit_ams(pts), self.TRUTH) > 2.0
+
+    def test_same_points_same_fit(self):
+        pts = self.spurred_points()
+        assert refine_mod._consensus_fit(pts) == refine_mod._consensus_fit(pts.copy())
+
+    def test_no_elliptic_subset_falls_back_to_the_plain_fit(self, monkeypatch):
+        # every 5 points of a hyperbola lie on that hyperbola alone
+        x = np.linspace(5.0, 40.0, 30)
+        pts = np.concatenate([np.column_stack([x, 200.0 / x]), np.column_stack([-x, -200.0 / x])])
+        want = el.fit_ams(pts)
+        fitted = []
+        fit_ams = el.fit_ams
+        monkeypatch.setattr(el, "fit_ams", lambda p: fitted.append(len(p)) or fit_ams(p))
+        assert refine_mod._consensus_fit(pts) == want
+        assert fitted == [len(pts)]
+
+
 class TestCallCounts:
     """The benchmark's per-layer spans wrap these functions by module attribute;
-    refine must keep calling them once per fit and once per prune round."""
+    refine must keep calling them once per fit and once per prune round, and
+    every AMS fit, the consensus refits included, through ``ellipse.fit_ams``."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_calls_per_structure(self, monkeypatch, seed):
@@ -455,5 +499,7 @@ class TestCallCounts:
             n = r.prune_iterations
             pruned += n
             assert calls.get("prune", 0) == n
-            assert calls["protrusion_ratio"] == calls["canny"] == calls["fit_ams"] == n + 1
+            assert calls["protrusion_ratio"] == calls["canny"] == n + 1
+            # an entered loop refits the entry fit's points by consensus once more
+            assert calls["fit_ams"] == n + 1 + (n > 0)
         assert pruned > 0
