@@ -11,7 +11,8 @@ back-substituted.  The conic is turned into an
 ellipse in that normalized frame, and the ellipse is mapped back: a shift and
 an isotropic scale carry an ellipse onto an ellipse exactly.  Whenever the
 gradient-weighted conic is not a real ellipse, the ellipse-constrained direct
-least-squares fit (Fitzgibbon, Pilu & Fisher 1999) is used instead.
+least-squares fit (Fitzgibbon, Pilu & Fisher 1999) is used instead.  The
+consensus fit searches the same normalized frame for an outlier-free subset.
 """
 
 from __future__ import annotations
@@ -21,8 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataprep import keyed_rng
 from .errors import DegenerateInputError, NoTangentError
 from .raster import paste
+
+# the consensus search: 5-point subsets drawn per fit, the Sampson distance
+# (px) within which a point supports a conic, and the sampling key's first word
+_CONSENSUS_SUBSETS = 32
+_CONSENSUS_INLIER_PX = 1.5
+_CONSENSUS_KEY = 0xE111
+# row j: the design columns left once column j is deleted, for the minors
+_MINOR_COLUMNS = np.array([[c for c in range(6) if c != j] for j in range(6)])
 
 
 @dataclass(frozen=True)
@@ -65,11 +75,23 @@ def _design(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.column_stack([x * x, x * y, y * y, x, y, np.ones_like(x)])
 
 
+def _normalized(points) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """(pts, mean, scale, x, y): the (N, 2) points as floats, and centred and scaled to an RMS radius of sqrt(2)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    if pts.shape[0] < 5:
+        raise DegenerateInputError(f"need at least 5 points, got {pts.shape[0]}")
+    mean = pts.mean(axis=0)
+    centered = pts - mean
+    rms = np.sqrt((centered**2).sum(axis=1).mean())
+    if rms < 1e-12:
+        raise DegenerateInputError("all points coincide")
+    scale = math.sqrt(2.0) / rms
+    return pts, mean, scale, centered[:, 0] * scale, centered[:, 1] * scale
+
+
 def _taubin_conic(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     z = _design(x, y)
-    m = z.T @ z
-    if not m[5, 5] > 0:
-        raise DegenerateInputError("no points to fit")
+    m = z.T @ z  # m[5, 5] is the point count, at least 5 after _normalized
     # N sums the outer products of the gradients (2x, y, 0, 1, 0) and
     # (0, x, 2y, 0, 1) of the first five monomials; its sums are entries of m
     sxx, sxy, syy, sx, sy, count = m[3, 3], m[3, 4], m[4, 4], m[3, 5], m[4, 5], m[5, 5]
@@ -148,17 +170,7 @@ def _conic_to_ellipse(c: np.ndarray) -> Ellipse:
 
 def fit_ams(points: np.ndarray) -> Ellipse:
     """Fit an ellipse to (N, 2) points by the approximate-mean-square conic fit."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if pts.shape[0] < 5:
-        raise DegenerateInputError(f"need at least 5 points, got {pts.shape[0]}")
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    rms = np.sqrt((centered**2).sum(axis=1).mean())
-    if rms < 1e-12:
-        raise DegenerateInputError("all points coincide")
-    scale = math.sqrt(2.0) / rms
-    xn = centered[:, 0] * scale
-    yn = centered[:, 1] * scale
+    _, mean, scale, xn, yn = _normalized(points)
     try:
         e = _conic_to_ellipse(_taubin_conic(xn, yn))
     except DegenerateInputError:
@@ -166,6 +178,41 @@ def fit_ams(points: np.ndarray) -> Ellipse:
     # undo normalization: x_n = (x - mx) * s, y_n = (y - my) * s
     cx, cy = e.cx / scale + mean[0], e.cy / scale + mean[1]
     return Ellipse(float(cx), float(cy), e.a / scale, e.b / scale, e.theta_deg)
+
+
+def fit_consensus(points: np.ndarray) -> Ellipse:
+    """AMS fit of the largest set of points within _CONSENSUS_INLIER_PX of one 5-point ellipse.
+
+    RANSAC (Fischler & Bolles 1981) on the points ``fit_ams`` normalizes.
+    Each subset's conic is the null vector of its 5 x 6 design matrix: entry
+    j is the minor without column j, signed (-1)^j.  Non-ellipses (b^2 - 4ac
+    >= 0) are dropped, the zero conic of a repeated index with them.  A point
+    supports conic Q when its Sampson distance |Q(p)| / |grad Q(p)| (Sampson
+    1982) is at most the threshold, tested squared.  The subsets come from a
+    generator keyed by the point count, so equal points give equal fits.  The
+    plain fit of all points stands in when no subset gives an ellipse or the
+    refit is degenerate.
+    """
+    pts, _, scale, x, y = _normalized(points)
+    n = len(pts)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    design = _design(x, y)
+    subsets = design[keyed_rng(_CONSENSUS_KEY, n).integers(0, n, size=(_CONSENSUS_SUBSETS, 5))]
+    # (K, 6, 5, 5): minor j of each subset drops design column j
+    minors = subsets[:, :, _MINOR_COLUMNS].transpose(0, 2, 1, 3)
+    conics = np.linalg.det(minors) * (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+    conics = conics[conics[:, 1] ** 2 - 4.0 * conics[:, 0] * conics[:, 2] < 0.0]
+    if not len(conics):
+        return fit_ams(pts)
+    value = design @ conics.T
+    gx = np.column_stack([2.0 * x, y, zero, one, zero, zero]) @ conics.T
+    gy = np.column_stack([zero, x, 2.0 * y, zero, one, zero]) @ conics.T
+    inside = value**2 <= (_CONSENSUS_INLIER_PX * scale) ** 2 * (gx**2 + gy**2)
+    best = inside[:, int(inside.sum(axis=0).argmax())]
+    try:
+        return fit_ams(pts[best])
+    except DegenerateInputError:
+        return fit_ams(pts)
 
 
 def contains(e: Ellipse, p) -> bool:

@@ -5,13 +5,10 @@ ellipse-vs-mask decision rule.
 The plain AMS fit of the closed mask's largest edge component decides
 whether the prune loop runs: it does when the fitted ellipse covers at least
 as many pixels outside the mask as the mask has outside the ellipse.  That
-fit leans toward a protrusion, so inside the loop every ellipse comes from a
-consensus search instead (RANSAC, Fischler & Bolles 1981): 5-point conics
-through seeded subsets of the edge points, each scored by how many points lie
-within 1.5 px of it in Sampson distance (Sampson 1982), and the largest such
-set refitted by AMS.  The first prune uses the consensus fit of the very
-points the plain fit saw, so most of the protrusion goes in the first round.
-"""
+fit leans toward a protrusion, so every ellipse in the loop, the first
+prune's included, is ``ellipse.fit_consensus``'s.  The loop ends after the
+first round whose prune removes no pixel, as every later round would repeat
+it: the same mask, edge points and fit."""
 
 from __future__ import annotations
 
@@ -21,20 +18,13 @@ from typing import Optional
 
 import numpy as np
 
-from . import dataprep, edges, ellipse as el, morphology
+from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
 # the closing kernel's largest side: closing loops over its ~w x h offsets
 MAX_KERNEL = 64
-
-# the consensus search: 5-point subsets drawn per fit, the Sampson distance
-# (px) within which a point supports a conic, and the sampling key's first word
-_CONSENSUS_SUBSETS = 32
-_CONSENSUS_INLIER_PX = 1.5
-_CONSENSUS_KEY = 0xE111
-# row j: the design columns left once column j is deleted, for the minors
-_MINOR_COLUMNS = np.array([[c for c in range(6) if c != j] for j in range(6)])
+MAX_PRUNE = 15  # the prune loop's round cap, a bound on its cost
 
 
 @dataclass(frozen=True)
@@ -42,14 +32,13 @@ class RefineParams:
     kernel_w: int = 10
     kernel_h: int = 10
     prune_distance: float = 3.0
-    max_prune: int = 15
     ellipse_accept_ratio: float = 0.20
 
     def __post_init__(self):
         if not (1 <= self.kernel_w <= MAX_KERNEL and 1 <= self.kernel_h <= MAX_KERNEL):
             raise ValueError(f"kernel size must lie in [1, {MAX_KERNEL}]")
-        if not 0.0 < self.prune_distance < math.inf or self.max_prune <= 0:
-            raise ValueError("prune_distance must be finite and positive, max_prune positive")
+        if not 0.0 < self.prune_distance < math.inf:
+            raise ValueError("prune_distance must be finite and positive")
         if not (0.0 < self.ellipse_accept_ratio < 1.0):
             raise ValueError("ellipse_accept_ratio must lie in (0, 1)")
 
@@ -156,48 +145,6 @@ def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     return pixel_centers(morphology.largest_component(edge_map), origin)
 
 
-def _consensus_fit(points: np.ndarray) -> el.Ellipse:
-    """AMS fit of the largest set of points within _CONSENSUS_INLIER_PX of one 5-point ellipse.
-
-    The search runs on the points centred and isotropically scaled, as the
-    AMS fit normalizes them.  Each subset's conic is the null vector of its
-    5 x 6 design matrix: entry j is the matrix's 5 x 5 minor without column
-    j, signed (-1)^j.  Conics that are not ellipses (b^2 - 4ac >= 0) are dropped, and with them the
-    zero conic of a subset that repeats an index.  A point lies within t of
-    conic Q when its Sampson distance |Q(p)| / |grad Q(p)| is at most t,
-    tested squared so that no gradient is divided by.  The subsets come from
-    a generator keyed by the point count, so equal points give equal fits.
-    The plain fit of all points stands in when no subset gives an ellipse or
-    the refit is degenerate.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    n = len(pts)
-    if n < 5:
-        return el.fit_ams(pts)  # raises DegenerateInputError
-    # edge points are distinct pixel centers, so five of them never coincide
-    centered = pts - pts.mean(axis=0)
-    scale = math.sqrt(2.0) / math.sqrt((centered**2).sum(axis=1).mean())
-    x, y = centered[:, 0] * scale, centered[:, 1] * scale
-    one, zero = np.ones_like(x), np.zeros_like(x)
-    design = np.column_stack([x * x, x * y, y * y, x, y, one])
-    subsets = design[dataprep.keyed_rng(_CONSENSUS_KEY, n).integers(0, n, size=(_CONSENSUS_SUBSETS, 5))]
-    # (K, 6, 5, 5): minor j of each subset drops design column j
-    minors = subsets[:, :, _MINOR_COLUMNS].transpose(0, 2, 1, 3)
-    conics = np.linalg.det(minors) * (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
-    conics = conics[conics[:, 1] ** 2 - 4.0 * conics[:, 0] * conics[:, 2] < 0.0]
-    if not len(conics):
-        return el.fit_ams(pts)
-    value = design @ conics.T
-    gx = np.column_stack([2.0 * x, y, zero, one, zero, zero]) @ conics.T
-    gy = np.column_stack([zero, x, 2.0 * y, zero, one, zero]) @ conics.T
-    inside = value**2 <= (_CONSENSUS_INLIER_PX * scale) ** 2 * (gx**2 + gy**2)
-    best = inside[:, int(inside.sum(axis=0).argmax())]
-    try:
-        return el.fit_ams(pts[best])
-    except DegenerateInputError:
-        return el.fit_ams(pts)
-
-
 def refine(
     raw: np.ndarray,
     params: RefineParams = RefineParams(),
@@ -237,16 +184,21 @@ def refine(
         fitted = el.fit_ams(points)
         e_win = el.raster_window(fitted, w, h)
         # the ellipse window may overrun the crop: its pixels there count as E-only
-        while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < params.max_prune:
+        while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < MAX_PRUNE:
             if iterations == 0:
                 # the plain fit that entered the loop leans toward the protrusion
-                fitted = _consensus_fit(points)
-            s_mask = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
+                fitted = el.fit_consensus(points)
+            pruned = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
+            iterations += 1
+            if np.array_equal(pruned, s_mask):  # a fixed point: fitted is this mask's consensus fit
+                if iterations == 1:
+                    e_win = el.raster_window(fitted, w, h)  # e_win still holds the plain fit
+                break
+            s_mask = pruned
             # a pruned-away mask has no edges: _boundary_points raises NoEdgesError
             points = _boundary_points(s_mask, (x0, y0))
-            fitted = _consensus_fit(points)
+            fitted = el.fit_consensus(points)
             e_win = el.raster_window(fitted, w, h)
-            iterations += 1
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))
     # decision rule against the hole-closed (pre-prune) mask

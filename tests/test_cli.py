@@ -38,7 +38,7 @@ def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
 
 
 def make_protrusion_file(tmp_path):
-    """A frame whose PS prune loop runs to the cap, whether it is 1, 15 or 40 rounds."""
+    """A frame whose PS is pruned in two rounds, the second a no-op, and keeps its ellipse at a ratio of 0.057."""
     labels = phantom.render(phantom.random_scene(1, 256, 256))
     path = tmp_path / "frame0.pgm"
     write_label_mask(phantom.perturb(labels, phantom.Perturbation(holes=2, protrusions=1, seed=1)), path)
@@ -181,13 +181,13 @@ class TestMeasure:
         assert sorted(p.name for p in ov.iterdir()) == ["frame0.ppm", "r.csv"]
 
     def test_config_overridden_by_flag(self, tmp_path):
-        # on this protrusion frame max_prune 1 changes the row (see below)
+        # on this protrusion frame an accept ratio of 0.05 rejects the PS ellipse
         inp = make_protrusion_file(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"refine": {"max_prune": 1}}))
+        cfg.write_text(json.dumps({"refine": {"ellipse_accept_ratio": 0.05}}))
         reports = {}
         for name, argv in [
-            ("both", ["--config", str(cfg), "--max-prune", "15"]),
+            ("both", ["--config", str(cfg), "--ellipse-accept-ratio", "0.2"]),
             ("config", ["--config", str(cfg)]),
             ("default", []),
         ]:
@@ -199,13 +199,14 @@ class TestMeasure:
     @pytest.mark.parametrize(
         "config",
         [
-            {"refine": {"max_prune": "3"}},
+            {"refine": {"kernel_w": "3"}},
             {"refine": [1, 2]},
             [1],
-            {"refine": {"max_prun": 3}},
+            {"refine": {"prune_dist": 3}},
             {"refine": {"canny_max": 5}},  # a removed knob
-            {"refin": {"max_prune": 3}},  # a mistyped top-level key
+            {"refin": {"kernel_w": 3}},  # a mistyped top-level key
             {"ensemble_members": []},  # a removed top-level key
+            {"refine": {"max_prune": 15}},  # a removed knob: the prune loop ends at its fixed point
         ],
     )
     def test_bad_config_data_error(self, tmp_path, capsys, monkeypatch, config):
@@ -226,7 +227,7 @@ class TestMeasure:
     def test_bad_flag_value_usage(self, tmp_path):
         inp = make_scene_file(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["measure", str(inp), "--max-prune", "0", "--out", str(tmp_path / "r.csv")])
+            main(["measure", str(inp), "--ellipse-accept-ratio", "1", "--out", str(tmp_path / "r.csv")])
         assert exc.value.code == EXIT_USAGE
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
@@ -263,26 +264,36 @@ class TestMeasure:
 
     def test_removed_flag_usage(self, tmp_path):
         inp = make_scene_file(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["measure", str(inp), "--canny-min", "2", "--out", str(tmp_path / "r.csv")])
-        assert exc.value.code == EXIT_USAGE
+        for argv in (
+            ["measure", str(inp), "--canny-min", "2"],
+            ["measure", str(inp), "--max-prune", "2"],
+            ["metrics", "--pred", str(inp), "--gt", str(inp), "--max-prune", "2"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(tmp_path / "r.csv")])
+            assert exc.value.code == EXIT_USAGE
 
-    def test_max_prune_above_default_cap_reported(self, tmp_path):
-        # this frame's PS prune loop runs to any cap
+    def test_prune_loop_ends_at_its_fixed_point(self, tmp_path):
+        # the PS's second round prunes nothing, and the loop stops there
         inp = make_protrusion_file(tmp_path)
         out = tmp_path / "r.csv"
-        assert main(["measure", str(inp), "--max-prune", "40", "--out", str(out)]) == EXIT_OK
+        assert main(["measure", str(inp), "--out", str(out)]) == EXIT_OK
         header, row = out.read_text().splitlines()
         fields = dict(zip(header.split(","), row.split(",")))
-        assert int(fields["prune_iters_ps"]) > 15
+        assert (fields["prune_iters_ps"], fields["used_ellipse_ps"]) == ("2", "1")
+        r = measure_frame(read_label_mask(inp))
+        assert (r.aop_deg, r.hsd_px) == (162.68171151507087, 39.11521443121589)
 
     def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
         # the parser is built once per process; each call must parse afresh.
-        # On this frame --max-prune 40 changes the row (see the test above).
+        # On this frame --ellipse-accept-ratio 0.05 changes the row.
         inp = make_protrusion_file(tmp_path)
         labels = read_label_mask(inp)
         rows = []
-        for argv, params in [(["--max-prune", "40"], RefineParams(max_prune=40)), ([], RefineParams())]:
+        for argv, params in [
+            (["--ellipse-accept-ratio", "0.05"], RefineParams(ellipse_accept_ratio=0.05)),
+            ([], RefineParams()),
+        ]:
             want = tmp_path / "want.csv"
             write_report_csv([("frame0", measure_frame(labels, params))], want)
             out = tmp_path / "r.csv"
@@ -1022,7 +1033,6 @@ _REFINE_VALUES = {
     "kernel_w": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
     "kernel_h": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
     "prune_distance": (st.floats(0.5, 10.0), st.sampled_from([0, -1.0, 1e308, "3", None])),
-    "max_prune": (st.integers(1, 40), st.sampled_from([0, True, 2.5])),
     "ellipse_accept_ratio": (st.floats(0.01, 0.99), st.sampled_from([0, 1, "0.2"])),
 }
 
@@ -1037,7 +1047,7 @@ def refine_config(draw):
         key = draw(st.sampled_from(list(_REFINE_VALUES)))
         refine[key] = draw(_REFINE_VALUES[key][1])
     elif bad == 1:
-        refine[draw(st.sampled_from(["max_prun", "canny_min", "kernel"]))] = 3
+        refine[draw(st.sampled_from(["prune_dist", "canny_min", "kernel"]))] = 3
     config = {"refine": refine}
     if draw(st.booleans()):
         config["augment"] = {}
@@ -1070,7 +1080,7 @@ def metrics_request(draw, d):
         (d / "cfg.json").write_text(json.dumps(draw(refine_config())))
         argv += ["--config", str(d / "cfg.json")]
     if draw(st.booleans()):
-        argv.append(f"--max-prune={sometimes(draw, st.integers(-1, 0), st.integers(1, 40))}")
+        argv.append(f"--kernel-w={sometimes(draw, st.sampled_from([-1, 0, 65]), st.integers(1, 12))}")
     return [*argv, "--out", str(out)], out
 
 

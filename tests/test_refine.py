@@ -16,7 +16,7 @@ from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, FormatEr
 from fetalbiometry.io_formats import dataclass_from_json
 from fetalbiometry.metrics import dice
 from fetalbiometry.raster import FH, PS, mask_set_counts
-from fetalbiometry.refine import RefinedShape, RefineParams, protrusion_ratio, prune, refine
+from fetalbiometry.refine import MAX_PRUNE, RefinedShape, RefineParams, protrusion_ratio, prune, refine
 
 
 def class_mask(labels: np.ndarray, c: int) -> np.ndarray:
@@ -32,7 +32,8 @@ refine_mod = importlib.import_module("fetalbiometry.refine")
 # component, then ran closing, Canny, chains, prune and the ratios on the
 # whole frame.  The cropped production code must match it field for field.
 # It runs the same consensus search as refine: what it checks is that crop
-# and full frame agree, not the search itself.
+# and full frame agree, not the search itself.  Its loop ends as refine's
+# does, after the first round whose prune removes no pixel.
 def _ref_boundary_points(mask):
     edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
@@ -58,14 +59,18 @@ def ref_refine(raw, params=RefineParams()):
     iterations = 0
     try:
         fitted, e_mask = _ref_fit(s_mask, el.fit_ams)
-        while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < params.max_prune:
+        while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < MAX_PRUNE:
             if iterations == 0:
-                fitted = refine_mod._consensus_fit(_ref_boundary_points(s_mask))
-            s_mask = prune(s_mask, fitted, params.prune_distance)
+                fitted = el.fit_consensus(_ref_boundary_points(s_mask))
+            pruned = prune(s_mask, fitted, params.prune_distance)
+            iterations += 1
+            if np.array_equal(pruned, s_mask):
+                e_mask = el.rasterize(fitted, w, h)
+                break
+            s_mask = pruned
             if not s_mask.any():
                 raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_mask = _ref_fit(s_mask, refine_mod._consensus_fit)
-            iterations += 1
+            fitted, e_mask = _ref_fit(s_mask, el.fit_consensus)
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, (0, 0, w, h), (w, h))
     only_e, _, _ = mask_set_counts(e_mask, closed)
@@ -90,25 +95,30 @@ class TestParams:
         p = RefineParams()
         assert (p.kernel_w, p.kernel_h) == (10, 10)
         assert p.prune_distance == 3.0
-        assert p.max_prune == 15
         assert p.ellipse_accept_ratio == 0.20
+        assert [f.name for f in dataclasses.fields(p)] == [
+            "kernel_w",
+            "kernel_h",
+            "prune_distance",
+            "ellipse_accept_ratio",
+        ]
 
     def test_dict_round_trip(self):
-        p = RefineParams(kernel_w=6, max_prune=9)
+        p = RefineParams(kernel_w=6, prune_distance=2.5)
         assert dataclass_from_json(RefineParams, dataclasses.asdict(p)) == p
 
     @pytest.mark.parametrize(
         "d",
         [
-            {"max_prune": "3"},
-            {"max_prune": 3.0},
-            {"max_prune": True},
+            {"kernel_w": "3"},
+            {"kernel_w": 3.0},
+            {"kernel_w": True},
             {"prune_distance": None},
             {"prune_distance": float("nan")},
             {"prune_distance": 10**400},
-            {"max_prun": 3},
+            {"prune_dist": 3},
             {"canny_min": 2.0},  # a removed knob is an unknown key
-            {"max_prune": 0},
+            {"max_prune": 15},  # a removed knob
             [1, 2],
         ],
     )
@@ -117,8 +127,8 @@ class TestParams:
             dataclass_from_json(RefineParams, d)
 
     def test_from_dict_takes_int_for_float(self):
-        p = dataclass_from_json(RefineParams, {"prune_distance": 4, "max_prune": 7})
-        assert p == RefineParams(prune_distance=4.0, max_prune=7)
+        p = dataclass_from_json(RefineParams, {"prune_distance": 4, "kernel_w": 7})
+        assert p == RefineParams(prune_distance=4.0, kernel_w=7)
         assert type(p.prune_distance) is float
 
     def test_invalid(self):
@@ -136,7 +146,8 @@ class TestParams:
 
 
 def _shape_fields(r):
-    return r.closed_mask.tobytes(), r.ellipse, r.used_ellipse, r.prune_iterations, r.final_ratio
+    """The refined shape without its prune count: a knob that changes only how many rounds run is dead."""
+    return r.closed_mask.tobytes(), r.ellipse, r.used_ellipse, r.final_ratio
 
 
 # one non-default, in-range value per RefineParams field
@@ -144,7 +155,6 @@ _KNOB_VALUES = {
     "kernel_w": 5,
     "kernel_h": 5,
     "prune_distance": 1.5,
-    "max_prune": 1,
     "ellipse_accept_ratio": 0.05,
 }
 
@@ -154,7 +164,7 @@ class TestEveryKnobActs:
 
     @pytest.fixture(scope="class")
     def mask(self):
-        # the PS of this scene is pruned to the 15-round cap and keeps its ellipse at a ratio of 0.057
+        # the PS of this scene is pruned in two rounds, the second a no-op, and keeps its ellipse at a ratio of 0.057
         labels = phantom.perturb(
             phantom.render(phantom.random_scene(1, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=1)
         )
@@ -341,7 +351,7 @@ def _arc(w, h, cx, cy, r, thickness, start_deg, span_deg):
 @st.composite
 def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
     """Binary masks of the given kinds on small frames, often touching the
-    border, with kernels of 1..13 (odd and even) and prune caps of 1..15."""
+    border, with kernels of 1..13, odd and even."""
     h = draw(st.integers(8, 64))
     w = draw(st.integers(8, 64))
     kind = draw(st.sampled_from(kinds))
@@ -375,11 +385,7 @@ def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
                 m[y : y + draw(st.integers(2, 8)), x : x + draw(st.integers(5, 40))] = 1
     if not m.any():
         m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
-    params = RefineParams(
-        kernel_w=draw(st.integers(1, 13)),
-        kernel_h=draw(st.integers(1, 13)),
-        max_prune=draw(st.integers(1, 15)),
-    )
+    params = RefineParams(kernel_w=draw(st.integers(1, 13)), kernel_h=draw(st.integers(1, 13)))
     return m, params
 
 
@@ -445,12 +451,12 @@ class TestConsensusFit:
 
     def test_recovers_the_ellipse_under_a_spur(self):
         pts = self.spurred_points()
-        assert self.miss(refine_mod._consensus_fit(pts), self.TRUTH) < 0.5
+        assert self.miss(el.fit_consensus(pts), self.TRUTH) < 0.5
         assert self.miss(el.fit_ams(pts), self.TRUTH) > 2.0
 
     def test_same_points_same_fit(self):
         pts = self.spurred_points()
-        assert refine_mod._consensus_fit(pts) == refine_mod._consensus_fit(pts.copy())
+        assert el.fit_consensus(pts) == el.fit_consensus(pts.copy())
 
     def test_no_elliptic_subset_falls_back_to_the_plain_fit(self, monkeypatch):
         # every 5 points of a hyperbola lie on that hyperbola alone
@@ -460,7 +466,7 @@ class TestConsensusFit:
         fitted = []
         fit_ams = el.fit_ams
         monkeypatch.setattr(el, "fit_ams", lambda p: fitted.append(len(p)) or fit_ams(p))
-        assert refine_mod._consensus_fit(pts) == want
+        assert el.fit_consensus(pts) == want
         assert fitted == [len(pts)]
 
 
@@ -469,8 +475,8 @@ class TestCallCounts:
     refine must keep calling them once per fit and once per prune round, and
     every AMS fit, the consensus refits included, through ``ellipse.fit_ams``."""
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_calls_per_structure(self, monkeypatch, seed):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         calls = {}
 
         def counted(module, name):
@@ -487,8 +493,15 @@ class TestCallCounts:
             (refine_mod, "protrusion_ratio"),
             (edges, "canny"),
             (el, "fit_ams"),
+            (el, "fit_consensus"),
+            (el, "raster_window"),
         ]:
             counted(module, name)
+        return calls
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_calls_per_structure(self, calls, seed):
+        # every prune round of these scenes removes a pixel
         labels = phantom.perturb(
             phantom.render(phantom.random_scene(seed, 256, 256)), phantom.Perturbation(protrusions=1, seed=seed)
         )
@@ -499,7 +512,86 @@ class TestCallCounts:
             n = r.prune_iterations
             pruned += n
             assert calls.get("prune", 0) == n
-            assert calls["protrusion_ratio"] == calls["canny"] == n + 1
+            assert calls["protrusion_ratio"] == calls["canny"] == calls["raster_window"] == n + 1
             # an entered loop refits the entry fit's points by consensus once more
+            assert calls.get("fit_consensus", 0) == n + (n > 0)
             assert calls["fit_ams"] == n + 1 + (n > 0)
         assert pruned > 0
+
+    def test_nothing_runs_after_a_round_that_prunes_nothing(self, calls):
+        # this PS's second round removes no pixel: no Canny, fit, raster or
+        # ratio test follows it
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(1, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=1)
+        )
+        calls.clear()  # rendering rasterizes
+        r = refine(morphology.largest_component(class_mask(labels, PS)))
+        assert r.prune_iterations == 2
+        assert calls == {
+            "prune": 2,
+            "protrusion_ratio": 2,
+            "canny": 2,
+            "raster_window": 2,
+            "fit_consensus": 2,
+            "fit_ams": 3,
+        }
+
+
+class TestPruneLoopEnd:
+    @staticmethod
+    def arc():
+        """The arc of test_arc_fit_overruns_the_crop: its fit overruns the arc, so the loop is entered."""
+        return _arc(160, 160, 80.0, 150.0, 60.0, 4.0, 220.0, 100.0)
+
+    def test_ends_after_the_first_round_that_prunes_nothing(self, monkeypatch):
+        removed = []
+
+        def counted(s, e, d, *, origin=(0, 0)):
+            out = prune(s, e, d, origin=origin)
+            removed.append(int(np.count_nonzero(s)) - int(np.count_nonzero(out)))
+            return out
+
+        monkeypatch.setattr(refine_mod, "prune", counted)
+        r = refine(self.arc())
+        assert r.prune_iterations == len(removed) == 2
+        assert removed[0] > 0 and removed[1] == 0
+
+    def test_a_loop_that_always_prunes_stops_at_the_cap(self, monkeypatch):
+        calls = []
+
+        def drop_one(s, e, d, *, origin=(0, 0)):
+            calls.append(origin)
+            out = s.copy()
+            out.flat[np.flatnonzero(s)[0]] = 0
+            return out
+
+        monkeypatch.setattr(refine_mod, "prune", drop_one)
+        r = refine(self.arc())
+        assert MAX_PRUNE == 15
+        assert len(calls) == r.prune_iterations == MAX_PRUNE
+
+    def test_a_round_that_ends_in_an_error_is_counted(self, monkeypatch):
+        calls = []
+
+        def empty(s, e, d, *, origin=(0, 0)):
+            calls.append(origin)
+            return np.zeros_like(s)
+
+        monkeypatch.setattr(refine_mod, "prune", empty)
+        # an emptied mask has no edges to fit
+        r = refine(self.arc())
+        assert r.ellipse is None
+        assert len(calls) == r.prune_iterations == 1
+
+    def test_a_no_op_first_round_decides_on_the_consensus_fit(self):
+        # the plain fit enters the loop, and its consensus refit prunes nothing
+        r = refine(ellipse_mask(33, 16, 27, 6, 61, 64, 64))
+        closed = r.closed_mask
+        plain = el.fit_ams(_ref_boundary_points(closed))
+        assert r.prune_iterations == 1 and r.ellipse != plain
+
+        def excess(e):
+            only_e, only_s, both = mask_set_counts(rasterize(e, 64, 64), closed)
+            return only_e / (only_s + both)
+
+        assert r.final_ratio == excess(r.ellipse) != excess(plain)
