@@ -4,13 +4,12 @@ measurement, ensembling, evaluation metrics and synthetic phantom oracles."""
 from .biometry import BiometryResult, measure_frame
 from .ellipse import Ellipse, fit_ams
 from .phantom import PhantomScene, analytic_biometry, random_scene, render
-from .refine import RefineParams, RefinedShape, refine
+from .refine import RefinedShape, refine
 
 __all__ = [
     "BiometryResult",
     "Ellipse",
     "PhantomScene",
-    "RefineParams",
     "RefinedShape",
     "analytic_biometry",
     "fit_ams",

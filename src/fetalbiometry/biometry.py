@@ -27,7 +27,7 @@ from .raster import (
     pixel_centers,
     validate_label_mask,
 )
-from .refine import RefineParams, RefinedShape, refine
+from .refine import RefinedShape, refine
 
 _AXIS_TIE_TOL = 1e-9
 
@@ -109,7 +109,7 @@ def _diameter_endpoints(points: np.ndarray) -> tuple[Point, Point]:
     d = ((hull[None] - hull[:, None]) ** 2).sum(axis=2)
     i, j = np.unravel_index(int(np.argmax(d)), d.shape)
     a, b = sorted((hull[i], hull[j]), key=lambda p: (p[1], p[0]))
-    return Point(*a), Point(*b)
+    return Point(*a.tolist()), Point(*b.tolist())
 
 
 def _orient(p1: Point, p2: Point, fh_centroid: Point) -> tuple[Point, Point]:
@@ -192,23 +192,21 @@ def _class_window(labels: np.ndarray, c: int) -> tuple[int, int, np.ndarray]:
     return win
 
 
-def measure_frame(labels: np.ndarray, params: RefineParams = RefineParams()) -> BiometryResult:
+def measure_frame(labels: np.ndarray) -> BiometryResult:
     """Full per-frame measurement: refinement (component filter included), AoP and HSD."""
-    result, _, _ = measure_frame_detailed(labels, params)
+    result, _, _ = measure_frame_detailed(labels)
     return result
 
 
-def measure_frame_detailed(
-    labels: np.ndarray, params: RefineParams = RefineParams()
-) -> tuple[BiometryResult, RefinedShape, RefinedShape]:
+def measure_frame_detailed(labels: np.ndarray) -> tuple[BiometryResult, RefinedShape, RefinedShape]:
     """As measure_frame, but also returns the refined PS and FH shapes."""
     labels = validate_label_mask(labels)
     frame = (labels.shape[1], labels.shape[0])
     # the class boxes are the only full-frame reads; all else runs in windows
     ps_x, ps_y, ps_win = _class_window(labels, PS)
     fh_x, fh_y, fh_win = _class_window(labels, FH)
-    ps_ref = refine(ps_win, params, origin=(ps_x, ps_y), frame=frame)
-    fh_ref = refine(fh_win, params, origin=(fh_x, fh_y), frame=frame)
+    ps_ref = refine(ps_win, origin=(ps_x, ps_y), frame=frame)
+    fh_ref = refine(fh_win, origin=(fh_x, fh_y), frame=frame)
 
     fh_centroid = centroid(*fh_ref.closed_window)
     proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)

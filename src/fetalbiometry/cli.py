@@ -22,7 +22,6 @@ import numpy as np
 from . import dataprep, ensemble, io_formats, metrics, overlay, phantom
 from .biometry import measure_frame, measure_frame_detailed
 from .errors import FetalBiometryError, FormatError, MemberError
-from .refine import RefineParams
 
 EXIT_OK = 0
 EXIT_PARTIAL = 2
@@ -37,17 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-# the config file's top-level keys, each the parameter object of the subcommands that read it
-_CONFIG_KEYS = ("refine", "augment")
+# the config file's top-level keys: augment's parameter object is the only one
+_CONFIG_KEYS = ("augment",)
 
 
-def _params(cls, key, args):
-    """The ``cls`` parameters: the --config file's ``key`` object, then the
-    flags given for its fields on top of it.
+def _augment_params(args) -> dataprep.AugmentParams:
+    """The --config file's ``augment`` object, then --seed on top of it.
 
     A config that cannot be read, holds a top-level key other than
-    ``_CONFIG_KEYS`` or a bad ``key`` object raises FormatError (exit 65); a
-    flag value the class rejects exits 64.
+    ``_CONFIG_KEYS`` or a bad ``augment`` object raises FormatError (exit 65).
     """
     config = {}
     if args.config is not None:
@@ -61,13 +58,8 @@ def _params(cls, key, args):
         unknown = ", ".join(k for k in config if k not in _CONFIG_KEYS)
         if unknown:
             raise FormatError(f"unknown config key(s) in {args.config}: {unknown}; expected {', '.join(_CONFIG_KEYS)}")
-    params = io_formats.dataclass_from_json(cls, config.get(key, {}))
-    flags = {f.name: v for f in dataclasses.fields(params) if (v := getattr(args, f.name, None)) is not None}
-    try:
-        return dataclasses.replace(params, **flags)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+    params = io_formats.dataclass_from_json(dataprep.AugmentParams, config.get("augment", {}))
+    return params if args.seed is None else dataclasses.replace(params, seed=args.seed)
 
 
 def _require_dirs(*paths) -> None:
@@ -103,7 +95,6 @@ def _load_labels(path):
 def cmd_measure(args) -> int:
     """Measure the inputs one at a time; only each frame's report row is kept.
     --jobs is accepted and ignored."""
-    params = _params(RefineParams, "refine", args)
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
         print("error: no inputs given", file=sys.stderr)
@@ -122,7 +113,7 @@ def cmd_measure(args) -> int:
     for path in inputs:
         try:
             labels = _load_labels(path)
-            res, ps_ref, fh_ref = measure_frame_detailed(labels, params)
+            res, ps_ref, fh_ref = measure_frame_detailed(labels)
             rows.append((path.stem, res))
         except (FetalBiometryError, OSError, ValueError) as e:
             print(f"error: {path}: {e}", file=sys.stderr)
@@ -191,7 +182,6 @@ def cmd_metrics(args) -> int:
     if not (args.scores or args.pred):
         print("error: nothing to evaluate: give --scores, or --pred with --gt", file=sys.stderr)
         return EXIT_USAGE
-    params = _params(RefineParams, "refine", args)
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
     failed = False
     if args.scores:
@@ -222,8 +212,8 @@ def cmd_metrics(args) -> int:
             for k in seg_scores:
                 seg_scores[k].append(s["mean"][k])
             try:
-                rp = measure_frame(pred, params)
-                rg = measure_frame(gt, params)
+                rp = measure_frame(pred)
+                rg = measure_frame(gt)
                 da, dh = metrics.biometry_delta(rp, rg)
                 d_aops.append(da)
                 d_hsds.append(dh)
@@ -311,7 +301,7 @@ def cmd_augment(args) -> int:
     if args.mask_out and not args.mask:
         print("error: --mask-out needs --mask", file=sys.stderr)
         return EXIT_USAGE
-    p = _params(dataprep.AugmentParams, "augment", args)
+    p = _augment_params(args)
     img = dataprep.normalize_intensity(_read(io_formats.read_greymap, args.image))
     mask = _read(io_formats.read_label_mask, args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, p, args.index)
@@ -365,12 +355,6 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _add_refine_flags(parser) -> None:
-    """One optional flag per RefineParams field, typed like its default."""
-    for f in dataclasses.fields(RefineParams):
-        parser.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=type(f.default))
-
-
 @functools.cache
 def build_parser() -> _Parser:
     """The argument parser, built on first use and reused: parse_args starts
@@ -380,11 +364,9 @@ def build_parser() -> _Parser:
 
     m = sub.add_parser("measure", help="measure AoP/HSD over mask or probability-map files")
     m.add_argument("inputs", nargs="*")
-    m.add_argument("--config")
     m.add_argument("--out", required=True)
     m.add_argument("--jobs", type=int, default=1, help="ignored: frames are measured one at a time")
     m.add_argument("--emit-overlays", metavar="DIR")
-    _add_refine_flags(m)
     m.set_defaults(func=cmd_measure)
 
     e = sub.add_parser("ensemble", help="average (or vote) probability-map members")
@@ -398,9 +380,7 @@ def build_parser() -> _Parser:
     t.add_argument("--pred", nargs="*")
     t.add_argument("--gt", nargs="*")
     t.add_argument("--scores", help="CSV of video_id,frame_index,score,label")
-    t.add_argument("--config")
     t.add_argument("--out", required=True)
-    _add_refine_flags(t)
     t.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("phantom", help="generate synthetic scenes with analytic biometry")

@@ -177,7 +177,7 @@ def fit_ams(points: np.ndarray) -> Ellipse:
         e = _conic_to_ellipse(_direct_conic(xn, yn))
     # undo normalization: x_n = (x - mx) * s, y_n = (y - my) * s
     cx, cy = e.cx / scale + mean[0], e.cy / scale + mean[1]
-    return Ellipse(float(cx), float(cy), e.a / scale, e.b / scale, e.theta_deg)
+    return Ellipse(float(cx), float(cy), float(e.a / scale), float(e.b / scale), e.theta_deg)
 
 
 def fit_consensus(points: np.ndarray) -> Ellipse:

@@ -46,12 +46,8 @@ class StructuringElement:
         return max(max(abs(dx), abs(dy)) for dx, dy in self.offsets)
 
 
-@functools.lru_cache(maxsize=32)
 def elliptical_kernel(w: int, h: int) -> StructuringElement:
-    """Filled discrete ellipse inscribed in a w x h box (row-span rasterization).
-
-    Kernels are immutable, so one is built per size and shared by every caller.
-    """
+    """Filled discrete ellipse inscribed in a w x h box (row-span rasterization)."""
     if w < 1 or h < 1:
         raise ValueError(f"kernel size must be >= 1, got {w}x{h}")
     cx = (w - 1) / 2.0

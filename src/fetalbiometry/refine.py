@@ -22,25 +22,14 @@ from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
 
-# the closing kernel's largest side: closing loops over its ~w x h offsets
-MAX_KERNEL = 64
+# the paper's recipe: holes closed by a 10x10 elliptical kernel, pixels
+# pruned outside the fitted ellipse grown by 3 px per semi-axis, and the
+# ellipse kept when its pixels outside the closed mask are under 20% of the
+# mask's area
+CLOSING_KERNEL = morphology.elliptical_kernel(10, 10)
+PRUNE_DISTANCE = 3.0
+ELLIPSE_ACCEPT_RATIO = 0.20
 MAX_PRUNE = 15  # the prune loop's round cap, a bound on its cost
-
-
-@dataclass(frozen=True)
-class RefineParams:
-    kernel_w: int = 10
-    kernel_h: int = 10
-    prune_distance: float = 3.0
-    ellipse_accept_ratio: float = 0.20
-
-    def __post_init__(self):
-        if not (1 <= self.kernel_w <= MAX_KERNEL and 1 <= self.kernel_h <= MAX_KERNEL):
-            raise ValueError(f"kernel size must lie in [1, {MAX_KERNEL}]")
-        if not 0.0 < self.prune_distance < math.inf:
-            raise ValueError("prune_distance must be finite and positive")
-        if not (0.0 < self.ellipse_accept_ratio < 1.0):
-            raise ValueError("ellipse_accept_ratio must lie in (0, 1)")
 
 
 @dataclass
@@ -98,9 +87,7 @@ def prune(s: np.ndarray, e: el.Ellipse, d: float, *, origin: tuple[int, int] = (
     return out
 
 
-def _crop_box(
-    core: tuple[int, int, np.ndarray], frame: tuple[int, int], kernel: morphology.StructuringElement
-) -> tuple[int, int, int, int]:
+def _crop_box(core: tuple[int, int, np.ndarray], frame: tuple[int, int]) -> tuple[int, int, int, int]:
     """(x0, y0, x1, y1) of the box in which closing and Canny of a mask are exact.
 
     core is the (x0, y0, window) of the mask's bounding box B on the
@@ -116,7 +103,7 @@ def _crop_box(
     image edge and "outside = background" holds as before.
     """
     x, y, m = core
-    pad = max(kernel.reach, 1)
+    pad = max(CLOSING_KERNEL.reach, 1)
     w, h = frame
     return max(0, x - pad), max(0, y - pad), min(w, x + m.shape[1] + pad), min(h, y + m.shape[0] + pad)
 
@@ -147,12 +134,16 @@ def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
 
 def refine(
     raw: np.ndarray,
-    params: RefineParams = RefineParams(),
     *,
     origin: tuple[int, int] = (0, 0),
     frame: Optional[tuple[int, int]] = None,
 ) -> RefinedShape:
     """Run the component / closing / fitting / pruning / decision sequence on one structure.
+
+    The recipe is the paper's, at this module's constants: closing with
+    ``CLOSING_KERNEL``, pruning by ``PRUNE_DISTANCE`` for at most
+    ``MAX_PRUNE`` rounds, and the ellipse-vs-mask decision at
+    ``ELLIPSE_ACCEPT_RATIO``.
 
     raw is a window of a (width, height) frame, its pixel (0, 0) at origin;
     by default the frame is raw itself.  Only raw's largest 8-connected
@@ -169,11 +160,10 @@ def refine(
     core = bounding_window(raw, origin)
     if core is None:
         raise EmptyShapeError("cannot refine an empty mask")
-    kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
-    box = _crop_box(core, (w, h), kernel)
+    box = _crop_box(core, (w, h))
     x0, y0 = box[:2]
     crop = paste(core, box)
-    closed = morphology.close(crop, kernel)
+    closed = morphology.close(crop, CLOSING_KERNEL)
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border
         closed = crop
@@ -188,7 +178,7 @@ def refine(
             if iterations == 0:
                 # the plain fit that entered the loop leans toward the protrusion
                 fitted = el.fit_consensus(points)
-            pruned = prune(s_mask, fitted, params.prune_distance, origin=(x0, y0))
+            pruned = prune(s_mask, fitted, PRUNE_DISTANCE, origin=(x0, y0))
             iterations += 1
             if np.array_equal(pruned, s_mask):  # a fixed point: fitted is this mask's consensus fit
                 if iterations == 1:
@@ -204,5 +194,5 @@ def refine(
     # decision rule against the hole-closed (pre-prune) mask
     only_e, only_s, both = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
     ratio = only_e / (only_s + both)
-    used = ratio < params.ellipse_accept_ratio
+    used = ratio < ELLIPSE_ACCEPT_RATIO
     return RefinedShape(closed, fitted, used, iterations, ratio, box, (w, h))

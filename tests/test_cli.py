@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import dataclasses
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fetalbiometry import cli, io_formats, morphology, phantom
+from fetalbiometry import cli, io_formats, phantom
 from fetalbiometry.biometry import measure_frame, measure_frame_detailed
 from fetalbiometry.dataprep import AugmentParams, sparse_sample
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
@@ -24,10 +25,8 @@ from fetalbiometry.io_formats import (
     write_greymap,
     write_label_mask,
     write_prob_map,
-    write_report_csv,
 )
 from fetalbiometry.raster import PROB_SUM_TOL
-from fetalbiometry.refine import RefineParams
 
 
 def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
@@ -99,9 +98,9 @@ class TestMeasure:
         inputs = [make_scene_file(tmp_path, f"f{i}.pgm", seed=i + 1) for i in range(3)]
         calls = []
 
-        def spy(labels, params):
+        def spy(labels):
             calls.append((threading.get_ident(), labels))
-            return measure_frame_detailed(labels, params)
+            return measure_frame_detailed(labels)
 
         monkeypatch.setattr(cli, "measure_frame_detailed", spy)
         assert main(["measure", *map(str, inputs), "--jobs", "2", "--out", str(tmp_path / "r.csv")]) == EXIT_OK
@@ -180,98 +179,29 @@ class TestMeasure:
         assert main(["measure", str(inp), "--emit-overlays", str(ov), "--out", str(ov / "r.csv")]) == EXIT_OK
         assert sorted(p.name for p in ov.iterdir()) == ["frame0.ppm", "r.csv"]
 
-    def test_config_overridden_by_flag(self, tmp_path):
-        # on this protrusion frame an accept ratio of 0.05 rejects the PS ellipse
-        inp = make_protrusion_file(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"refine": {"ellipse_accept_ratio": 0.05}}))
-        reports = {}
-        for name, argv in [
-            ("both", ["--config", str(cfg), "--ellipse-accept-ratio", "0.2"]),
-            ("config", ["--config", str(cfg)]),
-            ("default", []),
-        ]:
-            out = tmp_path / f"{name}.csv"
-            assert main(["measure", str(inp), *argv, "--out", str(out)]) == EXIT_OK
-            reports[name] = out.read_bytes()
-        assert reports["both"] == reports["default"] != reports["config"]
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"refine": {"kernel_w": "3"}},
-            {"refine": [1, 2]},
-            [1],
-            {"refine": {"prune_dist": 3}},
-            {"refine": {"canny_max": 5}},  # a removed knob
-            {"refin": {"kernel_w": 3}},  # a mistyped top-level key
-            {"ensemble_members": []},  # a removed top-level key
-            {"refine": {"max_prune": 15}},  # a removed knob: the prune loop ends at its fixed point
-        ],
-    )
-    def test_bad_config_data_error(self, tmp_path, capsys, monkeypatch, config):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
+    def test_removed_flag_usage(self, tmp_path, monkeypatch):
+        # refinement runs at the paper's constants: its former flags, and the
+        # --config that held them, are usage errors raised before any input is read
         inp = make_scene_file(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
         calls = []
-        monkeypatch.setattr(cli, "_load_labels", lambda p: calls.append(p))
+        monkeypatch.setattr(io_formats, "read_label_mask", lambda p: calls.append(p))
         out = tmp_path / "r.csv"
-        rc = main(["measure", str(inp), "--config", str(cfg), "--out", str(out)])
-        assert rc == EXIT_DATA
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        for command in (["measure", str(inp)], ["metrics", "--pred", str(inp), "--gt", str(inp)]):
+            for flag in (
+                ["--canny-min", "2"],
+                ["--max-prune", "2"],
+                ["--kernel-w", "5"],
+                ["--kernel-h", "5"],
+                ["--prune-distance", "2.5"],
+                ["--ellipse-accept-ratio", "0.1"],
+                ["--config", str(cfg)],
+            ):
+                with pytest.raises(SystemExit) as exc:
+                    main([*command, *flag, "--out", str(out)])
+                assert exc.value.code == EXIT_USAGE, (command, flag)
         assert calls == [] and not out.exists()
-        if isinstance(config, dict):  # an unknown top-level key is named
-            assert all(key in err for key in set(config) - {"refine"})
-
-    def test_bad_flag_value_usage(self, tmp_path):
-        inp = make_scene_file(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["measure", str(inp), "--ellipse-accept-ratio", "1", "--out", str(tmp_path / "r.csv")])
-        assert exc.value.code == EXIT_USAGE
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0"])
-    def test_non_finite_prune_distance_usage(self, tmp_path, monkeypatch, value):
-        inp = make_scene_file(tmp_path)
-        calls = []
-        monkeypatch.setattr(cli, "_load_labels", lambda p: calls.append(p))
-        out = tmp_path / "r.csv"
-        with pytest.raises(SystemExit) as exc:
-            main(["measure", str(inp), "--prune-distance", value, "--out", str(out)])
-        assert exc.value.code == EXIT_USAGE
-        assert calls == [] and not out.exists()
-
-    @pytest.mark.parametrize("argv, code", [
-        (["--kernel-w", "65"], EXIT_USAGE),
-        (["--kernel-h", "100000"], EXIT_USAGE),
-        (["--config", "{cfg}"], EXIT_DATA),
-    ])
-    def test_kernel_above_its_bound_builds_no_kernel(self, tmp_path, capsys, monkeypatch, argv, code):
-        # a kernel's cost grows with w x h: one past the bound is refused before any is built
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"refine": {"kernel_w": 65}}))
-        inp = make_scene_file(tmp_path)
-
-        def fail(w, h):
-            raise AssertionError("a kernel was built")
-
-        monkeypatch.setattr(morphology, "elliptical_kernel", fail)
-        out = tmp_path / "r.csv"
-        rc, err = run_cli(["measure", str(inp), *[a.format(cfg=cfg) for a in argv], "--out", str(out)])
-        assert rc == code, err
-        assert "kernel size must lie in [1, 64]" in err
-        assert not out.exists()
-
-    def test_removed_flag_usage(self, tmp_path):
-        inp = make_scene_file(tmp_path)
-        for argv in (
-            ["measure", str(inp), "--canny-min", "2"],
-            ["measure", str(inp), "--max-prune", "2"],
-            ["metrics", "--pred", str(inp), "--gt", str(inp), "--max-prune", "2"],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--out", str(tmp_path / "r.csv")])
-            assert exc.value.code == EXIT_USAGE
 
     def test_prune_loop_ends_at_its_fixed_point(self, tmp_path):
         # the PS's second round prunes nothing, and the loop stops there
@@ -285,22 +215,14 @@ class TestMeasure:
         assert (r.aop_deg, r.hsd_px) == (162.68171151507087, 39.11521443121589)
 
     def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
-        # the parser is built once per process; each call must parse afresh.
-        # On this frame --ellipse-accept-ratio 0.05 changes the row.
-        inp = make_protrusion_file(tmp_path)
-        labels = read_label_mask(inp)
-        rows = []
-        for argv, params in [
-            (["--ellipse-accept-ratio", "0.05"], RefineParams(ellipse_accept_ratio=0.05)),
-            ([], RefineParams()),
-        ]:
-            want = tmp_path / "want.csv"
-            write_report_csv([("frame0", measure_frame(labels, params))], want)
-            out = tmp_path / "r.csv"
-            assert main(["measure", str(inp), *argv, "--out", str(out)]) == EXIT_OK
-            assert out.read_bytes() == want.read_bytes()
-            rows.append(out.read_bytes())
-        assert rows[0] != rows[1]
+        # the parser is built once per process; each call must parse afresh
+        inp = make_scene_file(tmp_path)
+        ov = tmp_path / "ov"
+        assert main(["measure", str(inp), "--emit-overlays", str(ov), "--out", str(tmp_path / "a.csv")]) == EXIT_OK
+        (ov / "frame0.ppm").unlink()
+        assert main(["measure", str(inp), "--out", str(tmp_path / "b.csv")]) == EXIT_OK
+        assert not any(ov.iterdir())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 # a measurable 64x64 frame
@@ -783,6 +705,34 @@ class TestAugmentConfig:
     def test_each_key_changes_the_output(self, run, key):
         assert run({**ALL_ON, key: CHANGED[key]}) != run(ALL_ON)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"augment": {"seed": "3"}},
+            {"augment": [1, 2]},
+            [1],
+            {"augment": {"see": 3}},
+            {"refine": {"kernel_w": 10}},  # a removed section: refinement has no settings
+            {"augmen": {"seed": 3}},  # a mistyped top-level key
+            {"ensemble_members": []},  # a removed top-level key
+            {"augment": {}, "refine": {}},
+        ],
+    )
+    def test_bad_config_data_error(self, tmp_path, capsys, monkeypatch, config):
+        src = tmp_path / "img.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        calls = []
+        monkeypatch.setattr(io_formats, "read_greymap", lambda p: calls.append(p))
+        out = tmp_path / "a.pgm"
+        assert main(["augment", "--image", str(src), "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert calls == [] and not out.exists()
+        if isinstance(config, dict):  # an unknown top-level key is named
+            assert all(key in err for key in set(config) - {"augment"})
+
     def test_seed_flag_beats_the_config(self, run):
         assert run({**ALL_ON, "seed": 5}, "--seed", "7") == run({**ALL_ON, "seed": 7})
         assert run({**ALL_ON, "seed": 5}, "--seed", "7") != run({**ALL_ON, "seed": 5})
@@ -1028,34 +978,6 @@ def scores_csv(draw):
     return "\n".join(rows).encode() + sometimes(draw, st.just(b"\xff\n"), st.sampled_from([b"", b"\n"]))
 
 
-# RefineParams values: valid ones, and ones past their edges or mistyped
-_REFINE_VALUES = {
-    "kernel_w": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
-    "kernel_h": (st.integers(1, 12), st.sampled_from([0, 65, "3", 2.0])),
-    "prune_distance": (st.floats(0.5, 10.0), st.sampled_from([0, -1.0, 1e308, "3", None])),
-    "ellipse_accept_ratio": (st.floats(0.01, 0.99), st.sampled_from([0, 1, "0.2"])),
-}
-
-
-@st.composite
-def refine_config(draw):
-    """A config object: some refine keys, at times a bad value, an unknown
-    refine key or an unknown top-level key, and at times an augment object."""
-    refine = {k: draw(good) for k, (good, _) in _REFINE_VALUES.items() if draw(st.booleans())}
-    bad = draw(st.sampled_from([None] * 7 + [0, 1, 2]))
-    if bad == 0:
-        key = draw(st.sampled_from(list(_REFINE_VALUES)))
-        refine[key] = draw(_REFINE_VALUES[key][1])
-    elif bad == 1:
-        refine[draw(st.sampled_from(["prune_dist", "canny_min", "kernel"]))] = 3
-    config = {"refine": refine}
-    if draw(st.booleans()):
-        config["augment"] = {}
-    if bad == 2:
-        config[draw(st.sampled_from(["refin", "ensemble_members", "Refine"]))] = {}
-    return config
-
-
 @st.composite
 def metrics_request(draw, d):
     """The argv of one `metrics` run under directory d, and the path it may write."""
@@ -1076,11 +998,6 @@ def metrics_request(draw, d):
         (preds if draw(st.booleans()) else gts).pop()
     if preds or gts or draw(st.booleans()):
         argv += ["--pred", *preds, "--gt", *gts]
-    if draw(st.booleans()):
-        (d / "cfg.json").write_text(json.dumps(draw(refine_config())))
-        argv += ["--config", str(d / "cfg.json")]
-    if draw(st.booleans()):
-        argv.append(f"--kernel-w={sometimes(draw, st.sampled_from([-1, 0, 65]), st.integers(1, 12))}")
     return [*argv, "--out", str(out)], out
 
 
@@ -1148,3 +1065,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["phantom"])
         assert exc.value.code == EXIT_USAGE
+
+
+# Every value a user can set: each subcommand's option strings, the config
+# file's top-level keys and the fields of its augment object (the keys of
+# CHANGED).  A new flag or key fails here until it is listed on purpose.
+SETTABLE = {
+    "measure": ["--emit-overlays", "--help", "--jobs", "--out", "-h"],
+    "ensemble": ["--decide-out", "--help", "--out", "--vote", "-h"],
+    "metrics": ["--gt", "--help", "--out", "--pred", "--scores", "-h"],
+    "phantom": ["--count", "--help", "--out-dir", "--perturb", "--seed", "--size", "-h"],
+    "augment": ["--config", "--help", "--image", "--index", "--mask", "--mask-out", "--out", "--seed", "-h"],
+    "sample": ["--help", "--nneg", "--npos", "--out", "--seed", "--videos", "-h"],
+}
+
+
+def test_settable_surface():
+    (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: sorted(o for a in p._actions for o in a.option_strings) for name, p in sub.choices.items()}
+    assert options == SETTABLE
+    assert cli._CONFIG_KEYS == ("augment",)
+    assert [f.name for f in dataclasses.fields(AugmentParams)] == list(CHANGED)

@@ -181,7 +181,20 @@ class TestAugment:
 
     @pytest.mark.parametrize(
         "d",
-        [{"gamma_range": [0.5]}, {"gamma_range": 0.5}, {"gamma_range": [0.5, "1"]}, {"seed": 1.5}, {"flip": 0.5}],
+        [
+            {"gamma_range": [0.5]},
+            {"gamma_range": 0.5},
+            {"gamma_range": [0.5, "1"]},
+            {"seed": 1.5},
+            {"flip": 0.5},
+            {"seed": "3"},
+            {"seed": 3.0},
+            {"seed": True},
+            {"flip_prob": None},
+            {"flip_prob": float("nan")},
+            {"rotate_range": 10**400},
+            [1, 2],
+        ],
     )
     def test_params_from_dict_rejects(self, d):
         with pytest.raises(FormatError):
@@ -189,6 +202,11 @@ class TestAugment:
 
     def test_params_from_dict_takes_lists(self):
         assert dataclass_from_json(AugmentParams, {"gamma_range": [0.5, 1]}) == AugmentParams(gamma_range=(0.5, 1.0))
+
+    def test_params_from_dict_takes_int_for_float(self):
+        p = dataclass_from_json(AugmentParams, {"rotate_range": 10, "seed": 7})
+        assert p == AugmentParams(rotate_range=10.0, seed=7)
+        assert type(p.rotate_range) is float
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):

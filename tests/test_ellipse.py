@@ -14,6 +14,7 @@ from fetalbiometry.ellipse import (
     contains,
     external_tangents,
     fit_ams,
+    fit_consensus,
     raster_window,
     rasterize,
 )
@@ -42,6 +43,12 @@ class TestFit:
         f = fit_ams(np.column_stack([np.cos(t), np.sin(t)]))
         assert abs(f.a - 1) < 1e-9 and abs(f.b - 1) < 1e-9
         assert abs(f.cx) < 1e-9 and abs(f.cy) < 1e-9
+
+    def test_fields_are_floats(self):
+        pts = sample_ellipse(Ellipse(100.0, 80.0, 50.0, 30.0, 20.0), 32)
+        for fit in (fit_ams, fit_consensus):
+            e = fit(pts)
+            assert [type(v) for v in (e.cx, e.cy, e.a, e.b, e.theta_deg)] == [float] * 5
 
     def test_collinear_error(self):
         pts = np.column_stack([np.arange(5.0), 2 * np.arange(5.0)])

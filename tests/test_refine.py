@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import math
 import pickle
@@ -12,11 +11,19 @@ from hypothesis.extra.numpy import arrays
 
 from fetalbiometry import edges, ellipse as el, morphology, phantom
 from fetalbiometry.ellipse import Ellipse, rasterize
-from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, FormatError, NoEdgesError
-from fetalbiometry.io_formats import dataclass_from_json
+from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from fetalbiometry.metrics import dice
 from fetalbiometry.raster import FH, PS, mask_set_counts
-from fetalbiometry.refine import MAX_PRUNE, RefinedShape, RefineParams, protrusion_ratio, prune, refine
+from fetalbiometry.refine import (
+    CLOSING_KERNEL,
+    ELLIPSE_ACCEPT_RATIO,
+    MAX_PRUNE,
+    PRUNE_DISTANCE,
+    RefinedShape,
+    protrusion_ratio,
+    prune,
+    refine,
+)
 
 
 def class_mask(labels: np.ndarray, c: int) -> np.ndarray:
@@ -46,12 +53,11 @@ def _ref_fit(mask, fit):
     return fitted, el.rasterize(fitted, w, h)
 
 
-def ref_refine(raw, params=RefineParams()):
+def ref_refine(raw):
     raw = morphology.largest_component(raw)
     if not raw.any():
         raise EmptyShapeError("cannot refine an empty mask")
-    kernel = morphology.elliptical_kernel(params.kernel_w, params.kernel_h)
-    closed = morphology.close(raw, kernel)
+    closed = morphology.close(raw, CLOSING_KERNEL)
     if not closed.any():
         closed = raw.copy()
     s_mask = closed.copy()
@@ -62,7 +68,7 @@ def ref_refine(raw, params=RefineParams()):
         while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < MAX_PRUNE:
             if iterations == 0:
                 fitted = el.fit_consensus(_ref_boundary_points(s_mask))
-            pruned = prune(s_mask, fitted, params.prune_distance)
+            pruned = prune(s_mask, fitted, PRUNE_DISTANCE)
             iterations += 1
             if np.array_equal(pruned, s_mask):
                 e_mask = el.rasterize(fitted, w, h)
@@ -76,7 +82,7 @@ def ref_refine(raw, params=RefineParams()):
     only_e, _, _ = mask_set_counts(e_mask, closed)
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
-    used = ratio < params.ellipse_accept_ratio
+    used = ratio < ELLIPSE_ACCEPT_RATIO
     return RefinedShape(closed, fitted, used, iterations, ratio, (0, 0, w, h), (w, h))
 
 
@@ -90,91 +96,9 @@ def assert_same_shape(got, want):
     assert got.final_ratio == want.final_ratio
 
 
-class TestParams:
-    def test_defaults(self):
-        p = RefineParams()
-        assert (p.kernel_w, p.kernel_h) == (10, 10)
-        assert p.prune_distance == 3.0
-        assert p.ellipse_accept_ratio == 0.20
-        assert [f.name for f in dataclasses.fields(p)] == [
-            "kernel_w",
-            "kernel_h",
-            "prune_distance",
-            "ellipse_accept_ratio",
-        ]
-
-    def test_dict_round_trip(self):
-        p = RefineParams(kernel_w=6, prune_distance=2.5)
-        assert dataclass_from_json(RefineParams, dataclasses.asdict(p)) == p
-
-    @pytest.mark.parametrize(
-        "d",
-        [
-            {"kernel_w": "3"},
-            {"kernel_w": 3.0},
-            {"kernel_w": True},
-            {"prune_distance": None},
-            {"prune_distance": float("nan")},
-            {"prune_distance": 10**400},
-            {"prune_dist": 3},
-            {"canny_min": 2.0},  # a removed knob is an unknown key
-            {"max_prune": 15},  # a removed knob
-            [1, 2],
-        ],
-    )
-    def test_from_dict_rejects(self, d):
-        with pytest.raises(FormatError):
-            dataclass_from_json(RefineParams, d)
-
-    def test_from_dict_takes_int_for_float(self):
-        p = dataclass_from_json(RefineParams, {"prune_distance": 4, "kernel_w": 7})
-        assert p == RefineParams(prune_distance=4.0, kernel_w=7)
-        assert type(p.prune_distance) is float
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            RefineParams(kernel_w=0)
-        for field in ("kernel_w", "kernel_h"):
-            assert getattr(RefineParams(**{field: 64}), field) == 64
-            with pytest.raises(ValueError, match=r"\[1, 64\]"):
-                RefineParams(**{field: 65})
-        with pytest.raises(ValueError):
-            RefineParams(ellipse_accept_ratio=1.5)
-        for d in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                RefineParams(prune_distance=d)
-
-
-def _shape_fields(r):
-    """The refined shape without its prune count: a knob that changes only how many rounds run is dead."""
-    return r.closed_mask.tobytes(), r.ellipse, r.used_ellipse, r.final_ratio
-
-
-# one non-default, in-range value per RefineParams field
-_KNOB_VALUES = {
-    "kernel_w": 5,
-    "kernel_h": 5,
-    "prune_distance": 1.5,
-    "ellipse_accept_ratio": 0.05,
-}
-
-
-class TestEveryKnobActs:
-    """A settable value that changes nothing is a dead flag and config key."""
-
-    @pytest.fixture(scope="class")
-    def mask(self):
-        # the PS of this scene is pruned in two rounds, the second a no-op, and keeps its ellipse at a ratio of 0.057
-        labels = phantom.perturb(
-            phantom.render(phantom.random_scene(1, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=1)
-        )
-        return morphology.largest_component(class_mask(labels, PS))
-
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RefineParams)])
-    def test_changes_the_refined_shape(self, mask, field):
-        assert field in _KNOB_VALUES, f"give RefineParams.{field} a value that must change refine"
-        params = dataclasses.replace(RefineParams(), **{field: _KNOB_VALUES[field]})
-        assert _shape_fields(refine(mask, params)) != _shape_fields(refine(mask))
+def test_the_papers_constants():
+    assert CLOSING_KERNEL.offsets == morphology.elliptical_kernel(10, 10).offsets
+    assert (PRUNE_DISTANCE, ELLIPSE_ACCEPT_RATIO, MAX_PRUNE) == (3.0, 0.20, 15)
 
 
 class TestProtrusionRatio:
@@ -350,8 +274,7 @@ def _arc(w, h, cx, cy, r, thickness, start_deg, span_deg):
 
 @st.composite
 def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
-    """Binary masks of the given kinds on small frames, often touching the
-    border, with kernels of 1..13, odd and even."""
+    """Binary masks of the given kinds on small frames, often touching the border."""
     h = draw(st.integers(8, 64))
     w = draw(st.integers(8, 64))
     kind = draw(st.sampled_from(kinds))
@@ -385,16 +308,14 @@ def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
                 m[y : y + draw(st.integers(2, 8)), x : x + draw(st.integers(5, 40))] = 1
     if not m.any():
         m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
-    params = RefineParams(kernel_w=draw(st.integers(1, 13)), kernel_h=draw(st.integers(1, 13)))
-    return m, params
+    return m
 
 
 class TestCropMatchesFullFrame:
     @settings(max_examples=250, deadline=None)
     @given(refine_inputs())
-    def test_every_field_equal(self, case):
-        m, params = case
-        assert_same_shape(refine(m, params), ref_refine(m, params))
+    def test_every_field_equal(self, m):
+        assert_same_shape(refine(m), ref_refine(m))
 
     def test_arc_fit_overruns_the_crop(self):
         # the fitted circle's pixels beyond the arc's box count as ellipse-only
@@ -419,8 +340,8 @@ class TestRefinesTheLargestComponent:
     """refine(m) is the refinement of m's largest component alone."""
 
     @staticmethod
-    def assert_refines_largest(m, params=RefineParams()):
-        got, want = refine(m, params), refine(morphology.largest_component(m), params)
+    def assert_refines_largest(m):
+        got, want = refine(m), refine(morphology.largest_component(m))
         assert_same_shape(got, want)
         assert got.box == want.box
 
@@ -430,8 +351,8 @@ class TestRefinesTheLargestComponent:
 
     @settings(max_examples=100, deadline=None)
     @given(refine_inputs(kinds=("blob",)))
-    def test_blobs(self, case):
-        self.assert_refines_largest(*case)
+    def test_blobs(self, m):
+        self.assert_refines_largest(m)
 
 
 class TestConsensusFit:

@@ -76,7 +76,7 @@ for _key in DEFS:
 
 
 def _scope(tree, path):
-    """Local name -> package module (``edges``) or definition key (``refine.RefineParams``)."""
+    """Local name -> package module (``edges``) or definition key (``refine.RefinedShape``)."""
     scope = {}
     if path.parent == PKG:
         mod = path.stem
