@@ -233,12 +233,15 @@ DEGENERATE_SETS = {
 
 
 def assert_matches_reference(pts):
-    """fit_ams takes the path the scipy solve would, and fits within 1e-9 px of it
-    per 10 px of semi-major axis (1e-9 px below that).
+    """fit_ams takes the path the scipy solve would, and is the ellipse of a
+    Taubin conic within 1e-10 of the scipy one (both of unit norm, signs
+    aligned).
 
-    The bound is relative because the reference errs relatively: against a
-    40-digit solve of the same pair, the scipy fit of a noisy 240-point arc
-    with a = 357 px is 1.9e-9 px off, and the numpy fit 8.6e-10 px.
+    The conics are compared, not the ellipses, because the map from conic to
+    ellipse is shared and can be ill-conditioned: eight noisy points on a
+    10 px arc fit a near-parabola with a = 1796 px whose two conics agree to
+    1.2e-15, while against a 50-digit solve of the same pair the scipy
+    ellipse is 4.3e-7 px off, and the numpy one 1.3e-7 px.
     """
     got, ref = fit_path(pts, _taubin_conic), fit_path(pts, ref_taubin_conic)
     assert got[0] == ref[0]
@@ -247,13 +250,33 @@ def assert_matches_reference(pts):
         assert isinstance(fitted, DegenerateInputError)
         return
     assert fitted == got[1]
-    g, r = got[1], ref[1]
-    assert max(abs(g.cx - r.cx), abs(g.cy - r.cy), abs(g.a - r.a), abs(g.b - r.b)) < 1e-10 * max(g.a, 10.0)
+    if got[0] == "direct":
+        assert got[1] == ref[1]
+        return
+    x, y, _, _ = normalized(pts)
+    g, r = (c / np.linalg.norm(c) for c in (_taubin_conic(x, y), ref_taubin_conic(x, y)))
+    assert np.abs(g - np.sign(g @ r) * r).max() < 1e-10
+
+
+# eight noisy points on a 10 px arc: the fit is a near-parabola
+NEAR_PARABOLA = np.array(
+    [
+        [-10.14166345, 1.75119556],
+        [-10.36415193, 1.66336156],
+        [-12.62431004, -0.26096474],
+        [-9.62225217, -0.35520855],
+        [-4.87780712, -1.44342702],
+        [-3.7896222, -6.07674084],
+        [-1.70632594, -4.21836088],
+        [-2.55668535, -6.68111769],
+    ]
+)
 
 
 class TestTaubinMatchesScipy:
     @settings(max_examples=300, deadline=None)
     @given(frame_point_sets())
+    @example(NEAR_PARABOLA)
     def test_same_fit(self, pts):
         assert_matches_reference(pts)
 
