@@ -8,7 +8,6 @@ Machine output goes to files; diagnostics to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import errno
 import functools
 import json
@@ -34,32 +33,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-
-
-# the config file's top-level keys: augment's parameter object is the only one
-_CONFIG_KEYS = ("augment",)
-
-
-def _augment_params(args) -> dataprep.AugmentParams:
-    """The --config file's ``augment`` object, then --seed on top of it.
-
-    A config that cannot be read, holds a top-level key other than
-    ``_CONFIG_KEYS`` or a bad ``augment`` object raises FormatError (exit 65).
-    """
-    config = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "rb") as f:
-                config = json.load(f)
-        except (OSError, ValueError) as e:  # ValueError: bad JSON or text encoding
-            raise FormatError(f"cannot read config {args.config}: {e}")
-        if not isinstance(config, dict):
-            raise FormatError(f"config {args.config} must hold a JSON object, got {type(config).__name__}")
-        unknown = ", ".join(k for k in config if k not in _CONFIG_KEYS)
-        if unknown:
-            raise FormatError(f"unknown config key(s) in {args.config}: {unknown}; expected {', '.join(_CONFIG_KEYS)}")
-    params = io_formats.dataclass_from_json(dataprep.AugmentParams, config.get("augment", {}))
-    return params if args.seed is None else dataclasses.replace(params, seed=args.seed)
 
 
 def _require_dirs(*paths) -> None:
@@ -301,10 +274,9 @@ def cmd_augment(args) -> int:
     if args.mask_out and not args.mask:
         print("error: --mask-out needs --mask", file=sys.stderr)
         return EXIT_USAGE
-    p = _augment_params(args)
     img = dataprep.normalize_intensity(_read(io_formats.read_greymap, args.image))
     mask = _read(io_formats.read_label_mask, args.mask) if args.mask else None
-    out_img, out_mask = dataprep.augment(img, mask, p, args.index)
+    out_img, out_mask = dataprep.augment(img, mask, dataprep.AugmentParams(seed=args.seed), args.index)
     mask_out = args.mask_out or f"{args.out}.mask.pgm"
     _require_dirs(args.out, mask_out if out_mask is not None else None)
     io_formats.write_greymap(np.clip(np.rint(out_img * 255), 0, 255).astype(np.uint8), args.out)
@@ -395,9 +367,8 @@ def build_parser() -> _Parser:
     a.add_argument("--image", required=True)
     a.add_argument("--mask")
     a.add_argument("--mask-out")
-    a.add_argument("--seed", type=int, help="overrides the config's augment.seed (default 0)")
+    a.add_argument("--seed", type=int, default=0, help="keys the transforms' random draws (default 0)")
     a.add_argument("--index", type=int, default=0)
-    a.add_argument("--config")
     a.add_argument("--out", required=True)
     a.set_defaults(func=cmd_augment)
 

@@ -1,6 +1,9 @@
 """Training-data plumbing: sparse frame sampling, intensity normalization and
 the stochastic augmentation pipeline.
 
+The augmentation recipe is fixed at this module's constants; a run chooses
+only its seed (``AugmentParams``) and each sample's index.
+
 All randomness is counter-based (Philox) and keyed explicitly, so any sample
 can be regenerated independently of evaluation order.  ``keyed_rng`` builds
 every such generator, here and in ``phantom``.
@@ -19,36 +22,24 @@ from .raster import validate_label_mask
 
 _TRANSFORM_IDS = {"flip": 1, "noise": 2, "gamma": 3, "contrast": 4, "affine": 5}
 
+# the augmentation recipe: each transform fires with its probability and
+# draws its strength uniformly from its range
+FLIP_PROB = 0.5
+NOISE_PROB = 0.5
+NOISE_SIGMA_RANGE = (1.18e-2, 5.88e-2)
+GAMMA_PROB = 0.5
+GAMMA_RANGE = (0.4, 1.0)
+CONTRAST_PROB = 0.5
+CONTRAST_RANGE = (0.8, 1.2)
+AFFINE_PROB = 0.6
+TRANSLATE_RANGE = 0.1  # fraction of width/height
+ROTATE_RANGE = 20.0  # degrees
+SCALE_RANGE = (1.0, 1.3)
+
 
 @dataclass(frozen=True)
 class AugmentParams:
-    flip_prob: float = 0.5
-    noise_prob: float = 0.5
-    noise_sigma_range: tuple[float, float] = (1.18e-2, 5.88e-2)
-    gamma_prob: float = 0.5
-    gamma_range: tuple[float, float] = (0.4, 1.0)
-    contrast_prob: float = 0.5
-    contrast_range: tuple[float, float] = (0.8, 1.2)
-    affine_prob: float = 0.6
-    translate_range: float = 0.1  # fraction of width/height
-    rotate_range: float = 20.0  # degrees
-    scale_range: tuple[float, float] = (1.0, 1.3)
     seed: int = 0
-
-    def __post_init__(self):
-        for p in (self.flip_prob, self.noise_prob, self.gamma_prob, self.contrast_prob, self.affine_prob):
-            if not (0.0 <= p <= 1.0):
-                raise ValueError(f"probability out of [0, 1]: {p}")
-        for lo, hi in (self.noise_sigma_range, self.gamma_range, self.contrast_range, self.scale_range):
-            if lo > hi:
-                raise ValueError(f"range not ordered: ({lo}, {hi})")
-        # a negative sigma, a zero scale or a draw wider than the largest float would crash augment
-        if min(self.noise_sigma_range[0], self.contrast_range[0]) < 0:
-            raise ValueError("noise sigma and contrast must be >= 0")
-        if min(self.gamma_range[0], self.scale_range[0]) <= 0:
-            raise ValueError("gamma and scale must be > 0")
-        if not (0 <= self.translate_range <= 1 and 0 <= self.rotate_range <= 180):
-            raise ValueError("translate_range must lie in [0, 1] and rotate_range in [0, 180] degrees")
 
 
 @dataclass
@@ -114,7 +105,7 @@ def augment(
     sample_index: int,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Apply flip -> noise -> gamma -> contrast -> affine, each firing with its
-    own probability.
+    own probability (``FLIP_PROB`` ... ``AFFINE_PROB``).
 
     Geometric transforms hit the mask too (nearest neighbor); intensity
     transforms never touch it.  When a mask is present (segmentation use) the
@@ -127,33 +118,33 @@ def augment(
             raise DimensionMismatchError(f"mask shape {mask.shape} != image shape {img.shape}")
 
     rng = _rng(params, sample_index, "flip")
-    if rng.random() < params.flip_prob:
+    if rng.random() < FLIP_PROB:
         img = img[:, ::-1].copy()
         if mask is not None:
             mask = mask[:, ::-1].copy()
 
     rng = _rng(params, sample_index, "noise")
-    if rng.random() < params.noise_prob:
-        sigma = rng.uniform(*params.noise_sigma_range)
+    if rng.random() < NOISE_PROB:
+        sigma = rng.uniform(*NOISE_SIGMA_RANGE)
         img = np.clip(img + rng.normal(0.0, sigma, size=img.shape), 0.0, 1.0)
 
     rng = _rng(params, sample_index, "gamma")
-    if rng.random() < params.gamma_prob:
-        g = rng.uniform(*params.gamma_range)
+    if rng.random() < GAMMA_PROB:
+        g = rng.uniform(*GAMMA_RANGE)
         img = np.clip(np.power(img, g), 0.0, 1.0)
 
     rng = _rng(params, sample_index, "contrast")
-    if rng.random() < params.contrast_prob:
-        c = rng.uniform(*params.contrast_range)
+    if rng.random() < CONTRAST_PROB:
+        c = rng.uniform(*CONTRAST_RANGE)
         img = np.clip((img - img.mean()) * c + img.mean(), 0.0, 1.0)
 
     rng = _rng(params, sample_index, "affine")
-    if rng.random() < params.affine_prob:
-        angle = rng.uniform(-params.rotate_range, params.rotate_range)
+    if rng.random() < AFFINE_PROB:
+        angle = rng.uniform(-ROTATE_RANGE, ROTATE_RANGE)
         if mask is None:
-            tx = rng.uniform(-params.translate_range, params.translate_range) * img.shape[1]
-            ty = rng.uniform(-params.translate_range, params.translate_range) * img.shape[0]
-            scale = rng.uniform(*params.scale_range)
+            tx = rng.uniform(-TRANSLATE_RANGE, TRANSLATE_RANGE) * img.shape[1]
+            ty = rng.uniform(-TRANSLATE_RANGE, TRANSLATE_RANGE) * img.shape[0]
+            scale = rng.uniform(*SCALE_RANGE)
         else:
             tx = ty = 0.0
             scale = 1.0

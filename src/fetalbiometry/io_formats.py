@@ -6,17 +6,14 @@ palette {0 -> 0, 127 -> 1, 255 -> 2}; raw {0, 1, 2} values are also accepted
 on read.  Probability maps use a one-line header ``FPM <width> <height>
 <channels>`` followed by little-endian float32, row-major and
 channel-interleaved.  CSVs use ``\n`` line endings and ``.`` decimals.
-JSON config objects map onto parameter dataclasses with strict keys and types.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import io
 import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,46 +44,6 @@ class FrameRecord:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
         if self.label is not None and self.label not in (0, 1):
             raise ValueError(f"label must be 0 or 1, got {self.label}")
-
-
-def dataclass_from_json(cls, obj):
-    """An instance of the dataclass cls from a decoded JSON object.
-
-    Each value must have the type of its field's default: an int field takes
-    an int that is not a bool, a float field a finite int or float, and a
-    tuple field a list of as many such numbers.  Unknown keys, mistyped values
-    and values the class rejects raise FormatError.
-    """
-    name = cls.__name__
-    if not isinstance(obj, dict):
-        raise FormatError(f"{name} config must be a JSON object, got {type(obj).__name__}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    unknown = [k for k in obj if k not in defaults]
-    if unknown:
-        raise FormatError(f"unknown {name} config key(s): {', '.join(map(str, unknown))}")
-    kwargs = {}
-    for key, value in obj.items():
-        default = defaults[key]
-        if not isinstance(default, tuple):
-            kwargs[key] = _json_number(f"{name}.{key}", value, type(default))
-        elif isinstance(value, (list, tuple)) and len(value) == len(default):
-            kwargs[key] = tuple(_json_number(f"{name}.{key}", v, type(d)) for v, d in zip(value, default))
-        else:
-            raise FormatError(f"{name}.{key} must be a list of {len(default)} numbers, got {value!r}")
-    try:
-        return cls(**kwargs)
-    except ValueError as e:
-        raise FormatError(f"{name}: {e}")
-
-
-def _json_number(key: str, value, kind: type):
-    if kind is int:
-        ok = isinstance(value, int)
-    else:  # a chained comparison is exact for ints and false for nan
-        ok = isinstance(value, (int, float)) and -sys.float_info.max <= value <= sys.float_info.max
-    if isinstance(value, bool) or not ok:
-        raise FormatError(f"{key} must be {'an integer' if kind is int else 'a finite number'}, got {value!r}")
-    return kind(value)
 
 
 def _header_int(token: bytes) -> int:

@@ -71,16 +71,15 @@ def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
     return only_e / only_s
 
 
-def prune(s: np.ndarray, e: el.Ellipse, d: float, *, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Drop foreground pixels whose centers fall outside the ellipse grown by d.
+def prune(s: np.ndarray, e: el.Ellipse, *, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Drop foreground pixels whose centers fall outside the ellipse grown by
+    ``PRUNE_DISTANCE`` per semi-axis.
 
     Pixel (x, y) of s is pixel (x + origin[0], y + origin[1]) of the frame
     that e lives in.
     """
-    if d <= 0:
-        raise ValueError("prune distance must be positive")
     s = validate_binary_mask(s)
-    grown = el.Ellipse(e.cx, e.cy, e.a + d, e.b + d, e.theta_deg)
+    grown = el.Ellipse(e.cx, e.cy, e.a + PRUNE_DISTANCE, e.b + PRUNE_DISTANCE, e.theta_deg)
     outside = grown.quad_form(pixel_centers(s, origin)) > 1.0
     out = s.copy()
     out[s != 0] = ~outside  # pixel_centers lists the foreground in row-major order, as boolean indexing does
@@ -103,7 +102,7 @@ def _crop_box(core: tuple[int, int, np.ndarray], frame: tuple[int, int]) -> tupl
     image edge and "outside = background" holds as before.
     """
     x, y, m = core
-    pad = max(CLOSING_KERNEL.reach, 1)
+    pad = CLOSING_KERNEL.reach  # 5 px, more than the 1 px Canny needs
     w, h = frame
     return max(0, x - pad), max(0, y - pad), min(w, x + m.shape[1] + pad), min(h, y + m.shape[0] + pad)
 
@@ -178,7 +177,7 @@ def refine(
             if iterations == 0:
                 # the plain fit that entered the loop leans toward the protrusion
                 fitted = el.fit_consensus(points)
-            pruned = prune(s_mask, fitted, PRUNE_DISTANCE, origin=(x0, y0))
+            pruned = prune(s_mask, fitted, origin=(x0, y0))
             iterations += 1
             if np.array_equal(pruned, s_mask):  # a fixed point: fitted is this mask's consensus fit
                 if iterations == 1:

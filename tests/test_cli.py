@@ -203,6 +203,20 @@ class TestMeasure:
                 assert exc.value.code == EXIT_USAGE, (command, flag)
         assert calls == [] and not out.exists()
 
+    def test_augment_config_flag_usage(self, tmp_path, monkeypatch):
+        # augmentation runs at fixed constants: no subcommand reads a config file
+        src = tmp_path / "img.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"augment": {"seed": 3}}))
+        calls = []
+        monkeypatch.setattr(io_formats, "read_greymap", lambda p: calls.append(p))
+        out = tmp_path / "a.pgm"
+        with pytest.raises(SystemExit) as exc:
+            main(["augment", "--image", str(src), "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert calls == [] and not out.exists() and not Path(f"{out}.mask.pgm").exists()
+
     def test_prune_loop_ends_at_its_fixed_point(self, tmp_path):
         # the PS's second round prunes nothing, and the loop stops there
         inp = make_protrusion_file(tmp_path)
@@ -646,97 +660,12 @@ class TestAugment:
             assert main(["augment", "--image", str(src), "--seed", s, "--out", str(outs[-1])]) == EXIT_OK
         assert outs[0].read_bytes() != outs[1].read_bytes()
 
-    def test_bad_config_data_error(self, tmp_path, capsys):
-        src = tmp_path / "img.pgm"
-        write_greymap(np.zeros((8, 8), np.uint8), src)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"augment": {"flip_prob": "0.5"}}))
-        rc = main(["augment", "--image", str(src), "--config", str(cfg), "--out", str(tmp_path / "a.pgm")])
-        assert rc == EXIT_DATA
-        assert len(capsys.readouterr().err.splitlines()) == 1
-
     def test_zero_size_image_data_error(self, tmp_path):
         src = tmp_path / "empty.pgm"
         src.write_bytes(b"P5\n0 4\n255\n")
         out = tmp_path / "a.pgm"
         assert main(["augment", "--image", str(src), "--out", str(out)]) == EXIT_DATA
         assert not out.exists()
-
-
-# every transform fires, so each AugmentParams key has something to change
-ALL_ON = {"flip_prob": 1.0, "noise_prob": 1.0, "gamma_prob": 1.0, "contrast_prob": 1.0, "affine_prob": 1.0}
-# one value per AugmentParams key, away from ALL_ON and the defaults
-CHANGED = {
-    "flip_prob": 0.0,
-    "noise_prob": 0.0,
-    "noise_sigma_range": [0.2, 0.3],
-    "gamma_prob": 0.0,
-    "gamma_range": [1.5, 2.0],
-    "contrast_prob": 0.0,
-    "contrast_range": [0.3, 0.5],
-    "affine_prob": 0.0,
-    "translate_range": 0.4,
-    "rotate_range": 90.0,
-    "scale_range": [0.5, 0.6],
-    "seed": 5,
-}
-
-
-class TestAugmentConfig:
-    """The config's augment object, then the flags on top of it."""
-
-    @pytest.fixture
-    def run(self, tmp_path):
-        src = tmp_path / "img.pgm"
-        write_greymap((np.random.default_rng(2).random((32, 32)) * 255).astype(np.uint8), src)
-
-        def run(config, *argv):
-            cfg, out = tmp_path / "cfg.json", tmp_path / "out.pgm"
-            cfg.write_text(json.dumps({"augment": config}))
-            assert main(["augment", "--image", str(src), "--config", str(cfg), *argv, "--out", str(out)]) == EXIT_OK
-            return out.read_bytes()
-
-        return run
-
-    def test_every_key_is_covered(self):
-        assert set(CHANGED) == {f.name for f in dataclasses.fields(AugmentParams)}
-
-    @pytest.mark.parametrize("key", list(CHANGED))
-    def test_each_key_changes_the_output(self, run, key):
-        assert run({**ALL_ON, key: CHANGED[key]}) != run(ALL_ON)
-
-    @pytest.mark.parametrize(
-        "config",
-        [
-            {"augment": {"seed": "3"}},
-            {"augment": [1, 2]},
-            [1],
-            {"augment": {"see": 3}},
-            {"refine": {"kernel_w": 10}},  # a removed section: refinement has no settings
-            {"augmen": {"seed": 3}},  # a mistyped top-level key
-            {"ensemble_members": []},  # a removed top-level key
-            {"augment": {}, "refine": {}},
-        ],
-    )
-    def test_bad_config_data_error(self, tmp_path, capsys, monkeypatch, config):
-        src = tmp_path / "img.pgm"
-        write_greymap(np.zeros((8, 8), np.uint8), src)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        calls = []
-        monkeypatch.setattr(io_formats, "read_greymap", lambda p: calls.append(p))
-        out = tmp_path / "a.pgm"
-        assert main(["augment", "--image", str(src), "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
-        err = capsys.readouterr().err
-        assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        assert calls == [] and not out.exists()
-        if isinstance(config, dict):  # an unknown top-level key is named
-            assert all(key in err for key in set(config) - {"augment"})
-
-    def test_seed_flag_beats_the_config(self, run):
-        assert run({**ALL_ON, "seed": 5}, "--seed", "7") == run({**ALL_ON, "seed": 7})
-        assert run({**ALL_ON, "seed": 5}, "--seed", "7") != run({**ALL_ON, "seed": 5})
-        assert run(ALL_ON) == run(ALL_ON, "--seed", "0")
 
 
 class TestSample:
@@ -895,21 +824,6 @@ class TestSampleFailureContract:
             assert_contract(*run_cli(["sample", *argv, "--out", str(out)]), [out])
 
 
-_EDGE = st.sampled_from([0.0, 0.5, 1.0, 2.0, 90.0, 1e308, -0.5, -1e308])
-
-
-def augment_value(field):
-    """Config values for an AugmentParams field: valid ones, ones at or past
-    its edges, and a mistyped one for the probabilities."""
-    if field.name == "seed":
-        return st.integers(-(2**70), 2**70)
-    if isinstance(field.default, tuple):
-        return st.lists(st.one_of(_EDGE, st.floats(-2.0, 2.0)), min_size=2, max_size=2)
-    if field.name.endswith("_prob"):  # leaning to 1, so that the transforms they gate run
-        return st.one_of(st.just(1.0), _EDGE, st.just("0.5"))
-    return st.one_of(_EDGE, st.floats(-2.0, 2.0))
-
-
 @st.composite
 def augment_request(draw, d):
     """The argv of one `augment` run under directory d, and the paths it may write."""
@@ -928,11 +842,6 @@ def augment_request(draw, d):
         mask_out = d / draw(st.sampled_from(["m.pgm", "missing/m.pgm"]))
         argv += ["--mask-out", str(mask_out)]
         written.append(mask_out)
-    if draw(st.booleans()):
-        fields = draw(st.lists(st.sampled_from(dataclasses.fields(AugmentParams)), unique=True))
-        config = {f.name: draw(augment_value(f)) for f in fields}
-        (d / "cfg.json").write_text(json.dumps({"augment": config}))
-        argv += ["--config", str(d / "cfg.json")]
     for flag in ("--seed", "--index"):
         if draw(st.booleans()):
             argv += [flag, str(draw(st.integers(-(2**70), 2**70)))]
@@ -1067,15 +976,15 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
 
 
-# Every value a user can set: each subcommand's option strings, the config
-# file's top-level keys and the fields of its augment object (the keys of
-# CHANGED).  A new flag or key fails here until it is listed on purpose.
+# Every value a user can set: each subcommand's option strings, and the one
+# field of AugmentParams, which --seed sets.  A new flag or field fails here
+# until it is listed on purpose.
 SETTABLE = {
     "measure": ["--emit-overlays", "--help", "--jobs", "--out", "-h"],
     "ensemble": ["--decide-out", "--help", "--out", "--vote", "-h"],
     "metrics": ["--gt", "--help", "--out", "--pred", "--scores", "-h"],
     "phantom": ["--count", "--help", "--out-dir", "--perturb", "--seed", "--size", "-h"],
-    "augment": ["--config", "--help", "--image", "--index", "--mask", "--mask-out", "--out", "--seed", "-h"],
+    "augment": ["--help", "--image", "--index", "--mask", "--mask-out", "--out", "--seed", "-h"],
     "sample": ["--help", "--nneg", "--npos", "--out", "--seed", "--videos", "-h"],
 }
 
@@ -1084,5 +993,4 @@ def test_settable_surface():
     (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {name: sorted(o for a in p._actions for o in a.option_strings) for name, p in sub.choices.items()}
     assert options == SETTABLE
-    assert cli._CONFIG_KEYS == ("augment",)
-    assert [f.name for f in dataclasses.fields(AugmentParams)] == list(CHANGED)
+    assert [f.name for f in dataclasses.fields(AugmentParams)] == ["seed"]

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fetalbiometry import dataprep
 from fetalbiometry.dataprep import AugmentParams, augment, keyed_rng, normalize_intensity, sparse_sample
-from fetalbiometry.errors import DimensionMismatchError, FormatError
-from fetalbiometry.io_formats import dataclass_from_json
+from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import FH, PS
 
 # seeds whose key word numpy cast through float, onto the key of seed 0, when
@@ -83,6 +83,40 @@ class TestNormalize:
         assert normalize_intensity(np.zeros((2, 2), np.uint8)).dtype == np.float64
 
 
+# the recipe's values, as test_the_augment_constants pins them
+RECIPE = {
+    "FLIP_PROB": 0.5,
+    "NOISE_PROB": 0.5,
+    "NOISE_SIGMA_RANGE": (1.18e-2, 5.88e-2),
+    "GAMMA_PROB": 0.5,
+    "GAMMA_RANGE": (0.4, 1.0),
+    "CONTRAST_PROB": 0.5,
+    "CONTRAST_RANGE": (0.8, 1.2),
+    "AFFINE_PROB": 0.6,
+    "TRANSLATE_RANGE": 0.1,
+    "ROTATE_RANGE": 20.0,
+    "SCALE_RANGE": (1.0, 1.3),
+}
+ALL_ON = {name: 1.0 for name in RECIPE if name.endswith("_PROB")}
+ALL_OFF = dict.fromkeys(ALL_ON, 0.0)
+# one value per constant, away from ALL_ON and the recipe
+CHANGED = {
+    **ALL_OFF,
+    "NOISE_SIGMA_RANGE": (0.2, 0.3),
+    "GAMMA_RANGE": (1.5, 2.0),
+    "CONTRAST_RANGE": (0.3, 0.5),
+    "TRANSLATE_RANGE": 0.4,
+    "ROTATE_RANGE": 90.0,
+    "SCALE_RANGE": (0.5, 0.6),
+}
+
+
+def recipe(monkeypatch, **constants):
+    """Set ``dataprep``'s recipe constants by name, for this test only."""
+    for name, value in constants.items():
+        monkeypatch.setattr(dataprep, name, value)
+
+
 class TestAugment:
     IMG = None
 
@@ -126,16 +160,16 @@ class TestAugment:
         after, _ = augment(img, None, p, sample_index=9)
         assert np.array_equal(direct, after)
 
-    def test_output_in_unit_range(self):
-        p = AugmentParams(seed=2, noise_prob=1.0, gamma_prob=1.0, contrast_prob=1.0)
+    def test_output_in_unit_range(self, monkeypatch):
+        recipe(monkeypatch, NOISE_PROB=1.0, GAMMA_PROB=1.0, CONTRAST_PROB=1.0)
+        p = AugmentParams(seed=2)
         for i in range(5):
             out, _ = augment(self.image(i), None, p, sample_index=i)
             assert out.min() >= 0.0 and out.max() <= 1.0
 
-    def test_flip_only_is_involution(self):
-        p = AugmentParams(
-            flip_prob=1.0, noise_prob=0.0, gamma_prob=0.0, contrast_prob=0.0, affine_prob=0.0
-        )
+    def test_flip_only_is_involution(self, monkeypatch):
+        recipe(monkeypatch, **{**ALL_OFF, "FLIP_PROB": 1.0})
+        p = AugmentParams()
         img = self.image()
         out, m = augment(img, self.mask(), p, sample_index=0)
         assert np.array_equal(out, img[:, ::-1])
@@ -144,72 +178,44 @@ class TestAugment:
         assert np.array_equal(back, img)
         assert np.array_equal(m2, self.mask())
 
-    def test_all_disabled_identity(self):
-        p = AugmentParams(
-            flip_prob=0.0, noise_prob=0.0, gamma_prob=0.0, contrast_prob=0.0, affine_prob=0.0
-        )
+    def test_all_disabled_identity(self, monkeypatch):
+        recipe(monkeypatch, **ALL_OFF)
         img = self.image()
-        out, m = augment(img, self.mask(), p, sample_index=3)
+        out, m = augment(img, self.mask(), AugmentParams(), sample_index=3)
         assert np.array_equal(out, img)
         assert np.array_equal(m, self.mask())
 
-    def test_mask_stays_label_valued(self):
-        p = AugmentParams(seed=5, affine_prob=1.0)
+    def test_mask_stays_label_valued(self, monkeypatch):
+        recipe(monkeypatch, AFFINE_PROB=1.0)
+        p = AugmentParams(seed=5)
         for i in range(5):
             _, m = augment(self.image(i), self.mask(), p, sample_index=i)
             assert set(np.unique(m)).issubset({0, PS, FH})
 
-    def test_mask_disables_translation_and_scale(self):
+    def test_mask_disables_translation_and_scale(self, monkeypatch):
         # with a mask, the affine is rotation only: foreground area is stable
-        p = AugmentParams(
-            flip_prob=0.0, noise_prob=0.0, gamma_prob=0.0, contrast_prob=0.0, affine_prob=1.0
-        )
+        recipe(monkeypatch, **{**ALL_OFF, "AFFINE_PROB": 1.0})
         m0 = self.mask(64, 64)
         for i in range(5):
-            _, m = augment(self.image(i, 64, 64), m0, p, sample_index=i)
+            _, m = augment(self.image(i, 64, 64), m0, AugmentParams(), sample_index=i)
             a0 = np.count_nonzero(m0)
             assert abs(np.count_nonzero(m) - a0) / a0 < 0.12
+
+    @pytest.mark.parametrize("name", list(CHANGED))
+    def test_each_constant_changes_the_output(self, monkeypatch, name):
+        img = self.image(2, 32, 32)
+        recipe(monkeypatch, **ALL_ON)
+        before, _ = augment(img, None, AugmentParams(), 0)
+        recipe(monkeypatch, **{name: CHANGED[name]})
+        assert not np.array_equal(augment(img, None, AugmentParams(), 0)[0], before)
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             augment(self.image(), self.mask(32, 32), AugmentParams(), 0)
 
-    def test_params_from_dict_round_trip(self):
-        p = AugmentParams(seed=9, gamma_range=(0.5, 0.9))
-        d = {k: getattr(p, k) for k in AugmentParams.__dataclass_fields__}
-        assert dataclass_from_json(AugmentParams, d) == p
 
-    @pytest.mark.parametrize(
-        "d",
-        [
-            {"gamma_range": [0.5]},
-            {"gamma_range": 0.5},
-            {"gamma_range": [0.5, "1"]},
-            {"seed": 1.5},
-            {"flip": 0.5},
-            {"seed": "3"},
-            {"seed": 3.0},
-            {"seed": True},
-            {"flip_prob": None},
-            {"flip_prob": float("nan")},
-            {"rotate_range": 10**400},
-            [1, 2],
-        ],
-    )
-    def test_params_from_dict_rejects(self, d):
-        with pytest.raises(FormatError):
-            dataclass_from_json(AugmentParams, d)
-
-    def test_params_from_dict_takes_lists(self):
-        assert dataclass_from_json(AugmentParams, {"gamma_range": [0.5, 1]}) == AugmentParams(gamma_range=(0.5, 1.0))
-
-    def test_params_from_dict_takes_int_for_float(self):
-        p = dataclass_from_json(AugmentParams, {"rotate_range": 10, "seed": 7})
-        assert p == AugmentParams(rotate_range=10.0, seed=7)
-        assert type(p.rotate_range) is float
-
-    def test_invalid_params(self):
-        with pytest.raises(ValueError):
-            AugmentParams(flip_prob=1.5)
-        with pytest.raises(ValueError):
-            AugmentParams(gamma_range=(1.0, 0.4))
+def test_the_augment_constants():
+    # every public upper-case name of the module is a recipe constant, and each is covered
+    names = [name for name in vars(dataprep) if name.isupper() and not name.startswith("_")]
+    assert names == list(RECIPE) and set(CHANGED) == set(RECIPE)
+    assert {name: getattr(dataprep, name) for name in names} == RECIPE

@@ -68,7 +68,7 @@ def ref_refine(raw):
         while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < MAX_PRUNE:
             if iterations == 0:
                 fitted = el.fit_consensus(_ref_boundary_points(s_mask))
-            pruned = prune(s_mask, fitted, PRUNE_DISTANCE)
+            pruned = prune(s_mask, fitted)
             iterations += 1
             if np.array_equal(pruned, s_mask):
                 e_mask = el.rasterize(fitted, w, h)
@@ -141,13 +141,13 @@ class TestPrune:
     def test_inside_untouched(self):
         e = Ellipse(16.0, 16.0, 8.0, 5.0, 0.0)
         m = rasterize(e, 32, 32)
-        assert np.array_equal(prune(m, e, 3.0), m)
+        assert np.array_equal(prune(m, e), m)
 
     def test_far_pixels_removed(self):
         e = Ellipse(16.0, 16.0, 6.0, 4.0, 0.0)
         m = rasterize(e, 32, 32)
         m[2, 2] = 1  # far from the ellipse
-        out = prune(m, e, 3.0)
+        out = prune(m, e)
         assert out[2, 2] == 0
         assert out.sum() == m.sum() - 1
 
@@ -155,12 +155,8 @@ class TestPrune:
         e = Ellipse(16.0, 16.0, 6.0, 6.0, 0.0)
         m = np.zeros((32, 32), np.uint8)
         m[16, 24] = 1  # center (24.5, 16.5): distance from ellipse center ~8.5 <= 6+3
-        out = prune(m, e, 3.0)
+        out = prune(m, e)
         assert out[16, 24] == 1
-
-    def test_bad_distance(self):
-        with pytest.raises(ValueError):
-            prune(np.zeros((4, 4), np.uint8), Ellipse(1, 1, 2, 1, 0.0), 0.0)
 
 
 def ellipse_mask(cx, cy, a, b, theta, w=128, h=128):
@@ -467,8 +463,8 @@ class TestPruneLoopEnd:
     def test_ends_after_the_first_round_that_prunes_nothing(self, monkeypatch):
         removed = []
 
-        def counted(s, e, d, *, origin=(0, 0)):
-            out = prune(s, e, d, origin=origin)
+        def counted(s, e, *, origin=(0, 0)):
+            out = prune(s, e, origin=origin)
             removed.append(int(np.count_nonzero(s)) - int(np.count_nonzero(out)))
             return out
 
@@ -480,7 +476,7 @@ class TestPruneLoopEnd:
     def test_a_loop_that_always_prunes_stops_at_the_cap(self, monkeypatch):
         calls = []
 
-        def drop_one(s, e, d, *, origin=(0, 0)):
+        def drop_one(s, e, *, origin=(0, 0)):
             calls.append(origin)
             out = s.copy()
             out.flat[np.flatnonzero(s)[0]] = 0
@@ -494,7 +490,7 @@ class TestPruneLoopEnd:
     def test_a_round_that_ends_in_an_error_is_counted(self, monkeypatch):
         calls = []
 
-        def empty(s, e, d, *, origin=(0, 0)):
+        def empty(s, e, *, origin=(0, 0)):
             calls.append(origin)
             return np.zeros_like(s)
 
