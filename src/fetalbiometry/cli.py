@@ -42,6 +42,11 @@ def _require_dirs(*paths) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), p)
 
 
+def _one_file(a, b) -> bool:
+    """Whether two output paths name one file; False when either is not given."""
+    return a is not None and b is not None and Path(a).resolve() == Path(b).resolve()
+
+
 def _read(read, path):
     """``read(path)``, naming the path in a FormatError."""
     try:
@@ -98,26 +103,26 @@ def cmd_measure(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    """Average or vote the members, a strip of rows at a time.
+    """Average the members, a strip of rows at a time, and decide the average.
 
-    --out is always the float32 average, so --vote writes only the label mask
-    --decide-out, and --vote with --out exits 64 before any member is opened.
-    Each output is written once, after the last strip, so a failure writes
-    nothing and an output may replace a member.  The error names the first
-    failure in read order: the member or the average, and any pixel in the
-    frame's coordinates.
+    --out is the float32 average and --decide-out its argmax label mask; one
+    file named by both exits 64 before any member is opened.  Each output is
+    written once, after the last strip, so a failure writes nothing and an
+    output may replace a member.  The error names the first failure in read
+    order: the member or the average, and any pixel in the frame's
+    coordinates.
     """
-    if args.vote and args.out:
-        print("error: --vote writes --decide-out only; --out is the average", file=sys.stderr)
-        return EXIT_USAGE
     if not (args.out or args.decide_out):
-        print(f"error: give {'--decide-out' if args.vote else '--out or --decide-out'}", file=sys.stderr)
+        print("error: give --out or --decide-out", file=sys.stderr)
+        return EXIT_USAGE
+    if _one_file(args.out, args.decide_out):
+        print(f"error: --out and --decide-out both name {args.out}", file=sys.stderr)
         return EXIT_USAGE
     if not args.members:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
     try:
-        avg, labels = _ensemble_strips(args.members, args.vote, bool(args.out))
+        avg, labels = _ensemble_strips(args.members, bool(args.out))
         _require_dirs(args.out, args.decide_out)
         if args.out:
             io_formats.write_prob_map(avg, args.out)  # checked before the file is opened
@@ -130,17 +135,13 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_strips(paths, use_vote: bool, want_avg: bool):
-    """(float32 average if asked for, else None; label mask) of the members:
-    the vote, or the average's decision."""
+def _ensemble_strips(paths, want_avg: bool):
+    """(float32 average if asked for, else None; the average's decision) of the members."""
     with io_formats.prob_map_strips(paths) as (shape, strips):
         avg = np.empty(shape, "<f4") if want_avg else None
         labels = np.empty(shape[:2], np.uint8)
         for rows, members in strips:
             origin = (0, rows.start)
-            if use_vote:
-                labels[rows] = ensemble.vote(members, origin)
-                continue
             mean = ensemble.average(members, origin)
             labels[rows] = ensemble.decide(mean, origin)  # the average's one check, even when only --out is asked
             if avg is not None:
@@ -270,9 +271,13 @@ def cmd_phantom(args) -> int:
 
 def cmd_augment(args) -> int:
     """Augment the image into --out, and the --mask into --mask-out (default
-    ``<out>.mask.pgm``); --mask-out without --mask exits 64 before any read."""
+    ``<out>.mask.pgm``); --mask-out without --mask, or naming the --out file,
+    exits 64 before any read."""
     if args.mask_out and not args.mask:
         print("error: --mask-out needs --mask", file=sys.stderr)
+        return EXIT_USAGE
+    if _one_file(args.out, args.mask_out):
+        print(f"error: --out and --mask-out both name {args.out}", file=sys.stderr)
         return EXIT_USAGE
     img = dataprep.normalize_intensity(_read(io_formats.read_greymap, args.image))
     mask = _read(io_formats.read_label_mask, args.mask) if args.mask else None
@@ -316,7 +321,7 @@ def cmd_sample(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for vid, length, label in videos:  # one video per call, so that its warning can name its line
-            plan.update(dataprep.sparse_sample([(vid, length, label)], args.npos, args.nneg, args.seed).frames)
+            plan.update(dataprep.sparse_sample([(vid, length, label)], args.seed).frames)
             for w in caught:
                 print(f"warning: {args.videos}:{listed[vid]}: {w.message}", file=sys.stderr)
             caught.clear()
@@ -341,11 +346,10 @@ def build_parser() -> _Parser:
     m.add_argument("--emit-overlays", metavar="DIR")
     m.set_defaults(func=cmd_measure)
 
-    e = sub.add_parser("ensemble", help="average (or vote) probability-map members")
+    e = sub.add_parser("ensemble", help="average probability-map members and decide the average")
     e.add_argument("members", nargs="*")
     e.add_argument("--out")
     e.add_argument("--decide-out")
-    e.add_argument("--vote", action="store_true")
     e.set_defaults(func=cmd_ensemble)
 
     t = sub.add_parser("metrics", help="evaluate predictions against ground truth")
@@ -374,8 +378,6 @@ def build_parser() -> _Parser:
 
     s = sub.add_parser("sample", help="sparse-sample frames from video listings")
     s.add_argument("--videos", required=True, help="CSV of video_id,length,label")
-    s.add_argument("--npos", type=_positive_int, default=5)
-    s.add_argument("--nneg", type=_positive_int, default=8)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_sample)

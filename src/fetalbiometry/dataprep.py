@@ -1,12 +1,13 @@
 """Training-data plumbing: sparse frame sampling, intensity normalization and
 the stochastic augmentation pipeline.
 
-The augmentation recipe is fixed at this module's constants; a run chooses
-only its seed (``AugmentParams``) and each sample's index.
+The sampling and augmentation recipes are fixed at this module's constants;
+a run chooses only its seed (``AugmentParams`` for augmentation) and each
+sample's index.
 
 All randomness is counter-based (Philox) and keyed explicitly, so any sample
-can be regenerated independently of evaluation order.  ``keyed_rng`` builds
-every such generator, here and in ``phantom``.
+can be regenerated independently of evaluation order.  Every such generator
+comes from ``raster.keyed_rng``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .raster import validate_label_mask
+from .raster import keyed_rng, validate_label_mask
 
 _TRANSFORM_IDS = {"flip": 1, "noise": 2, "gamma": 3, "contrast": 4, "affine": 5}
+
+# the sampling recipe: frames drawn from each positive (standard-plane) video
+# and from each negative one
+N_POS = 5
+N_NEG = 8
 
 # the augmentation recipe: each transform fires with its probability and
 # draws its strength uniformly from its range
@@ -47,29 +53,18 @@ class SamplePlan:
     frames: dict[str, list[int]] = field(default_factory=dict)
 
 
-def keyed_rng(*words: int) -> np.random.Generator:
-    """A Philox generator keyed by up to two integer words.
-
-    Each word is reduced mod 2**64 into a uint64 key word, so a negative seed
-    names its own stream; integers equal mod 2**64 share one.
-    """
-    return np.random.Generator(np.random.Philox(key=np.array([w % 2**64 for w in words], np.uint64)))
-
-
-def sparse_sample(videos, n_pos: int = 5, n_neg: int = 8, seed: int = 0) -> SamplePlan:
+def sparse_sample(videos, seed: int = 0) -> SamplePlan:
     """Pick frames per video: even strata with seeded jitter inside each stratum.
 
     ``videos`` is an iterable of (video_id, length, label) with label 1 for
-    positive (standard-plane) videos.  Positives contribute n_pos frames,
-    negatives n_neg.  Short videos contribute every frame and warn.
+    positive (standard-plane) videos.  Positives contribute ``N_POS`` frames,
+    negatives ``N_NEG``.  Short videos contribute every frame and warn.
     """
     import hashlib  # imported here, so that the CLI's import does not load it
 
-    if n_pos < 1 or n_neg < 1:
-        raise ValueError("frame counts must be >= 1")
     plan = SamplePlan()
     for video_id, length, label in videos:
-        want = n_pos if label == 1 else n_neg
+        want = N_POS if label == 1 else N_NEG
         if length < want:
             warnings.warn(
                 f"video {video_id!r} has {length} frames, fewer than the requested {want}; taking all"

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataprep import keyed_rng
 from .errors import DegenerateInputError, NoTangentError
-from .raster import paste
+from .raster import keyed_rng, paste
 
 # the consensus search: 5-point subsets drawn per fit, the Sampson distance
 # (px) within which a point supports a conic, and the sampling key's first word

@@ -1,5 +1,5 @@
-"""Uniformly weighted ensembling of per-pixel class probabilities, plus the
-majority-voting variant and the argmax decision."""
+"""Uniformly weighted ensembling of per-pixel class probabilities: the
+members' average, and the argmax decision that turns it into a label mask."""
 
 from __future__ import annotations
 
@@ -9,8 +9,19 @@ from .errors import DimensionMismatchError, MemberError
 from .raster import validate_prob_map
 
 
-def _check_members(members: list[np.ndarray], origin: tuple[int, int]) -> list[np.ndarray]:
-    """The members, each checked (a failed check raises MemberError), all of one shape."""
+def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Per-pixel, per-channel arithmetic mean of the members, as float64.
+
+    Every member is checked first (a failed check raises MemberError), and
+    then all must have one shape.  The result never aliases a member, and is
+    not checked itself: a mean of maps that pass can miss the sum tolerance
+    by a rounding step, so ``decide`` checks it.  The members are summed in a
+    fixed pairwise tree, so the result does not depend on accumulation order:
+    the first level adds each pair straight into a new float64 array, later
+    levels add in place into those arrays.  An odd last member joins a later
+    level as it is, always as the right operand of ``+=``; its cast to
+    float64 there is exact, so no copy of it is made.
+    """
     if not members:
         raise ValueError("ensemble needs at least one member")
     checked = []
@@ -23,28 +34,12 @@ def _check_members(members: list[np.ndarray], origin: tuple[int, int]) -> list[n
     for i, m in enumerate(checked[1:], start=1):
         if m.shape != shape:
             raise DimensionMismatchError(f"member {i} has shape {m.shape}, expected {shape}")
-    return checked
-
-
-def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Per-pixel, per-channel arithmetic mean of the members, as float64.
-
-    The result never aliases a member, and is not checked itself: a mean of
-    maps that pass can miss the sum tolerance by a rounding step, so
-    ``decide`` checks it.  The members are summed in a fixed pairwise tree,
-    so the result does not depend on accumulation order: the first level adds
-    each pair straight into a new float64 array, later levels add in place
-    into those arrays.  An odd last member joins a later level as it is,
-    always as the right operand of ``+=``; its cast to float64 there is
-    exact, so no copy of it is made.
-    """
-    members = _check_members(members, origin)
-    n = len(members)
+    n = len(checked)
     if n == 1:
-        return members[0].astype(np.float64)
-    sums = [np.add(members[i], members[i + 1], dtype=np.float64) for i in range(0, n - 1, 2)]
+        return checked[0].astype(np.float64)
+    sums = [np.add(checked[i], checked[i + 1], dtype=np.float64) for i in range(0, n - 1, 2)]
     if n % 2:
-        sums.append(members[-1])
+        sums.append(checked[-1])
     while len(sums) > 1:
         for i in range(0, len(sums) - 1, 2):
             sums[i] += sums[i + 1]
@@ -54,13 +49,14 @@ def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.n
     return mean
 
 
-def _argmax_channels(p: np.ndarray) -> np.ndarray:
-    """Per-pixel index of the largest channel of an (H, W, C) array, as uint8.
+def decide(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Per-pixel argmax label mask of ``p``, checked first, as uint8.
 
     Ties go to the lowest index: a later channel wins only when strictly
     greater, as ``argmax`` decides.  The C <= 3 channels of a checked map give
-    labels in {0, 1, 2}, so vote and decide return them unchecked.
+    labels in {0, 1, 2}, so they are returned unchecked.
     """
+    p = validate_prob_map(p, origin)
     labels = np.zeros(p.shape[:2], np.uint8)
     best = p[..., 0]
     for c in range(1, p.shape[2]):
@@ -69,16 +65,3 @@ def _argmax_channels(p: np.ndarray) -> np.ndarray:
         np.maximum(labels, win * np.uint8(c), out=labels)
         best = np.maximum(best, p[..., c])
     return labels
-
-
-def vote(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Per-pixel majority vote of member argmaxes; ties to the lowest class index."""
-    members = _check_members(members, origin)
-    votes = np.stack([_argmax_channels(m) for m in members])
-    counts = np.stack([(votes == c).sum(axis=0) for c in range(members[0].shape[2])], axis=2)
-    return _argmax_channels(counts)
-
-
-def decide(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Per-pixel argmax label mask of ``p``, checked first (ties to the lowest class index)."""
-    return _argmax_channels(validate_prob_map(p, origin))

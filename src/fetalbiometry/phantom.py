@@ -14,10 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ellipse as el
-from .dataprep import keyed_rng
 from .errors import InfeasiblePerturbationError, OverlapError
 from .morphology import StructuringElement, erode
-from .raster import FH, PS, Point, boundary_mask, validate_label_mask
+from .raster import FH, PS, Point, boundary_mask, keyed_rng, validate_label_mask
 
 
 @dataclass(frozen=True)

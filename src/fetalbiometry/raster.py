@@ -10,6 +10,8 @@ binary masks are uint8 {0, 1} arrays.  Probability maps are float32 arrays of
 shape (height, width, channels) with per-pixel channel sums equal to 1.
 Channel order is (background, PS, FH) for 3 channels and
 (negative, positive) for 2.
+
+``keyed_rng`` builds every seeded random generator of the package.
 """
 
 from __future__ import annotations
@@ -155,3 +157,12 @@ def centroid(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Point:
         raise ValueError("centroid of an empty mask is undefined")
     # shift the integer indices, not the mean, so a window gives the frame's floats
     return Point(float((xs + origin[0]).mean() + 0.5), float((ys + origin[1]).mean() + 0.5))
+
+
+def keyed_rng(*words: int) -> np.random.Generator:
+    """A Philox generator keyed by up to two integer words.
+
+    Each word is reduced mod 2**64 into a uint64 key word, so a negative seed
+    names its own stream; integers equal mod 2**64 share one.
+    """
+    return np.random.Generator(np.random.Philox(key=np.array([w % 2**64 for w in words], np.uint64)))

@@ -325,13 +325,6 @@ class TestEnsemble:
         assert rc == EXIT_OK
         assert set(np.unique(read_label_mask(decided))).issubset({0, 1, 2})
 
-    def test_vote(self, tmp_path):
-        p1, _ = self.member(tmp_path, "m1.fpm", 0)
-        p2, _ = self.member(tmp_path, "m2.fpm", 1)
-        out = tmp_path / "vote.pgm"
-        assert main(["ensemble", str(p1), str(p2), "--vote", "--decide-out", str(out)]) == EXIT_OK
-        assert read_label_mask(out).shape == (8, 8)
-
     def test_no_members_usage(self, tmp_path):
         assert main(["ensemble", "--out", str(tmp_path / "x.fpm")]) == EXIT_USAGE
 
@@ -375,8 +368,9 @@ class TestEnsemble:
         f = str(fpm)
         assert main(["ensemble", f, "--out", str(tmp_path / "o.fpm")]) == EXIT_OK
         assert main(["ensemble", f, "--decide-out", str(tmp_path / "d.pgm")]) == EXIT_OK
-        assert main(["ensemble", f, "--vote", "--decide-out", str(tmp_path / "v.pgm")]) == EXIT_OK
+        assert main(["ensemble", f, f, f, "--decide-out", str(tmp_path / "d3.pgm")]) == EXIT_OK
         assert read_label_mask(tmp_path / "d.pgm").tolist() == labels.tolist()
+        assert read_label_mask(tmp_path / "d3.pgm").tolist() == labels.tolist()
         assert main(["measure", f, "--out", str(tmp_path / "r.csv")]) == EXIT_OK
 
     def test_corrupt_member_data_error(self, tmp_path):
@@ -384,15 +378,20 @@ class TestEnsemble:
         bad.write_bytes(b"FPM 2 2 3\n" + b"\x00" * 5)
         assert main(["ensemble", str(bad), "--out", str(tmp_path / "o.fpm")]) == EXIT_DATA
 
-    def test_vote_without_output_usage(self, tmp_path, capsys):
-        p1, _ = self.member(tmp_path, "m1.fpm", 0)
-        assert main(["ensemble", str(p1), "--vote"]) == EXIT_USAGE
-        assert capsys.readouterr().err == "error: give --decide-out\n"
-
-    def test_average_without_output_usage(self, tmp_path):
+    def test_average_without_output_usage(self, tmp_path, capsys):
         # the member is never read, so even a missing one is a usage error
         assert main(["ensemble", str(tmp_path / "absent.fpm")]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: give --out or --decide-out\n"
         assert sorted(tmp_path.iterdir()) == []
+
+    def test_vote_flag_usage(self, tmp_path):
+        # members are always averaged: --vote is gone, and exits 64 writing nothing
+        p1, _ = self.member(tmp_path, "m1.fpm", 0)
+        out = tmp_path / "v.pgm"
+        with pytest.raises(SystemExit) as exc:
+            main(["ensemble", str(p1), "--vote", "--decide-out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert not out.exists()
 
     def test_decide_out_into_a_missing_directory_writes_nothing(self, tmp_path, capsys):
         p1, _ = self.member(tmp_path, "m1.fpm", 0)
@@ -649,6 +648,26 @@ class TestAugment:
         assert capsys.readouterr().err == "error: --mask-out needs --mask\n"
         assert not out.exists() and not mask_out.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_mask_out_naming_out_usage(self, tmp_path, capsys, monkeypatch, spelling):
+        # the mask would replace the image; the paths are compared resolved
+        src, msk = tmp_path / "img.pgm", tmp_path / "mask.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        write_label_mask(np.zeros((8, 8), np.uint8), msk)
+        (tmp_path / "sub").mkdir()
+
+        def fail(path):
+            raise AssertionError(f"{path} was read")
+
+        monkeypatch.setattr(io_formats, "read_greymap", fail)
+        monkeypatch.setattr(io_formats, "read_label_mask", fail)
+        out = tmp_path / "a.pgm"
+        mask_out = out if spelling == "same" else tmp_path / "sub" / ".." / "a.pgm"
+        argv = ["augment", "--image", str(src), "--mask", str(msk), "--mask-out", str(mask_out), "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out and --mask-out both name {out}\n"
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("seed", ["-1", "-500", str(2**64 - 1)])
     def test_far_seed_has_its_own_stream(self, tmp_path, seed):
@@ -709,10 +728,11 @@ class TestSample:
         [
             ("vidA,12.5,1\n", [], EXIT_DATA),
             ("vidA,-3,1\n", [], EXIT_DATA),
-            ("vidA,120,1\n", ["--npos", "-1"], EXIT_USAGE),
-            ("vidA,120,1\n", ["--nneg", "0"], EXIT_USAGE),
+            # the frame counts are fixed at 5 and 8: the former flags are usage errors
+            ("vidA,120,1\n", ["--npos", "3"], EXIT_USAGE),
+            ("vidA,120,1\n", ["--nneg", "3"], EXIT_USAGE),
         ],
-        ids=["non-integer-length", "negative-length", "npos-1", "nneg0"],
+        ids=["non-integer-length", "negative-length", "removed-npos", "removed-nneg"],
     )
     def test_bad_input_writes_nothing(self, tmp_path, capsys, listing, argv, code):
         videos = tmp_path / "videos.csv"
@@ -812,15 +832,13 @@ class TestSampleFailureContract:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(listing_line(), max_size=4),
-        st.integers(-1, 4),
-        st.integers(-1, 4),
         st.integers(-(2**70), 2**70),
     )
-    def test_exit_codes_and_outputs(self, lines, npos, nneg, seed):
+    def test_exit_codes_and_outputs(self, lines, seed):
         with tempfile.TemporaryDirectory() as d:
             videos, out = Path(d) / "videos.csv", Path(d) / "plan.csv"
             videos.write_bytes(b"\n".join(lines) + b"\n")
-            argv = ["--videos", str(videos), "--npos", str(npos), "--nneg", str(nneg), "--seed", str(seed)]
+            argv = ["--videos", str(videos), "--seed", str(seed)]
             assert_contract(*run_cli(["sample", *argv, "--out", str(out)]), [out])
 
 
@@ -981,11 +999,11 @@ class TestUsage:
 # until it is listed on purpose.
 SETTABLE = {
     "measure": ["--emit-overlays", "--help", "--jobs", "--out", "-h"],
-    "ensemble": ["--decide-out", "--help", "--out", "--vote", "-h"],
+    "ensemble": ["--decide-out", "--help", "--out", "-h"],
     "metrics": ["--gt", "--help", "--out", "--pred", "--scores", "-h"],
     "phantom": ["--count", "--help", "--out-dir", "--perturb", "--seed", "--size", "-h"],
     "augment": ["--help", "--image", "--index", "--mask", "--mask-out", "--out", "--seed", "-h"],
-    "sample": ["--help", "--nneg", "--npos", "--out", "--seed", "--videos", "-h"],
+    "sample": ["--help", "--out", "--seed", "--videos", "-h"],
 }
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fetalbiometry import dataprep
-from fetalbiometry.dataprep import AugmentParams, augment, keyed_rng, normalize_intensity, sparse_sample
+from fetalbiometry.dataprep import AugmentParams, augment, normalize_intensity, sparse_sample
 from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import FH, PS
 
@@ -11,26 +11,21 @@ from fetalbiometry.raster import FH, PS
 FAR_SEEDS = [-1, -500, -5000, 2**64 - 1]
 
 
-class TestKeyedRng:
-    @pytest.mark.parametrize("words", [(0, 0xF0), (7, 0xAB), (2**63 - 1, 5), (3, 2**63 - 1)])
-    def test_words_below_2_63_keep_their_streams(self, words):
-        want = np.random.Generator(np.random.Philox(key=list(words))).random(4)
-        assert np.array_equal(keyed_rng(*words).random(4), want)
-
-    def test_words_are_taken_mod_2_64(self):
-        assert np.array_equal(keyed_rng(-1, -2).random(4), keyed_rng(2**64 - 1, 2**64 - 2).random(4))
-        assert not np.array_equal(keyed_rng(-1, 0).random(4), keyed_rng(0, 0).random(4))
-
-
 class TestSparseSample:
     VIDEOS = [("vidA", 120, 1), ("vidB", 200, 0), ("vidC", 64, 1)]
 
     def test_counts(self):
-        plan = sparse_sample(self.VIDEOS, n_pos=5, n_neg=8, seed=0)
+        plan = sparse_sample(self.VIDEOS, seed=0)
         assert len(plan.frames["vidA"]) == 5
         assert len(plan.frames["vidB"]) == 8
         assert len(plan.frames["vidC"]) == 5
         assert sum(map(len, plan.frames.values())) == 18
+
+    def test_counts_follow_the_constants(self, monkeypatch):
+        monkeypatch.setattr(dataprep, "N_POS", 3)
+        monkeypatch.setattr(dataprep, "N_NEG", 4)
+        plan = sparse_sample(self.VIDEOS, seed=0)
+        assert [len(plan.frames[vid]) for vid, _, _ in self.VIDEOS] == [3, 4, 3]
 
     def test_within_strata(self):
         plan = sparse_sample(self.VIDEOS, seed=3)
@@ -64,12 +59,8 @@ class TestSparseSample:
 
     def test_short_video_warns_and_takes_all(self):
         with pytest.warns(UserWarning, match="fewer"):
-            plan = sparse_sample([("tiny", 3, 1)], n_pos=5)
+            plan = sparse_sample([("tiny", 3, 1)])
         assert plan.frames["tiny"] == [0, 1, 2]
-
-    def test_bad_counts(self):
-        with pytest.raises(ValueError):
-            sparse_sample([], n_pos=0)
 
 
 class TestNormalize:
@@ -83,7 +74,9 @@ class TestNormalize:
         assert normalize_intensity(np.zeros((2, 2), np.uint8)).dtype == np.float64
 
 
-# the recipe's values, as test_the_augment_constants pins them
+# the sampling recipe's frame counts, as test_the_augment_constants pins them
+SAMPLING = {"N_POS": 5, "N_NEG": 8}
+# the augmentation recipe's values, as test_the_augment_constants pins them
 RECIPE = {
     "FLIP_PROB": 0.5,
     "NOISE_PROB": 0.5,
@@ -215,7 +208,8 @@ class TestAugment:
 
 
 def test_the_augment_constants():
-    # every public upper-case name of the module is a recipe constant, and each is covered
+    # every public upper-case name of the module is a sampling or augmentation
+    # constant, and each augmentation constant is covered
     names = [name for name in vars(dataprep) if name.isupper() and not name.startswith("_")]
-    assert names == list(RECIPE) and set(CHANGED) == set(RECIPE)
-    assert {name: getattr(dataprep, name) for name in names} == RECIPE
+    assert names == [*SAMPLING, *RECIPE] and set(CHANGED) == set(RECIPE)
+    assert {name: getattr(dataprep, name) for name in names} == {**SAMPLING, **RECIPE}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry.ensemble import average, decide, vote
+from fetalbiometry.ensemble import average, decide
 from fetalbiometry.errors import DimensionMismatchError, MemberError
 from fetalbiometry.raster import PROB_SUM_TOL, validate_label_mask, validate_prob_map
 
@@ -58,14 +58,6 @@ def ref_average(members):
     members = _ref_check_members(members)
     acc = _ref_pairwise_sum([m.astype(np.float64) for m in members])
     return acc / len(members)
-
-
-def ref_vote(members):
-    members = _ref_check_members(members)
-    channels = members[0].shape[2]
-    votes = np.stack([m.argmax(axis=2) for m in members])
-    counts = np.stack([(votes == c).sum(axis=0) for c in range(channels)], axis=0)
-    return validate_label_mask(counts.argmax(axis=0).astype(np.uint8))
 
 
 def ref_decide(p):
@@ -195,23 +187,6 @@ class TestAverage:
         assert np.abs(average(ms) - manual).max() < 1e-12
 
 
-class TestVote:
-    def test_unanimous(self):
-        p = np.dstack([np.full((3, 3), 0.1), np.full((3, 3), 0.7), np.full((3, 3), 0.2)])
-        assert np.array_equal(vote([p, p, p]), np.ones((3, 3), np.uint8))
-
-    def test_majority_beats_minority(self):
-        win = np.dstack([np.full((1, 1), 0.1), np.full((1, 1), 0.8), np.full((1, 1), 0.1)])
-        lose = np.dstack([np.full((1, 1), 0.1), np.full((1, 1), 0.1), np.full((1, 1), 0.8)])
-        assert vote([win, win, lose])[0, 0] == 1
-
-    def test_tie_lowest_index(self):
-        a = np.dstack([np.full((1, 1), 0.9), np.full((1, 1), 0.05), np.full((1, 1), 0.05)])
-        c = np.dstack([np.full((1, 1), 0.05), np.full((1, 1), 0.05), np.full((1, 1), 0.9)])
-        assert vote([a, c])[0, 0] == 0
-        assert vote([c, a])[0, 0] == 0
-
-
 class TestDecide:
     def test_argmax(self):
         p = np.zeros((2, 2, 3))
@@ -250,11 +225,6 @@ class TestParentEquivalence:
         want = outcome(ref_average, members)
         assume(not isinstance(want, tuple))
         assert_same_outcome(decide(average(members)), ref_decide(want))
-
-    @settings(max_examples=300, deadline=None)
-    @given(member_lists())
-    def test_vote(self, members):
-        assert_same_outcome(outcome(vote, members), outcome(ref_vote, members))
 
 
 class TestNoCopies:

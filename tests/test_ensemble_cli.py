@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from fetalbiometry import cli, io_formats, phantom, raster
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from fetalbiometry.ensemble import average, decide, vote
+from fetalbiometry.ensemble import average, decide
 from fetalbiometry.errors import FetalBiometryError, FormatError
 from fetalbiometry.io_formats import read_prob_map, write_label_mask, write_prob_map
 from fetalbiometry.raster import PROB_SUM_TOL, validate_prob_map
@@ -136,7 +136,6 @@ class TestAverageTolerance:
             assert main(["ensemble", *paths, flag, str(tmp_path / name)]) == EXIT_DATA
             assert not (tmp_path / name).exists()
             assert "ensemble average" in capsys.readouterr().err
-        assert main(["ensemble", *paths, "--vote", "--decide-out", str(tmp_path / "vote.pgm")]) == EXIT_OK
 
     def test_cli_rejects_the_float32_average(self, tmp_path, capsys):
         # the float64 average passes, its float32 cast would not read back
@@ -190,13 +189,6 @@ class TestChecksOnce:
         assert main(argv) == EXIT_OK
         assert len(prob_map_checks) == n + 2
 
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_vote_request(self, tmp_path, prob_map_checks, n):
-        paths = write_members(tmp_path, n)
-        prob_map_checks.clear()
-        assert main(["ensemble", *paths, "--vote", "--decide-out", str(tmp_path / "v.pgm")]) == EXIT_OK
-        assert len(prob_map_checks) == n
-
     def test_measure_request(self, tmp_path, prob_map_checks):
         labels = np.zeros((64, 64), np.uint8)
         labels[10:20, 10:30] = 1
@@ -226,7 +218,7 @@ def tall_frames(draw):
 
 
 def assert_same_files(n, channels, h, w, seed):
-    """The average, decided, voted and measure-loaded outputs of the CLI equal
+    """The average, decided and measure-loaded outputs of the CLI equal
     the public functions' outputs written by the public writers."""
     with tempfile.TemporaryDirectory() as d:
         out = Path(d)
@@ -234,11 +226,9 @@ def assert_same_files(n, channels, h, w, seed):
         ms = [read_prob_map(p) for p in paths]
         argv = ["ensemble", *paths, "--out", str(out / "a.fpm"), "--decide-out", str(out / "d.pgm")]
         assert main(argv) == EXIT_OK
-        assert main(["ensemble", *paths, "--vote", "--decide-out", str(out / "v.pgm")]) == EXIT_OK
         write_prob_map(average(ms), out / "a_ref.fpm")
         write_label_mask(decide(average(ms)), out / "d_ref.pgm")
-        write_label_mask(vote(ms), out / "v_ref.pgm")
-        for name in ("a.fpm", "d.pgm", "v.pgm"):
+        for name in ("a.fpm", "d.pgm"):
             ref = name.replace(".", "_ref.")
             assert (out / name).read_bytes() == (out / ref).read_bytes(), name
         # what measure takes from an .fpm input
@@ -272,14 +262,12 @@ class TestSameFiles:
         assert main(["measure", str(tmp_path / "ref" / "f.pgm"), "--out", str(tmp_path / "r_ref.csv")]) == EXIT_OK
         assert (tmp_path / "r.csv").read_bytes() == (tmp_path / "r_ref.csv").read_bytes()
 
-    @pytest.mark.parametrize("vote_flag", [[], ["--vote"]])
-    def test_mismatched_members(self, tmp_path, capsys, vote_flag):
+    def test_mismatched_members(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         paths = write_members(tmp_path / "a", 1, (4, 4), 3) + write_members(tmp_path / "b", 1, (4, 5), 3)
         out = tmp_path / "o"
-        flag = "--decide-out" if vote_flag else "--out"
-        assert main(["ensemble", *paths, *vote_flag, flag, str(out)]) == EXIT_DATA
+        assert main(["ensemble", *paths, "--out", str(out)]) == EXIT_DATA
         assert not out.exists()
         assert capsys.readouterr().err == f"error: {paths[1]}: shape (4, 5, 3), expected (4, 4, 3)\n"
 
@@ -314,19 +302,15 @@ def fpm_bytes(draw):
 _OUTPUTS = {"--out": "out", "--decide-out": "decided.pgm"}
 
 
-def expected_exit(paths, use_vote, outputs):
-    """The exit code the public functions imply for an ensemble call: --out is
-    the average, so --vote takes --decide-out only."""
-    if not outputs or use_vote and "--out" in outputs:
+def expected_exit(paths, outputs):
+    """The exit code the public functions imply for an ensemble call."""
+    if not outputs:
         return EXIT_USAGE
     try:
         ms = [read_prob_map(p) for p in paths]
-        if use_vote:
-            vote(ms)
-        else:
-            validate_prob_map(average(ms))
-            if "--out" in outputs:  # written as float32
-                validate_prob_map(average(ms).astype(np.float32))
+        validate_prob_map(average(ms))
+        if "--out" in outputs:  # written as float32
+            validate_prob_map(average(ms).astype(np.float32))
     except (FetalBiometryError, OSError, ValueError):
         return EXIT_DATA
     return EXIT_OK
@@ -336,23 +320,22 @@ class TestFailureContract:
     @settings(max_examples=150, deadline=None)
     @given(
         st.lists(fpm_bytes(), min_size=1, max_size=3),
-        st.booleans(),
         st.sampled_from([(), ("--out",), ("--decide-out",), ("--out", "--decide-out")]),
     )
-    def test_exit_codes_and_outputs(self, files, use_vote, outputs):
+    def test_exit_codes_and_outputs(self, files, outputs):
         with tempfile.TemporaryDirectory() as d:
             d = Path(d)
             paths = [str(d / f"m{i}.fpm") for i in range(len(files))]
             for path, data in zip(paths, files):
                 if data is not None:
                     Path(path).write_bytes(data)
-            argv = ["ensemble", *paths, *(["--vote"] if use_vote else [])]
+            argv = ["ensemble", *paths]
             for flag in outputs:
                 argv += [flag, str(d / _OUTPUTS[flag])]
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 rc = main(argv)
-            assert rc == expected_exit(paths, use_vote, outputs), err.getvalue()
+            assert rc == expected_exit(paths, outputs), err.getvalue()
             assert "Traceback" not in err.getvalue()
             written = {flag for flag in outputs if (d / _OUTPUTS[flag]).exists()}
             assert written == (set(outputs) if rc == EXIT_OK else set())
@@ -368,19 +351,15 @@ class TestRowsCheckedOnce:
     to --out is checked whole, once more."""
 
     @pytest.mark.parametrize("n", [1, 3])
-    @pytest.mark.parametrize("use_vote", [False, True])
-    def test_ensemble(self, tmp_path, prob_map_checks, n, use_vote):
+    def test_ensemble(self, tmp_path, prob_map_checks, n):
         paths = write_members(tmp_path, n, TALL, 3)
         prob_map_checks.clear()
-        if use_vote:
-            outputs = ["--vote", "--decide-out", str(tmp_path / "v.pgm")]
-        else:
-            outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
+        outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(["ensemble", *paths, *outputs]) == EXIT_OK
         strips = [10, 10, 10, 5]
-        written = [] if use_vote else [TALL[0]]
+        written = [TALL[0]]  # the float32 average, checked whole as --out writes it
         assert [s[0] for t, s in prob_map_checks if t == np.float32] == [r for r in strips for _ in range(n)] + written
-        assert [s[0] for t, s in prob_map_checks if t == np.float64] == ([] if use_vote else strips)
+        assert [s[0] for t, s in prob_map_checks if t == np.float64] == strips
 
     def test_measure(self, tmp_path, prob_map_checks):
         (path,) = write_members(tmp_path, 1, TALL, 3)
@@ -417,11 +396,13 @@ def strip_error(strip, y0, height):
     return None
 
 
-def strip_order_stderr(paths, use_vote):
+def strip_order_stderr(paths):
     """What the CLI prints for these members: the first failure in read order.
     Every header, payload length and shape, in the order given; then strip by
     strip, each member's rows in order and then the rows of their average;
-    then the float32 cast of the average, which --out writes."""
+    then the float32 cast of the average, which --out writes.  For one
+    member, the map ``measure`` decides, the average fails only where the
+    member does, so this is also what ``measure`` prints for it."""
     members = []
     for p in paths:
         m = unchecked_map(p)
@@ -438,9 +419,9 @@ def strip_order_stderr(paths, use_vote):
         for p, strip in zip(paths, strips):
             if (e := strip_error(strip, y0, h)) is not None:
                 return f"error: {p}: {e}\n"
-        if not use_vote and (e := strip_error(average(strips), y0, h)) is not None:
+        if (e := strip_error(average(strips), y0, h)) is not None:
             return f"error: ensemble average: {e}\n"
-    if not use_vote and (e := strip_error(average(members).astype(np.float32), 0, h)) is not None:
+    if (e := strip_error(average(members).astype(np.float32), 0, h)) is not None:
         return f"error: ensemble average: {e}\n"
     return ""
 
@@ -531,20 +512,14 @@ PLANTS = {
 class TestFailuresBelowTheFirstStrip:
     """The error names the first failure in read order, and its pixel in frame coordinates."""
 
-    @pytest.mark.parametrize("use_vote", [False, True])
     @pytest.mark.parametrize("plant", list(PLANTS))
-    def test_frame_level_report(self, tmp_path, capsys, plant, use_vote):
+    def test_frame_level_report(self, tmp_path, capsys, plant):
         ms = tall_members(3)
         member, pixel = PLANTS[plant](ms)
         paths = write_planted(ms, tmp_path)
-        want = strip_order_stderr(paths, use_vote)
-        outputs = ["--decide-out", str(tmp_path / "d.pgm")]
-        if not use_vote:
-            outputs += ["--out", str(tmp_path / "o")]
-        rc = main(["ensemble", *paths, *(["--vote"] if use_vote else []), *outputs])
-        if use_vote and member is None:  # the vote has no average to check
-            assert rc == EXIT_OK and want == ""
-            return
+        want = strip_order_stderr(paths)
+        outputs = ["--decide-out", str(tmp_path / "d.pgm"), "--out", str(tmp_path / "o")]
+        rc = main(["ensemble", *paths, *outputs])
         assert rc == EXIT_DATA
         assert capsys.readouterr().err == want
         assert want.startswith(f"error: {paths[member]}: " if member is not None else "error: ensemble average: ")
@@ -552,16 +527,14 @@ class TestFailuresBelowTheFirstStrip:
             assert f"worst pixel ({pixel[0]}, {pixel[1]})" in want
         assert not (tmp_path / "o").exists() and not (tmp_path / "d.pgm").exists()
 
-    @pytest.mark.parametrize("use_vote", [False, True])
-    def test_truncated_member(self, tmp_path, capsys, use_vote):
+    def test_truncated_member(self, tmp_path, capsys):
         paths = write_members(tmp_path, 3, TALL, 3)
         data = Path(paths[1]).read_bytes()
         Path(paths[1]).write_bytes(data[: len(data) - 4 * TALL[1] * 3])  # drops the last row
-        want = strip_order_stderr(paths, use_vote)
+        want = strip_order_stderr(paths)
         assert want.startswith(f"error: {paths[1]}: truncated payload")
         out = tmp_path / "o"
-        flags = ["--vote", "--decide-out"] if use_vote else ["--out"]
-        assert main(["ensemble", *paths, *flags, str(out)]) == EXIT_DATA
+        assert main(["ensemble", *paths, "--out", str(out)]) == EXIT_DATA
         assert capsys.readouterr().err == want
         assert not out.exists()
 
@@ -570,7 +543,7 @@ class TestFailuresBelowTheFirstStrip:
         # each failing member measured alone: the map is its one member
         ms = tall_members(3)
         PLANTS[plant](ms)
-        wants = {p: strip_order_stderr([p], True) for p in write_planted(ms, tmp_path)}
+        wants = {p: strip_order_stderr([p]) for p in write_planted(ms, tmp_path)}
         failing = [p for p, want in wants.items() if want]
         assert main(["measure", *failing, "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
         assert capsys.readouterr().err == "".join(wants[p] for p in failing)
@@ -602,20 +575,20 @@ def test_failure_opens_each_member_once(tmp_path, opens, plant):
     assert main(["ensemble", *paths, *outputs]) == EXIT_DATA
     assert [opens[p] for p in paths] == [1, 1, 1]
     for p in paths:
-        if strip_order_stderr([p], True):  # a map that fails on its own
+        if strip_order_stderr([p]):  # a map that fails on its own
             opens.clear()
             assert main(["measure", p, "--out", str(tmp_path / "r.csv")]) == EXIT_PARTIAL
             assert opens[p] == 1
 
 
-@pytest.mark.parametrize("flags", [["--out"], ["--vote", "--decide-out"]])
+@pytest.mark.parametrize("flags", [["--out"], ["--decide-out"]])
 def test_out_names_a_member(tmp_path, flags):
     # every member is read in full before the output replaces one of them
     paths = write_members(tmp_path, 3, TALL, 3)
     ms = [read_prob_map(p) for p in paths]
     ref = tmp_path / "ref"
-    if "--vote" in flags:
-        write_label_mask(vote(ms), ref)
+    if "--decide-out" in flags:
+        write_label_mask(decide(average(ms)), ref)
     else:
         write_prob_map(average(ms), ref)
     assert main(["ensemble", *paths, *flags, paths[1]]) == EXIT_OK
@@ -633,14 +606,14 @@ def no_member_opened(monkeypatch):
     monkeypatch.setattr(io_formats, "read_prob_map", fail)
 
 
-@pytest.mark.parametrize("decide_out", [False, True])
-def test_vote_with_out_usage(tmp_path, capsys, no_member_opened, decide_out):
-    # --out is the average; the vote goes to --decide-out only
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_out_and_decide_out_name_one_file_usage(tmp_path, capsys, no_member_opened, spelling):
+    # the decided mask would replace the average; the paths are compared resolved
     paths = write_members(tmp_path, 2)
+    (tmp_path / "sub").mkdir()
     before = sorted(tmp_path.iterdir())
-    argv = ["ensemble", *paths, "--vote", "--out", str(tmp_path / "v.fpm")]
-    if decide_out:
-        argv += ["--decide-out", str(tmp_path / "d.pgm")]
-    assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err == "error: --vote writes --decide-out only; --out is the average\n"
+    out = tmp_path / "x"
+    other = out if spelling == "same" else tmp_path / "sub" / ".." / "x"
+    assert main(["ensemble", *paths, "--out", str(out), "--decide-out", str(other)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: --out and --decide-out both name {out}\n"
     assert sorted(tmp_path.iterdir()) == before

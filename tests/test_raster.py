@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -9,6 +14,7 @@ from fetalbiometry.biometry import measure_frame
 from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import (
     PS,
+    keyed_rng,
     mask_set_counts,
     validate_binary_mask,
     validate_label_mask,
@@ -18,6 +24,28 @@ from fetalbiometry.raster import (
 # masks that hold a value below 0 or NaN; a uint8 cast would read -1 as 255
 # and -254 as 2 (FH)
 OUT_OF_RANGE = [np.int8(-1), np.int16(-254), np.float64(np.nan)]
+
+
+class TestKeyedRng:
+    @pytest.mark.parametrize("words", [(0, 0xF0), (7, 0xAB), (2**63 - 1, 5), (3, 2**63 - 1)])
+    def test_words_below_2_63_keep_their_streams(self, words):
+        want = np.random.Generator(np.random.Philox(key=list(words))).random(4)
+        assert np.array_equal(keyed_rng(*words).random(4), want)
+
+    def test_words_are_taken_mod_2_64(self):
+        assert np.array_equal(keyed_rng(-1, -2).random(4), keyed_rng(2**64 - 1, 2**64 - 2).random(4))
+        assert not np.array_equal(keyed_rng(-1, 0).random(4), keyed_rng(0, 0).random(4))
+
+
+def test_package_import_leaves_dataprep_unloaded():
+    # keyed_rng lives here, so importing the package does not load the
+    # training-data module; a fresh interpreter, since this process has loaded it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, fetalbiometry; print('fetalbiometry.dataprep' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"
 
 
 class TestMaskSetCounts:
