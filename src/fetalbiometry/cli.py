@@ -85,6 +85,9 @@ def cmd_measure(args) -> int:
                 print(f"error: --emit-overlays: {first[path.stem]} and {path} share a stem", file=sys.stderr)
                 return EXIT_USAGE
             first[path.stem] = path
+            if _one_file(args.out, out_dir / f"{path.stem}.ppm"):
+                print(f"error: --out names the overlay of {path}", file=sys.stderr)
+                return EXIT_USAGE
         out_dir.mkdir(parents=True, exist_ok=True)
     _require_dirs(args.out)  # after the mkdir, which may create it
     rows = []

@@ -2,13 +2,16 @@
 boundary extraction, ellipse fitting, iterative protrusion pruning, and the
 ellipse-vs-mask decision rule.
 
-The plain AMS fit of the closed mask's largest edge component decides
-whether the prune loop runs: it does when the fitted ellipse covers at least
-as many pixels outside the mask as the mask has outside the ellipse.  That
-fit leans toward a protrusion, so every ellipse in the loop, the first
-prune's included, is ``ellipse.fit_consensus``'s.  The loop ends after the
-first round whose prune removes no pixel, as every later round would repeat
-it: the same mask, edge points and fit."""
+The boundary points are taken once, from the closed mask's largest edge
+component.  Their plain AMS fit decides whether the prune loop runs: it does
+when the fitted ellipse covers at least as many pixels outside the mask as
+the mask has outside the ellipse.  That fit leans toward a protrusion, so
+every ellipse in the loop is ``ellipse.fit_consensus``'s.  Each round keeps
+the points inside the last fit grown by ``PRUNE_DISTANCE`` and refits them:
+trimmed fitting, as in least trimmed squares (Rousseeuw 1984) and RANSAC's
+refit on its consensus set (Fischler & Bolles 1981).  The loop ends after the
+first round that keeps every point, as every later round would repeat it:
+the same points and fit."""
 
 from __future__ import annotations
 
@@ -20,9 +23,9 @@ import numpy as np
 
 from . import edges, ellipse as el, morphology
 from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
-from .raster import bounding_window, mask_set_counts, paste, pixel_centers, validate_binary_mask
+from .raster import bounding_window, mask_set_counts, paste, pixel_centers
 
-# the paper's recipe: holes closed by a 10x10 elliptical kernel, pixels
+# the paper's recipe: holes closed by a 10x10 elliptical kernel, points
 # pruned outside the fitted ellipse grown by 3 px per semi-axis, and the
 # ellipse kept when its pixels outside the closed mask are under 20% of the
 # mask's area
@@ -71,19 +74,10 @@ def protrusion_ratio(e_mask: np.ndarray, s_mask: np.ndarray) -> float:
     return only_e / only_s
 
 
-def prune(s: np.ndarray, e: el.Ellipse, *, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Drop foreground pixels whose centers fall outside the ellipse grown by
-    ``PRUNE_DISTANCE`` per semi-axis.
-
-    Pixel (x, y) of s is pixel (x + origin[0], y + origin[1]) of the frame
-    that e lives in.
-    """
-    s = validate_binary_mask(s)
+def prune(points: np.ndarray, e: el.Ellipse) -> np.ndarray:
+    """One bool per point: whether it lies inside or on e grown by ``PRUNE_DISTANCE`` per semi-axis."""
     grown = el.Ellipse(e.cx, e.cy, e.a + PRUNE_DISTANCE, e.b + PRUNE_DISTANCE, e.theta_deg)
-    outside = grown.quad_form(pixel_centers(s, origin)) > 1.0
-    out = s.copy()
-    out[s != 0] = ~outside  # pixel_centers lists the foreground in row-major order, as boolean indexing does
-    return out
+    return grown.quad_form(points) <= 1.0
 
 
 def _crop_box(core: tuple[int, int, np.ndarray], frame: tuple[int, int]) -> tuple[int, int, int, int]:
@@ -166,31 +160,27 @@ def refine(
     if not closed.any():
         # closing can erase a mask thinner than the kernel near the border
         closed = crop
-    s_mask = closed
     iterations = 0
     try:
-        points = _boundary_points(s_mask, (x0, y0))
+        points = _boundary_points(closed, (x0, y0))
         fitted = el.fit_ams(points)
         e_win = el.raster_window(fitted, w, h)
         # the ellipse window may overrun the crop: its pixels there count as E-only
-        while protrusion_ratio(*_joint(e_win, (x0, y0, s_mask))) >= 1.0 and iterations < MAX_PRUNE:
-            if iterations == 0:
-                # the plain fit that entered the loop leans toward the protrusion
-                fitted = el.fit_consensus(points)
-            pruned = prune(s_mask, fitted, origin=(x0, y0))
-            iterations += 1
-            if np.array_equal(pruned, s_mask):  # a fixed point: fitted is this mask's consensus fit
-                if iterations == 1:
-                    e_win = el.raster_window(fitted, w, h)  # e_win still holds the plain fit
-                break
-            s_mask = pruned
-            # a pruned-away mask has no edges: _boundary_points raises NoEdgesError
-            points = _boundary_points(s_mask, (x0, y0))
+        if protrusion_ratio(*_joint(e_win, (x0, y0, closed))) >= 1.0:
+            # the plain fit that entered the loop leans toward the protrusion
             fitted = el.fit_consensus(points)
+            while iterations < MAX_PRUNE:
+                keep = prune(points, fitted)
+                iterations += 1
+                if keep.all():  # a fixed point: fitted is these points' consensus fit
+                    break
+                # too few kept points make fit_consensus raise DegenerateInputError
+                points = points[keep]
+                fitted = el.fit_consensus(points)
             e_win = el.raster_window(fitted, w, h)
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))
-    # decision rule against the hole-closed (pre-prune) mask
+    # decision rule against the hole-closed mask
     only_e, only_s, both = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
     ratio = only_e / (only_s + both)
     used = ratio < ELLIPSE_ACCEPT_RATIO

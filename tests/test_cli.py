@@ -37,7 +37,7 @@ def make_scene_file(tmp_path, name="frame0.pgm", seed=1):
 
 
 def make_protrusion_file(tmp_path):
-    """A frame whose PS is pruned in two rounds, the second a no-op, and keeps its ellipse at a ratio of 0.057."""
+    """A frame whose PS is pruned in two rounds, the second a no-op, and keeps its ellipse at a ratio of 0.005."""
     labels = phantom.render(phantom.random_scene(1, 256, 256))
     path = tmp_path / "frame0.pgm"
     write_label_mask(phantom.perturb(labels, phantom.Perturbation(holes=2, protrusions=1, seed=1)), path)
@@ -179,6 +179,15 @@ class TestMeasure:
         assert main(["measure", str(inp), "--emit-overlays", str(ov), "--out", str(ov / "r.csv")]) == EXIT_OK
         assert sorted(p.name for p in ov.iterdir()) == ["frame0.ppm", "r.csv"]
 
+    @pytest.mark.parametrize("out", ["ov/frame0.ppm", "ov/../ov/frame0.ppm"], ids=["same", "dotted"])
+    def test_out_naming_an_overlay_usage(self, tmp_path, monkeypatch, capsys, out):
+        # the report would replace the frame's overlay
+        inp, ov = make_scene_file(tmp_path), tmp_path / "ov"
+        monkeypatch.setattr(cli, "_load_labels", lambda path: pytest.fail(f"{path} was read"))
+        assert main(["measure", str(inp), "--emit-overlays", str(ov), "--out", str(tmp_path / out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --out names the overlay of {inp}\n"
+        assert not ov.exists()
+
     def test_removed_flag_usage(self, tmp_path, monkeypatch):
         # refinement runs at the paper's constants: its former flags, and the
         # --config that held them, are usage errors raised before any input is read
@@ -218,7 +227,7 @@ class TestMeasure:
         assert calls == [] and not out.exists() and not Path(f"{out}.mask.pgm").exists()
 
     def test_prune_loop_ends_at_its_fixed_point(self, tmp_path):
-        # the PS's second round prunes nothing, and the loop stops there
+        # the PS's second round keeps every point, and the loop stops there
         inp = make_protrusion_file(tmp_path)
         out = tmp_path / "r.csv"
         assert main(["measure", str(inp), "--out", str(out)]) == EXIT_OK
@@ -226,7 +235,7 @@ class TestMeasure:
         fields = dict(zip(header.split(","), row.split(",")))
         assert (fields["prune_iters_ps"], fields["used_ellipse_ps"]) == ("2", "1")
         r = measure_frame(read_label_mask(inp))
-        assert (r.aop_deg, r.hsd_px) == (162.68171151507087, 39.11521443121589)
+        assert (r.aop_deg, r.hsd_px) == (160.33358517730477, 39.11521443121589)  # analytic 160.155 deg, 37.567 px
 
     def test_flag_does_not_leak_into_the_next_call(self, tmp_path):
         # the parser is built once per process; each call must parse afresh

@@ -13,7 +13,7 @@ from fetalbiometry import edges, ellipse as el, morphology, phantom
 from fetalbiometry.ellipse import Ellipse, rasterize
 from fetalbiometry.errors import DegenerateInputError, EmptyShapeError, NoEdgesError
 from fetalbiometry.metrics import dice
-from fetalbiometry.raster import FH, PS, mask_set_counts
+from fetalbiometry.raster import FH, PS, mask_set_counts, pixel_centers
 from fetalbiometry.refine import (
     CLOSING_KERNEL,
     ELLIPSE_ACCEPT_RATIO,
@@ -36,21 +36,15 @@ refine_mod = importlib.import_module("fetalbiometry.refine")
 
 
 # Reference implementation: the full-frame refinement that kept the largest
-# component, then ran closing, Canny, chains, prune and the ratios on the
-# whole frame.  The cropped production code must match it field for field.
-# It runs the same consensus search as refine: what it checks is that crop
-# and full frame agree, not the search itself.  Its loop ends as refine's
-# does, after the first round whose prune removes no pixel.
+# component, then ran closing, Canny, chains, the point prune and the ratios
+# on the whole frame.  The cropped production code must match it field for
+# field.  It runs the same consensus search as refine: what it checks is that
+# crop and full frame agree, not the search itself.  Its loop ends as
+# refine's does, after the first round that keeps every point.
 def _ref_boundary_points(mask):
     edge_map = edges.canny(mask)
     chain = edges.longest_chain(edges.extract_chains(edge_map))
     return np.asarray(chain.points, dtype=np.float64) + 0.5  # pixel centers
-
-
-def _ref_fit(mask, fit):
-    fitted = fit(_ref_boundary_points(mask))
-    h, w = mask.shape
-    return fitted, el.rasterize(fitted, w, h)
 
 
 def ref_refine(raw):
@@ -60,26 +54,23 @@ def ref_refine(raw):
     closed = morphology.close(raw, CLOSING_KERNEL)
     if not closed.any():
         closed = raw.copy()
-    s_mask = closed.copy()
     h, w = closed.shape
     iterations = 0
     try:
-        fitted, e_mask = _ref_fit(s_mask, el.fit_ams)
-        while protrusion_ratio(e_mask, s_mask) >= 1.0 and iterations < MAX_PRUNE:
-            if iterations == 0:
-                fitted = el.fit_consensus(_ref_boundary_points(s_mask))
-            pruned = prune(s_mask, fitted)
-            iterations += 1
-            if np.array_equal(pruned, s_mask):
-                e_mask = el.rasterize(fitted, w, h)
-                break
-            s_mask = pruned
-            if not s_mask.any():
-                raise DegenerateInputError("pruning removed the whole mask")
-            fitted, e_mask = _ref_fit(s_mask, el.fit_consensus)
+        points = _ref_boundary_points(closed)
+        fitted = el.fit_ams(points)
+        if protrusion_ratio(el.rasterize(fitted, w, h), closed) >= 1.0:
+            fitted = el.fit_consensus(points)
+            while iterations < MAX_PRUNE:
+                keep = prune(points, fitted)
+                iterations += 1
+                if keep.all():
+                    break
+                points = points[keep]
+                fitted = el.fit_consensus(points)
     except (DegenerateInputError, NoEdgesError):
         return RefinedShape(closed, None, False, iterations, math.inf, (0, 0, w, h), (w, h))
-    only_e, _, _ = mask_set_counts(e_mask, closed)
+    only_e, _, _ = mask_set_counts(el.rasterize(fitted, w, h), closed)
     s_area = int(np.count_nonzero(closed))
     ratio = only_e / s_area
     used = ratio < ELLIPSE_ACCEPT_RATIO
@@ -140,23 +131,21 @@ class TestProtrusionRatio:
 class TestPrune:
     def test_inside_untouched(self):
         e = Ellipse(16.0, 16.0, 8.0, 5.0, 0.0)
-        m = rasterize(e, 32, 32)
-        assert np.array_equal(prune(m, e), m)
+        pts = pixel_centers(rasterize(e, 32, 32))
+        assert prune(pts, e).all()
 
     def test_far_pixels_removed(self):
         e = Ellipse(16.0, 16.0, 6.0, 4.0, 0.0)
-        m = rasterize(e, 32, 32)
-        m[2, 2] = 1  # far from the ellipse
-        out = prune(m, e)
-        assert out[2, 2] == 0
-        assert out.sum() == m.sum() - 1
+        pts = np.concatenate([pixel_centers(rasterize(e, 32, 32)), [[2.5, 2.5]]])  # the last far from the ellipse
+        keep = prune(pts, e)
+        assert keep.shape == (len(pts),) and keep.dtype == bool
+        assert keep[:-1].all() and not keep[-1]
 
     def test_within_margin_kept(self):
         e = Ellipse(16.0, 16.0, 6.0, 6.0, 0.0)
-        m = np.zeros((32, 32), np.uint8)
-        m[16, 24] = 1  # center (24.5, 16.5): distance from ellipse center ~8.5 <= 6+3
-        out = prune(m, e)
-        assert out[16, 24] == 1
+        # at distance 8.5 from the center, inside 6 + 3; the second at 9.5 is outside
+        keep = prune(np.array([[24.5, 16.0], [25.5, 16.0]]), e)
+        assert keep.tolist() == [True, False]
 
 
 def ellipse_mask(cx, cy, a, b, theta, w=128, h=128):
@@ -307,6 +296,12 @@ def refine_inputs(draw, kinds=("blob", "ellipse", "arc", "protrusion")):
     return m
 
 
+def protrusion_scene(seed, **perturbation):
+    """A 256^2 phantom with one protrusion on each structure."""
+    p = phantom.Perturbation(protrusions=1, seed=seed, **perturbation)
+    return phantom.perturb(phantom.render(phantom.random_scene(seed, 256, 256)), p)
+
+
 class TestCropMatchesFullFrame:
     @settings(max_examples=250, deadline=None)
     @given(refine_inputs())
@@ -324,9 +319,7 @@ class TestCropMatchesFullFrame:
 
     @pytest.mark.parametrize("seed", range(2))
     def test_protrusion_phantom(self, seed):
-        labels = phantom.perturb(
-            phantom.render(phantom.random_scene(seed, 256, 256)), phantom.Perturbation(protrusions=1, seed=seed)
-        )
+        labels = protrusion_scene(seed)
         for cid in (PS, FH):
             m = morphology.largest_component(class_mask(labels, cid))
             assert_same_shape(refine(m), ref_refine(m))
@@ -388,9 +381,11 @@ class TestConsensusFit:
 
 
 class TestCallCounts:
-    """The benchmark's per-layer spans wrap these functions by module attribute;
-    refine must keep calling them once per fit and once per prune round, and
-    every AMS fit, the consensus refits included, through ``ellipse.fit_ams``."""
+    """The benchmark's per-layer spans wrap these functions by module attribute.
+    refine extracts edges and tests the protrusion ratio once per structure,
+    prunes once per round, and rasters the final fit once more when the loop
+    ran; every AMS fit, the consensus refits included, goes through
+    ``ellipse.fit_ams``."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -418,90 +413,88 @@ class TestCallCounts:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_calls_per_structure(self, calls, seed):
-        # every prune round of these scenes removes a pixel
-        labels = phantom.perturb(
-            phantom.render(phantom.random_scene(seed, 256, 256)), phantom.Perturbation(protrusions=1, seed=seed)
-        )
+        # every loop on these scenes ends at its fixed point, before the cap
+        labels = protrusion_scene(seed)
         pruned = 0
         for cid in (PS, FH):
             calls.clear()
             r = refine(morphology.largest_component(class_mask(labels, cid)))
             n = r.prune_iterations
+            assert n < MAX_PRUNE
             pruned += n
-            assert calls.get("prune", 0) == n
-            assert calls["protrusion_ratio"] == calls["canny"] == calls["raster_window"] == n + 1
-            # an entered loop refits the entry fit's points by consensus once more
-            assert calls.get("fit_consensus", 0) == n + (n > 0)
-            assert calls["fit_ams"] == n + 1 + (n > 0)
+            assert calls["canny"] == calls["protrusion_ratio"] == 1
+            assert calls["raster_window"] == 1 + (n > 0)
+            # the entry's consensus fit, then one refit per round that drops a point
+            assert calls.get("prune", 0) == calls.get("fit_consensus", 0) == n
+            assert calls["fit_ams"] == n + 1
         assert pruned > 0
 
     def test_nothing_runs_after_a_round_that_prunes_nothing(self, calls):
-        # this PS's second round removes no pixel: no Canny, fit, raster or
-        # ratio test follows it
-        labels = phantom.perturb(
-            phantom.render(phantom.random_scene(1, 256, 256)), phantom.Perturbation(holes=2, protrusions=1, seed=1)
-        )
+        # this PS's second round keeps every point: no fit follows it, and the
+        # final fit is rastered once
+        labels = protrusion_scene(1, holes=2)
         calls.clear()  # rendering rasterizes
         r = refine(morphology.largest_component(class_mask(labels, PS)))
         assert r.prune_iterations == 2
         assert calls == {
             "prune": 2,
-            "protrusion_ratio": 2,
-            "canny": 2,
+            "protrusion_ratio": 1,
+            "canny": 1,
             "raster_window": 2,
             "fit_consensus": 2,
             "fit_ams": 3,
         }
 
 
+def arc():
+    """The arc of test_arc_fit_overruns_the_crop: its fit overruns the arc, so the loop is entered."""
+    return _arc(160, 160, 80.0, 150.0, 60.0, 4.0, 220.0, 100.0)
+
+
 class TestPruneLoopEnd:
-    @staticmethod
-    def arc():
-        """The arc of test_arc_fit_overruns_the_crop: its fit overruns the arc, so the loop is entered."""
-        return _arc(160, 160, 80.0, 150.0, 60.0, 4.0, 220.0, 100.0)
-
     def test_ends_after_the_first_round_that_prunes_nothing(self, monkeypatch):
-        removed = []
+        dropped = []
 
-        def counted(s, e, *, origin=(0, 0)):
-            out = prune(s, e, origin=origin)
-            removed.append(int(np.count_nonzero(s)) - int(np.count_nonzero(out)))
-            return out
+        def counted(points, e):
+            keep = prune(points, e)
+            dropped.append(int(np.count_nonzero(~keep)))
+            return keep
 
         monkeypatch.setattr(refine_mod, "prune", counted)
-        r = refine(self.arc())
-        assert r.prune_iterations == len(removed) == 2
-        assert removed[0] > 0 and removed[1] == 0
+        r = refine(arc())
+        assert r.prune_iterations == len(dropped) > 1
+        assert all(dropped[:-1]) and dropped[-1] == 0
 
     def test_a_loop_that_always_prunes_stops_at_the_cap(self, monkeypatch):
         calls = []
 
-        def drop_one(s, e, *, origin=(0, 0)):
-            calls.append(origin)
-            out = s.copy()
-            out.flat[np.flatnonzero(s)[0]] = 0
-            return out
+        def drop_first(points, e):
+            calls.append(len(points))
+            keep = np.ones(len(points), bool)
+            keep[0] = False
+            return keep
 
-        monkeypatch.setattr(refine_mod, "prune", drop_one)
-        r = refine(self.arc())
+        monkeypatch.setattr(refine_mod, "prune", drop_first)
+        r = refine(arc())
         assert MAX_PRUNE == 15
         assert len(calls) == r.prune_iterations == MAX_PRUNE
+        assert calls == list(range(calls[0], calls[0] - MAX_PRUNE, -1))
 
     def test_a_round_that_ends_in_an_error_is_counted(self, monkeypatch):
         calls = []
 
-        def empty(s, e, *, origin=(0, 0)):
-            calls.append(origin)
-            return np.zeros_like(s)
+        def drop_all(points, e):
+            calls.append(len(points))
+            return np.zeros(len(points), bool)
 
-        monkeypatch.setattr(refine_mod, "prune", empty)
-        # an emptied mask has no edges to fit
-        r = refine(self.arc())
+        monkeypatch.setattr(refine_mod, "prune", drop_all)
+        # no point is left to fit
+        r = refine(arc())
         assert r.ellipse is None
         assert len(calls) == r.prune_iterations == 1
 
     def test_a_no_op_first_round_decides_on_the_consensus_fit(self):
-        # the plain fit enters the loop, and its consensus refit prunes nothing
+        # the plain fit enters the loop, and its consensus fit keeps every point
         r = refine(ellipse_mask(33, 16, 27, 6, 61, 64, 64))
         closed = r.closed_mask
         plain = el.fit_ams(_ref_boundary_points(closed))
@@ -512,3 +505,50 @@ class TestPruneLoopEnd:
             return only_e / (only_s + both)
 
         assert r.final_ratio == excess(r.ellipse) != excess(plain)
+
+
+class TestPruneLoopFixedPoint:
+    """Each round trims the point set the last round kept, until a round keeps them all."""
+
+    @staticmethod
+    def recorded_refine(monkeypatch, m):
+        """(refine(m), [(points, keep)] of each prune call)."""
+        rounds = []
+
+        def recorded(points, e):
+            keep = prune(points, e)
+            rounds.append((points.copy(), keep))
+            return keep
+
+        monkeypatch.setattr(refine_mod, "prune", recorded)
+        return refine(m), rounds
+
+    def check(self, r, rounds):
+        assert len(rounds) == r.prune_iterations
+        for (points, keep), (later, _) in zip(rounds, rounds[1:]):
+            assert not keep.all()
+            assert np.array_equal(later, points[keep])  # the kept points, in order
+        if rounds and r.prune_iterations < MAX_PRUNE and r.ellipse is not None:
+            # not capped, and no refit failed on too few points: a fixed point
+            points, keep = rounds[-1]
+            assert keep.all()
+            assert r.ellipse == el.fit_consensus(points)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_protrusion_scenes(self, monkeypatch, seed):
+        labels = protrusion_scene(seed)
+        for cid in (PS, FH):
+            r, rounds = self.recorded_refine(monkeypatch, morphology.largest_component(class_mask(labels, cid)))
+            assert len(rounds) > 1
+            self.check(r, rounds)
+
+    def test_arc(self, monkeypatch):
+        r, rounds = self.recorded_refine(monkeypatch, arc())
+        assert len(rounds) > 1
+        self.check(r, rounds)
+
+    @settings(max_examples=100, deadline=None)
+    @given(refine_inputs())
+    def test_any_mask(self, m):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.check(*self.recorded_refine(monkeypatch, m))
