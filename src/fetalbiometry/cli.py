@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataprep, ensemble, io_formats, metrics, overlay, phantom
+# dataprep, metrics and overlay are imported by the commands that use them,
+# so that measuring and ensembling do not load them
+from . import ensemble, io_formats, phantom, raster
 from .biometry import measure_frame, measure_frame_detailed
 from .errors import FetalBiometryError, FormatError, MemberError
 
@@ -79,6 +81,7 @@ def cmd_measure(args) -> int:
         return EXIT_USAGE
     out_dir = Path(args.emit_overlays) if args.emit_overlays else None
     if out_dir:
+        from . import overlay
         first = {}  # stem -> the first input with it: each input's overlay is <stem>.ppm
         for path in inputs:
             if path.stem in first:
@@ -125,10 +128,10 @@ def cmd_ensemble(args) -> int:
         print("error: no ensemble members given", file=sys.stderr)
         return EXIT_USAGE
     try:
-        avg, labels = _ensemble_strips(args.members, bool(args.out))
+        avg, labels, near = _ensemble_strips(args.members, bool(args.out))
         _require_dirs(args.out, args.decide_out)
-        if args.out:
-            io_formats.write_prob_map(avg, args.out)  # checked before the file is opened
+        if args.out:  # checked before the file is opened, unless no strip came near the tolerance
+            io_formats.write_prob_map(avg, args.out, check=near)
     except MemberError as e:
         raise FormatError(f"{args.members[e.index]}: {e.__cause__}")
     except ValueError as e:  # the average failed a check: a strip as decided, or its float32 cast
@@ -139,20 +142,37 @@ def cmd_ensemble(args) -> int:
 
 
 def _ensemble_strips(paths, want_avg: bool):
-    """(float32 average if asked for, else None; the average's decision) of the members."""
+    """(float32 average if asked for, else None; the average's decision;
+    whether a strip came near the tolerance) of the members.
+
+    A strip whose members pass with ``raster.SUM_MARGIN`` to spare is
+    averaged and decided unchecked: its mean, and the mean's float32 cast,
+    pass the checks by that margin.  Any other strip is checked as
+    ``ensemble.average`` and ``ensemble.decide`` check it, each member in
+    order and then the mean.
+    """
     with io_formats.prob_map_strips(paths) as (shape, strips):
         avg = np.empty(shape, "<f4") if want_avg else None
         labels = np.empty(shape[:2], np.uint8)
-        for rows, members in strips:
-            origin = (0, rows.start)
-            mean = ensemble.average(members, origin)
-            labels[rows] = ensemble.decide(mean, origin)  # the average's one check, even when only --out is asked
+        buffer, near = None, False
+        for rows, maps in strips:
+            if raster.passes_with_margin(maps):
+                if buffer is None:  # reused for every strip; the first is the tallest
+                    buffer = np.empty(maps.shape[1:])
+                mean = ensemble.mean_into(maps, buffer[: maps.shape[1]])
+                ensemble.argmax_into(mean, labels[rows])
+            else:
+                near = True
+                origin = (0, rows.start)
+                mean = ensemble.average(maps, origin)
+                labels[rows] = ensemble.decide(mean, origin)
             if avg is not None:
                 avg[rows] = mean
-    return avg, labels
+    return avg, labels, near
 
 
 def cmd_metrics(args) -> int:
+    from . import metrics
     if len(args.pred or []) != len(args.gt or []):
         print("error: --pred and --gt must pair up", file=sys.stderr)
         return EXIT_USAGE
@@ -276,6 +296,7 @@ def cmd_augment(args) -> int:
     """Augment the image into --out, and the --mask into --mask-out (default
     ``<out>.mask.pgm``); --mask-out without --mask, or naming the --out file,
     exits 64 before any read."""
+    from . import dataprep
     if args.mask_out and not args.mask:
         print("error: --mask-out needs --mask", file=sys.stderr)
         return EXIT_USAGE
@@ -294,6 +315,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import dataprep
     videos = []
     listed = {}  # video id -> the line that lists it
     with open(args.videos, "rb") as f:  # split as text mode splits lines, then decoded line by line

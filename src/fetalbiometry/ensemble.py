@@ -15,14 +15,10 @@ def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.n
     Every member is checked first (a failed check raises MemberError), and
     then all must have one shape.  The result never aliases a member, and is
     not checked itself: a mean of maps that pass can miss the sum tolerance
-    by a rounding step, so ``decide`` checks it.  The members are summed in a
-    fixed pairwise tree, so the result does not depend on accumulation order:
-    the first level adds each pair straight into a new float64 array, later
-    levels add in place into those arrays.  An odd last member joins a later
-    level as it is, always as the right operand of ``+=``; its cast to
-    float64 there is exact, so no copy of it is made.
+    by a rounding step, so ``decide`` checks it.  The members are summed as
+    ``mean_into`` sums them.
     """
-    if not members:
+    if len(members) == 0:
         raise ValueError("ensemble needs at least one member")
     checked = []
     for i, m in enumerate(members):
@@ -34,34 +30,55 @@ def average(members: list[np.ndarray], origin: tuple[int, int] = (0, 0)) -> np.n
     for i, m in enumerate(checked[1:], start=1):
         if m.shape != shape:
             raise DimensionMismatchError(f"member {i} has shape {m.shape}, expected {shape}")
-    n = len(checked)
+    return mean_into(checked, np.empty(shape))
+
+
+def mean_into(maps, out: np.ndarray) -> np.ndarray:
+    """Per-pixel, per-channel mean of one or more maps of ``out``'s shape,
+    unchecked, into the float64 array ``out``; returns ``out``.
+
+    The maps are summed in a fixed pairwise tree, so the result does not
+    depend on accumulation order: the first level adds each pair in float64,
+    the first pair straight into ``out`` and the others into new arrays;
+    later levels add in place into those arrays.  An odd last map joins a
+    later level as it is, always as the right operand of ``+=``; its cast to
+    float64 there is exact, so no copy of it is made.  Up to three maps need
+    no array but ``out``.
+    """
+    n = len(maps)
+    np.copyto(out, maps[0])  # exact; adding the second map in place beats np.add's casting loop
     if n == 1:
-        return checked[0].astype(np.float64)
-    sums = [np.add(checked[i], checked[i + 1], dtype=np.float64) for i in range(0, n - 1, 2)]
+        return out
+    out += maps[1]
+    sums = [out]
+    sums += [np.add(maps[i], maps[i + 1], dtype=np.float64) for i in range(2, n - 1, 2)]
     if n % 2:
-        sums.append(checked[-1])
+        sums.append(maps[-1])
     while len(sums) > 1:
         for i in range(0, len(sums) - 1, 2):
             sums[i] += sums[i + 1]
         sums = sums[::2]
-    mean = sums[0]
-    mean /= n
-    return mean
+    out /= n
+    return out
 
 
 def decide(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
-    """Per-pixel argmax label mask of ``p``, checked first, as uint8.
+    """Per-pixel argmax label mask of ``p``, checked first, as uint8 (see ``argmax_into``)."""
+    p = validate_prob_map(p, origin)
+    return argmax_into(p, np.empty(p.shape[:2], np.uint8))
+
+
+def argmax_into(p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Per-pixel argmax of an unchecked (H, W, C) map, C in {2, 3}, into the
+    (H, W) uint8 array ``out``; returns ``out``.
 
     Ties go to the lowest index: a later channel wins only when strictly
-    greater, as ``argmax`` decides.  The C <= 3 channels of a checked map give
-    labels in {0, 1, 2}, so they are returned unchecked.
+    greater, as ``argmax`` decides.  Labels are in {0, 1, 2}.
     """
-    p = validate_prob_map(p, origin)
-    labels = np.zeros(p.shape[:2], np.uint8)
-    best = p[..., 0]
-    for c in range(1, p.shape[2]):
-        win = p[..., c] > best
-        # labels holds indices below c, so raising it to c * win sets exactly the winners
-        np.maximum(labels, win * np.uint8(c), out=labels)
-        best = np.maximum(best, p[..., c])
-    return labels
+    one = p[..., 1] > p[..., 0]
+    if p.shape[2] == 2:
+        np.copyto(out, one)
+        return out
+    two = p[..., 2] > np.maximum(p[..., 0], p[..., 1])
+    np.maximum(one, two * np.uint8(2), out=out)
+    return out

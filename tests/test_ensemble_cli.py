@@ -1,7 +1,9 @@
-"""The ensemble path of the CLI: each member row is checked once, as it is
-read strip by strip, and each average row once more, and the float32 average
-written to --out is checked whole; the files written equal what the public
-functions compute, and an error names the first failure in read order."""
+"""The ensemble path of the CLI: each strip of the members is checked once,
+all members together, as it is read.  A strip that comes near the tolerance
+is checked again member by member, and then its average, and the float32
+average written to --out is then checked whole; the files written equal what
+the public functions compute, and what checking every strip in full writes,
+and an error names the first failure in read order."""
 
 import builtins
 import collections
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 from fetalbiometry import cli, io_formats, phantom, raster
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
 from fetalbiometry.ensemble import average, decide
-from fetalbiometry.errors import FetalBiometryError, FormatError
+from fetalbiometry.errors import FetalBiometryError, FormatError, MemberError
 from fetalbiometry.io_formats import read_prob_map, write_label_mask, write_prob_map
-from fetalbiometry.raster import PROB_SUM_TOL, validate_prob_map
+from fetalbiometry.raster import PROB_SUM_TOL, SUM_MARGIN, passes_with_margin, validate_prob_map
 
 ULP = 2.0**-52  # spacing of float64 just above 1
 
@@ -168,6 +170,40 @@ def prob_map_checks(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def margin_checks(monkeypatch):
+    """Record the shape of each stack ``passes_with_margin`` is called on."""
+    calls = []
+    real = raster.passes_with_margin
+
+    def counting(maps):
+        calls.append(maps.shape)
+        return real(maps)
+
+    monkeypatch.setattr(raster, "passes_with_margin", counting)
+    return calls
+
+
+def set_sum(m, y, x, excess):
+    """Scale pixel (x, y) of the float32 map ``m`` in place so that its
+    channels, summed in float64, come within 6e-8 of 1 + excess."""
+    target = 1.0 + excess
+    px = m[y, x]
+    px[:] = (px / px.astype(np.float64).sum() * target).astype(np.float32)
+    big = int(px.argmax())
+    for _ in range(64):  # float32 steps of the largest channel, each at most 6e-8 near 1
+        s = px.astype(np.float64).sum()
+        if abs(s - target) <= 6e-8:
+            return
+        px[big] = np.nextafter(px[big], np.float32(2 if s < target else -1))
+    raise AssertionError("no float32 pixel sums to the target")
+
+
+# a pixel sum that passes the check but not the margin, and one that fails
+NEAR = PROB_SUM_TOL - 4e-7
+OVER = PROB_SUM_TOL + 4e-7
+
+
 def write_members(dirpath, n, shape=(6, 5), channels=3, seed=0):
     rng = np.random.default_rng(seed)
     paths = []
@@ -180,14 +216,29 @@ def write_members(dirpath, n, shape=(6, 5), channels=3, seed=0):
 
 class TestChecksOnce:
     @pytest.mark.parametrize("n", [1, 3])
-    def test_average_request(self, tmp_path, prob_map_checks, n):
-        # one check per member as it is read, one for the average, one for
-        # its float32 cast as it is written
+    def test_average_request(self, tmp_path, prob_map_checks, margin_checks, n):
+        # one check of the members' one strip, all together; members that
+        # clear the margin leave the average and its float32 cast unchecked
         paths = write_members(tmp_path, n)
         prob_map_checks.clear()
         argv = ["ensemble", *paths, "--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(argv) == EXIT_OK
-        assert len(prob_map_checks) == n + 2
+        assert margin_checks == [(n, 6, 5, 3)]
+        assert prob_map_checks == []
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_average_request_near_the_tolerance(self, tmp_path, prob_map_checks, margin_checks, n):
+        # a member near the tolerance: then one check per member, one for the
+        # average and one for its float32 cast as it is written, as before
+        paths = write_members(tmp_path, n)
+        m = read_prob_map(paths[-1]).copy()
+        set_sum(m, 2, 3, NEAR)
+        write_prob_map(m, paths[-1])
+        prob_map_checks.clear()
+        argv = ["ensemble", *paths, "--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
+        assert main(argv) == EXIT_OK
+        assert margin_checks == [(n, 6, 5, 3)]
+        assert prob_map_checks == [(np.float32, (6, 5, 3))] * n + [(np.float64, (6, 5, 3)), (np.float32, (6, 5, 3))]
 
     def test_measure_request(self, tmp_path, prob_map_checks):
         labels = np.zeros((64, 64), np.uint8)
@@ -346,20 +397,35 @@ TALL = (35, 2048)
 
 
 class TestRowsCheckedOnce:
-    """Across strips, validate_prob_map sees each member row and each average
-    row exactly once, strip by strip in order; the float32 average written
-    to --out is checked whole, once more."""
+    """Across strips, each member row is checked once, all members' rows of
+    a strip together, strip by strip in order.  Only a strip near the
+    tolerance is checked again, each member's rows and then the average's,
+    and only then is the float32 average written to --out checked whole."""
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_ensemble(self, tmp_path, prob_map_checks, n):
+    def test_ensemble(self, tmp_path, prob_map_checks, margin_checks, n):
         paths = write_members(tmp_path, n, TALL, 3)
         prob_map_checks.clear()
         outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
         assert main(["ensemble", *paths, *outputs]) == EXIT_OK
         strips = [10, 10, 10, 5]
+        assert margin_checks == [(n, r, *TALL[1:], 3) for r in strips]
+        assert prob_map_checks == []
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_ensemble_near_the_tolerance(self, tmp_path, prob_map_checks, margin_checks, n):
+        # the third strip, rows 20-29, comes near the tolerance in its last member
+        paths = write_members(tmp_path, n, TALL, 3)
+        m = read_prob_map(paths[-1]).copy()
+        set_sum(m, 22, 7, -NEAR)
+        write_prob_map(m, paths[-1])
+        prob_map_checks.clear()
+        outputs = ["--out", str(tmp_path / "a.fpm"), "--decide-out", str(tmp_path / "d.pgm")]
+        assert main(["ensemble", *paths, *outputs]) == EXIT_OK
+        assert len(margin_checks) == 4
         written = [TALL[0]]  # the float32 average, checked whole as --out writes it
-        assert [s[0] for t, s in prob_map_checks if t == np.float32] == [r for r in strips for _ in range(n)] + written
-        assert [s[0] for t, s in prob_map_checks if t == np.float64] == strips
+        assert [s[0] for t, s in prob_map_checks if t == np.float32] == [10] * n + written
+        assert [s[0] for t, s in prob_map_checks if t == np.float64] == [10]
 
     def test_measure(self, tmp_path, prob_map_checks):
         (path,) = write_members(tmp_path, 1, TALL, 3)
@@ -617,3 +683,196 @@ def test_out_and_decide_out_name_one_file_usage(tmp_path, capsys, no_member_open
     assert main(["ensemble", *paths, "--out", str(out), "--decide-out", str(other)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: --out and --decide-out both name {out}\n"
     assert sorted(tmp_path.iterdir()) == before
+
+
+# A reference that checks everything in full, written out here: a float64
+# check of one map, the pairwise-tree mean of the members and their argmax,
+# strip by strip.
+
+
+def full_check(p, origin=(0, 0)):
+    """The float64 check of one map: None when it passes, else its message."""
+    p = np.asarray(p)
+    if p.dtype != np.float32:
+        p = np.asarray(p, dtype=np.float64)
+    if not (p.min() >= 0.0 and p.max() <= 1.0):
+        return "probability values must lie in [0, 1]"
+    sums = np.add(p[..., 0], p[..., 1], dtype=np.float64)
+    for c in range(2, p.shape[2]):
+        sums += p[..., c]
+    if max(sums.max() - 1.0, 1.0 - sums.min()) > PROB_SUM_TOL:
+        err = np.abs(sums - 1.0)
+        y, x = np.unravel_index(int(err.argmax()), err.shape)
+        return (
+            f"channel sums must equal 1 within {PROB_SUM_TOL}; "
+            f"worst pixel ({x + origin[0]}, {y + origin[1]}) sums to {sums[y, x]:.6g}"
+        )
+    return None
+
+
+def full_mean(maps):
+    sums = [np.add(maps[i], maps[i + 1], dtype=np.float64) for i in range(0, len(maps) - 1, 2)]
+    if len(maps) % 2:
+        sums.append(np.asarray(maps[-1], np.float64))
+    while len(sums) > 1:
+        sums = [sums[i] + sums[i + 1] if i + 1 < len(sums) else sums[i] for i in range(0, len(sums), 2)]
+    return sums[0] / len(maps)
+
+
+def full_member_check(maps, origin=(0, 0)):
+    """(index, message) of the first member the float64 check fails, or None."""
+    for i, m in enumerate(maps):
+        if (e := full_check(m, origin)) is not None:
+            return i, e
+    return None
+
+
+def member_check(maps, origin=(0, 0)):
+    """(index, message) of the first member the ensemble's checks fail, or None:
+    the stack clears the margin, or each member is checked in order."""
+    if passes_with_margin(maps):
+        return None
+    try:
+        average(maps, origin)
+    except MemberError as e:
+        return e.index, str(e.__cause__)
+    return None
+
+
+@st.composite
+def stacks_near_the_tolerance(draw):
+    """(n, h, w, c) float32 stacks with one pixel's channel sum drawn within
+    2e-6 of the tolerance, above or below 1; sometimes a second pixel is near
+    too, or a pixel that sums to about 1 holds a value at or past [0, 1]'s
+    ends."""
+    n, c = draw(st.integers(1, 3)), draw(st.sampled_from([2, 3]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.random((n, h, w, c)) + 1e-3
+    maps = (raw / raw.sum(axis=3, keepdims=True)).astype(np.float32)
+    for _ in range(draw(st.integers(1, 2))):
+        i, y, x = draw(st.integers(0, n - 1)), draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+        side = draw(st.sampled_from([-1, 1]))
+        set_sum(maps[i], y, x, side * (PROB_SUM_TOL + draw(st.floats(-2e-6, 2e-6))))
+    if draw(st.integers(0, 3)) == 0:
+        i, y, x = (draw(st.integers(0, s - 1)) for s in maps.shape[:3])
+        maps[i, y, x] = 0
+        maps[i, y, x, :2] = draw(st.sampled_from(list(EDGE_PIXELS.values())))
+    return maps
+
+
+# the first two channels of a pixel summing to about 1, with a value at or
+# past an end of [0, 1]
+EDGE_PIXELS = {
+    "nan": (np.nan, 1),
+    "negative": (-(2.0**-30), 1),
+    "minus-zero": (-0.0, 1),  # passes the check
+    "one": (0, 1),
+    "above-one": (np.nextafter(np.float32(1), np.float32(2)), 0),
+}
+
+
+class TestMarginCheck:
+    """The one check of a strip's members gives the float64 check's verdict
+    and message, and a stack that clears the margin has a mean, and a float32
+    cast of it, that pass the float64 check."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(stacks_near_the_tolerance(), st.integers(0, 1000))
+    def test_same_verdict_and_message(self, maps, y0):
+        assert member_check(maps, (0, y0)) == full_member_check(maps, (0, y0))
+        if passes_with_margin(maps):
+            mean = full_mean(maps)
+            assert full_check(mean) is None and full_check(mean.astype(np.float32)) is None
+
+    @pytest.mark.parametrize("pixel", list(EDGE_PIXELS))
+    def test_values_at_the_ends_of_the_range(self, pixel):
+        maps = np.zeros((2, 1, 3, 3), np.float32)
+        maps[..., 0] = 1
+        maps[1, 0, 1, :2] = EDGE_PIXELS[pixel]
+        if pixel == "one":
+            assert passes_with_margin(maps)
+        elif pixel != "minus-zero":  # -0.0 may go either way
+            assert not passes_with_margin(maps)
+        assert member_check(maps) == full_member_check(maps)
+
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_margin_is_where_the_fast_check_stops(self, side):
+        # a pixel 3e-7 inside the margin clears it; 3e-7 outside it does not,
+        # though the map still passes
+        maps = tall_members(1)[0][None, :3, :4]
+        for excess, clears in ((PROB_SUM_TOL - SUM_MARGIN - 3e-7, True), (PROB_SUM_TOL - SUM_MARGIN + 3e-7, False)):
+            set_sum(maps[0], 1, 2, side * excess)
+            assert passes_with_margin(maps) is clears
+            assert full_check(maps[0]) is None
+
+
+def full_ensemble(paths, out=None, decide_out=None):
+    """(exit code, stderr, {output: bytes}) of the ensemble command with every
+    check run in full, on members with good headers of one shape: strip by
+    strip, each member checked in order, then their mean, decided by argmax;
+    after the last strip the float32 cast of the mean, if --out is asked
+    for; the outputs are written only when every check passes."""
+    members = [unchecked_map(p) for p in paths]
+    h, w, c = members[0].shape
+    rows = strip_rows(w, c)
+    avg, labels = np.empty((h, w, c), "<f4"), np.empty((h, w), np.uint8)
+    for y0 in range(0, h, rows):
+        strips = [m[y0 : y0 + rows] for m in members]
+        if (failed := full_member_check(strips, (0, y0))) is not None:
+            return EXIT_DATA, f"error: {paths[failed[0]]}: {failed[1]}\n", {}
+        mean = full_mean(strips)
+        if (e := full_check(mean, (0, y0))) is not None:
+            return EXIT_DATA, f"error: ensemble average: {e}\n", {}
+        labels[y0 : y0 + rows] = mean.argmax(axis=2)
+        avg[y0 : y0 + rows] = mean
+    files = {}
+    if out:
+        if (e := full_check(avg)) is not None:
+            return EXIT_DATA, f"error: ensemble average: {e}\n", {}
+        files[out] = b"FPM %d %d %d\n" % (w, h, c) + avg.tobytes()
+    if decide_out:
+        files[decide_out] = b"P5\n%d %d\n255\n" % (w, h) + np.array([0, 127, 255], np.uint8)[labels].tobytes()
+    return EXIT_OK, "", files
+
+
+def near_plant(n):
+    """Members near the tolerance in the third strip and in the last one."""
+    ms = tall_members(n)
+    set_sum(ms[-1], 22, 7, NEAR)
+    set_sum(ms[0], 33, 2000, -NEAR)
+    return ms
+
+
+def over_plant(n):
+    """A member near the tolerance in the second strip, another over it in the third."""
+    ms = near_plant(n)
+    set_sum(ms[0], 12, 40, NEAR)
+    set_sum(ms[n // 2], 25, 3, -OVER)
+    return ms
+
+
+def rounding_plant():
+    ms = tall_members(3)
+    plant_rounding(ms)
+    return ms
+
+
+FULL_CASES = {
+    **{f"clear-{n}": (lambda n=n: tall_members(n)) for n in (1, 2, 3, 4)},
+    **{f"near-{n}": (lambda n=n: near_plant(n)) for n in (1, 2, 3, 4)},
+    **{f"over-{n}": (lambda n=n: over_plant(n)) for n in (1, 2, 3, 4)},
+    "rounding-3": rounding_plant,
+    "cast": cast_counterexample,
+}
+
+
+@pytest.mark.parametrize("outputs", [("--out", "--decide-out"), ("--out",), ("--decide-out",)])
+@pytest.mark.parametrize("case", list(FULL_CASES))
+def test_same_as_checking_in_full(tmp_path, capsys, case, outputs):
+    paths = write_planted(FULL_CASES[case](), tmp_path)
+    names = {"--out": str(tmp_path / "a.fpm"), "--decide-out": str(tmp_path / "d.pgm")}
+    want_rc, want_err, want_files = full_ensemble(paths, *(names[f] if f in outputs else None for f in names))
+    rc = main(["ensemble", *paths, *(arg for f in outputs for arg in (f, names[f]))])
+    assert (rc, capsys.readouterr().err) == (want_rc, want_err)
+    assert {p: Path(p).read_bytes() for p in names.values() if Path(p).exists()} == want_files

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fetalbiometry import phantom
 from fetalbiometry.biometry import BiometryResult
+from fetalbiometry.cli import EXIT_OK, main
 from fetalbiometry.errors import FormatError
 from fetalbiometry.io_formats import (
     FrameRecord,
@@ -9,6 +11,7 @@ from fetalbiometry.io_formats import (
     read_label_mask,
     read_prob_map,
     write_label_mask,
+    write_ppm,
     write_prob_map,
     write_report_csv,
 )
@@ -228,3 +231,65 @@ class TestFrameScores:
     def test_score_range(self):
         with pytest.raises(ValueError):
             FrameRecord("v", 0, 1.5)
+
+
+def noisy_members(dirpath, n=2, size=256):
+    """FPM members around a phantom frame's one-hot labels; their paths."""
+    labels = phantom.render(phantom.random_scene(0, size, size))
+    rng = np.random.default_rng(0)
+    paths = []
+    for i in range(n):
+        raw = np.where(labels[..., None] == np.arange(3), 0.6, 0.2) + rng.random((size, size, 3)) * 0.3
+        paths.append(dirpath / f"m{i}.fpm")
+        write_prob_map(raw / raw.sum(axis=2, keepdims=True), paths[-1])
+    return [str(p) for p in paths]
+
+
+WRITERS = {
+    "prob_map": lambda path: write_prob_map(np.full((5, 7, 2), 0.5), path),
+    "label_mask": lambda path: write_label_mask(np.arange(35, dtype=np.uint8).reshape(5, 7) % 3, path),
+    "ppm": lambda path: write_ppm(np.arange(105, dtype=np.uint8).reshape(5, 7, 3), path),
+    "report_csv": lambda path: write_report_csv([("f", result(120.5, 30.25))], path),
+}
+
+
+class TestOverwrite:
+    """Every writer replaces its file: a longer old file ends where the new
+    bytes end, a failed write leaves what it wrote, and a device such as
+    /dev/null takes the output."""
+
+    @pytest.mark.parametrize("writer", list(WRITERS))
+    def test_a_longer_file_is_cut_to_the_new_bytes(self, tmp_path, writer):
+        WRITERS[writer](tmp_path / "fresh")
+        old = tmp_path / "old"
+        old.write_bytes(b"\xff" * 100_000)
+        WRITERS[writer](old)
+        assert old.read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    def test_ensemble_cuts_a_longer_out(self, tmp_path):
+        paths = noisy_members(tmp_path)
+        out, fresh = tmp_path / "avg.fpm", tmp_path / "fresh.fpm"
+        out.write_bytes(bytes(4 * 2**20))
+        for path in (out, fresh):
+            assert main(["ensemble", *paths, "--out", str(path)]) == EXIT_OK
+        assert out.stat().st_size == len(b"FPM 256 256 3\n") + 256 * 256 * 3 * 4
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_dev_null_takes_every_output(self, tmp_path):
+        paths = noisy_members(tmp_path)
+        assert main(["ensemble", *paths, "--out", "/dev/null"]) == EXIT_OK
+        assert main(["ensemble", *paths, "--decide-out", "/dev/null", "--out", str(tmp_path / "a.fpm")]) == EXIT_OK
+        assert main(["measure", str(tmp_path / "a.fpm"), "--out", "/dev/null"]) == EXIT_OK
+
+    def test_a_failed_write_leaves_the_bytes_written(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.ppm"
+        path.write_bytes(b"x" * 1000)
+
+        def fail(img):
+            raise RuntimeError("the pixels fail after the header")
+
+        # the header is written, then the pixels are made contiguous
+        monkeypatch.setattr(np, "ascontiguousarray", fail)
+        with pytest.raises(RuntimeError):
+            WRITERS["ppm"](path)
+        assert path.read_bytes() == b"P6\n7 5\n255\n"

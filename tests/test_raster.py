@@ -48,6 +48,18 @@ def test_package_import_leaves_dataprep_unloaded():
     assert r.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_the_other_commands_modules_unloaded():
+    # dataprep, metrics and overlay are imported by the commands that use
+    # them, so measure and ensemble processes do not pay for them
+    src = Path(__file__).resolve().parent.parent / "src"
+    modules = ["fetalbiometry.dataprep", "fetalbiometry.metrics", "fetalbiometry.overlay"]
+    code = f"import sys, fetalbiometry.cli; print([m for m in {modules!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
 class TestMaskSetCounts:
     def test_identical(self):
         a = np.zeros((4, 4), np.uint8)
