@@ -20,7 +20,7 @@ import numpy as np
 
 # dataprep, metrics and overlay are imported by the commands that use them,
 # so that measuring and ensembling do not load them
-from . import ensemble, io_formats, phantom, raster
+from . import ensemble, io_formats, phantom
 from .biometry import measure_frame, measure_frame_detailed
 from .errors import FetalBiometryError, FormatError, MemberError
 
@@ -35,6 +35,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+
+
+def _usage(message: str) -> int:
+    """Print a usage error; returns its exit code."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def _require_dirs(*paths) -> None:
@@ -58,18 +64,12 @@ def _read(read, path):
 
 
 def _load_labels(path):
-    p = str(path)
-    if Path(p).suffix.lower() != ".fpm":
-        return io_formats.read_label_mask(p)
-    # decide checks each strip of the map, and measuring checks the labels
-    try:
-        with io_formats.prob_map_strips([p]) as (shape, strips):
-            labels = np.empty(shape[:2], np.uint8)
-            for rows, (strip,) in strips:
-                labels[rows] = ensemble.decide(strip, (0, rows.start))
+    if Path(path).suffix.lower() != ".fpm":
+        return io_formats.read_label_mask(path)
+    try:  # decided as an ensemble of one, as `ensemble` decides it
+        return ensemble.combine([path], False)[1]
     except MemberError as e:  # the one member is the frame
         raise e.__cause__
-    return labels
 
 
 def cmd_measure(args) -> int:
@@ -77,20 +77,17 @@ def cmd_measure(args) -> int:
     --jobs is accepted and ignored."""
     inputs = [Path(p) for p in args.inputs]
     if not inputs:
-        print("error: no inputs given", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("no inputs given")
     out_dir = Path(args.emit_overlays) if args.emit_overlays else None
     if out_dir:
         from . import overlay
         first = {}  # stem -> the first input with it: each input's overlay is <stem>.ppm
         for path in inputs:
             if path.stem in first:
-                print(f"error: --emit-overlays: {first[path.stem]} and {path} share a stem", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage(f"--emit-overlays: {first[path.stem]} and {path} share a stem")
             first[path.stem] = path
             if _one_file(args.out, out_dir / f"{path.stem}.ppm"):
-                print(f"error: --out names the overlay of {path}", file=sys.stderr)
-                return EXIT_USAGE
+                return _usage(f"--out names the overlay of {path}")
         out_dir.mkdir(parents=True, exist_ok=True)
     _require_dirs(args.out)  # after the mkdir, which may create it
     rows = []
@@ -109,7 +106,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_ensemble(args) -> int:
-    """Average the members, a strip of rows at a time, and decide the average.
+    """Average the members and decide the average (``ensemble.combine``).
 
     --out is the float32 average and --decide-out its argmax label mask; one
     file named by both exits 64 before any member is opened.  Each output is
@@ -119,16 +116,13 @@ def cmd_ensemble(args) -> int:
     coordinates.
     """
     if not (args.out or args.decide_out):
-        print("error: give --out or --decide-out", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("give --out or --decide-out")
     if _one_file(args.out, args.decide_out):
-        print(f"error: --out and --decide-out both name {args.out}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"--out and --decide-out both name {args.out}")
     if not args.members:
-        print("error: no ensemble members given", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("no ensemble members given")
     try:
-        avg, labels, near = _ensemble_strips(args.members, bool(args.out))
+        avg, labels, near = ensemble.combine(args.members, bool(args.out))
         _require_dirs(args.out, args.decide_out)
         if args.out:  # checked before the file is opened, unless no strip came near the tolerance
             io_formats.write_prob_map(avg, args.out, check=near)
@@ -141,44 +135,12 @@ def cmd_ensemble(args) -> int:
     return EXIT_OK
 
 
-def _ensemble_strips(paths, want_avg: bool):
-    """(float32 average if asked for, else None; the average's decision;
-    whether a strip came near the tolerance) of the members.
-
-    A strip whose members pass with ``raster.SUM_MARGIN`` to spare is
-    averaged and decided unchecked: its mean, and the mean's float32 cast,
-    pass the checks by that margin.  Any other strip is checked as
-    ``ensemble.average`` and ``ensemble.decide`` check it, each member in
-    order and then the mean.
-    """
-    with io_formats.prob_map_strips(paths) as (shape, strips):
-        avg = np.empty(shape, "<f4") if want_avg else None
-        labels = np.empty(shape[:2], np.uint8)
-        buffer, near = None, False
-        for rows, maps in strips:
-            if raster.passes_with_margin(maps):
-                if buffer is None:  # reused for every strip; the first is the tallest
-                    buffer = np.empty(maps.shape[1:])
-                mean = ensemble.mean_into(maps, buffer[: maps.shape[1]])
-                ensemble.argmax_into(mean, labels[rows])
-            else:
-                near = True
-                origin = (0, rows.start)
-                mean = ensemble.average(maps, origin)
-                labels[rows] = ensemble.decide(mean, origin)
-            if avg is not None:
-                avg[rows] = mean
-    return avg, labels, near
-
-
 def cmd_metrics(args) -> int:
     from . import metrics
     if len(args.pred or []) != len(args.gt or []):
-        print("error: --pred and --gt must pair up", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--pred and --gt must pair up")
     if not (args.scores or args.pred):
-        print("error: nothing to evaluate: give --scores, or --pred with --gt", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("nothing to evaluate: give --scores, or --pred with --gt")
     out = {k: None for k in ("acc", "f1", "auc", "mcc", "dsc", "asd", "hd", "d_aop", "d_hsd")}
     failed = False
     if args.scores:
@@ -263,13 +225,11 @@ _MAX_PHANTOM_PIXELS = 2**28
 
 def cmd_phantom(args) -> int:
     if args.count * args.size**2 > _MAX_PHANTOM_PIXELS:
-        print(f"error: --count x --size^2 exceeds {_MAX_PHANTOM_PIXELS} pixels", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"--count x --size^2 exceeds {_MAX_PHANTOM_PIXELS} pixels")
     try:  # every scene is placed before any file is written
         scenes = [phantom.random_scene(seed, args.size, args.size) for seed in range(args.seed, args.seed + args.count)]
     except RuntimeError as e:
-        print(f"error: {e} at --size {args.size}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"{e} at --size {args.size}")
     frames = []  # every frame too, so a perturbation that cannot be placed leaves no file
     for seed, scene in enumerate(scenes, start=args.seed):
         aop, hsd = phantom.analytic_biometry(scene)
@@ -294,15 +254,15 @@ def cmd_phantom(args) -> int:
 
 def cmd_augment(args) -> int:
     """Augment the image into --out, and the --mask into --mask-out (default
-    ``<out>.mask.pgm``); --mask-out without --mask, or naming the --out file,
-    exits 64 before any read."""
+    ``<out>.mask.pgm``); --mask-out without --mask or naming the --out file,
+    and an --index outside [-2**60, 2**60), exit 64 before any read."""
     from . import dataprep
     if args.mask_out and not args.mask:
-        print("error: --mask-out needs --mask", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("--mask-out needs --mask")
     if _one_file(args.out, args.mask_out):
-        print(f"error: --out and --mask-out both name {args.out}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"--out and --mask-out both name {args.out}")
+    if not -(2**60) <= args.index < 2**60:
+        return _usage(f"--index must lie in [-2**60, 2**60), got {args.index}")
     img = dataprep.normalize_intensity(_read(io_formats.read_greymap, args.image))
     mask = _read(io_formats.read_label_mask, args.mask) if args.mask else None
     out_img, out_mask = dataprep.augment(img, mask, dataprep.AugmentParams(seed=args.seed), args.index)

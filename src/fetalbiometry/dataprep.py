@@ -105,6 +105,8 @@ def augment(
     Geometric transforms hit the mask too (nearest neighbor); intensity
     transforms never touch it.  When a mask is present (segmentation use) the
     affine translation and scaling are disabled and only rotation applies.
+    Each transform's stream is keyed by ``sample_index`` shifted past a 3-bit
+    transform id, mod 2**64: indices equal mod 2**61 share every stream.
     """
     img = np.asarray(img, dtype=np.float64)
     if mask is not None:

@@ -235,7 +235,7 @@ def _strips(files, shape):
 def write_prob_map(p: np.ndarray, path, check: bool = True) -> None:
     """Write a map as little-endian float32, checked after the cast, so that
     what is written reads back.  ``check=False`` skips the check, for a map
-    that provably passes it (see ``raster.passes_with_margin``)."""
+    that provably passes it (see ``ensemble.passes_with_margin``)."""
     with np.errstate(over="ignore"):  # a value past the float32 range becomes inf and fails the check
         p = np.asarray(p, "<f4")
     if check:

@@ -7,9 +7,9 @@ the point ``(x + 0.5, y + 0.5)``.
 
 Label masks are uint8 arrays with values in {0 = background, 1 = PS, 2 = FH};
 binary masks are uint8 {0, 1} arrays.  Probability maps are float32 arrays of
-shape (height, width, channels) with per-pixel channel sums equal to 1.
-Channel order is (background, PS, FH) for 3 channels and
-(negative, positive) for 2.
+shape (height, width, channels) with per-pixel channel sums equal to 1
+within ``PROB_SUM_TOL``.  Channel order is (background, PS, FH) for 3
+channels and (negative, positive) for 2.
 
 ``keyed_rng`` builds every seeded random generator of the package.
 """
@@ -28,12 +28,9 @@ FH = 2
 
 CLASS_NAMES = {PS: "PS", FH: "FH"}
 
-# the file tolerance documented for FPM maps; every later check of a map read
-# from a file uses it too, so nothing the reader accepts is rejected downstream
+# the file tolerance documented for FPM maps; every check of a map keeps within
+# it, ensemble's margin check too, so nothing the reader accepts is rejected
 PROB_SUM_TOL = 1e-3
-# a stack of maps whose float32 channel sums lie this far inside PROB_SUM_TOL
-# passes validate_prob_map, and so do the maps' mean and its float32 cast
-SUM_MARGIN = 1e-6
 
 
 class Point(NamedTuple):
@@ -95,27 +92,6 @@ def validate_prob_map(p: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.nda
                 f"worst pixel ({x + origin[0]}, {y + origin[1]}) sums to {sums[y, x]:.6g}"
             )
     return p
-
-
-def passes_with_margin(maps: np.ndarray) -> bool:
-    """Whether every map of an (n, H, W, C) little-endian float32 stack passes
-    ``validate_prob_map`` with ``SUM_MARGIN`` to spare.
-
-    True when every value lies in [0, 1] and every channel sum, taken in
-    float32, lies within ``PROB_SUM_TOL - SUM_MARGIN`` of 1.  A float32 sum
-    of at most 3 values in [0, 1], added in any order, lies within 2.5e-7 of
-    the float64 sum that ``validate_prob_map`` takes, so each map passes it
-    with 7.5e-7 to spare.  The float64 mean of such maps passes too: its sums
-    lie within the members' bound up to float64 rounding.  So does the mean's
-    float32 cast, which moves each channel by at most 2**-25.  False proves
-    nothing: such a stack is checked map by map.
-    """
-    # read as unsigned integers, the float32 values from +0.0 to 1.0 are the
-    # bits up to those of 1.0; NaN and every negative value, -0.0 too, lie above
-    if maps.view("<u4").max() > 0x3F800000:
-        return False
-    sums = maps @ np.ones(maps.shape[-1], np.float32)  # twice as fast as strided adds
-    return max(float(sums.max()) - 1.0, 1.0 - float(sums.min())) <= PROB_SUM_TOL - SUM_MARGIN
 
 
 def require_same_shape(a: np.ndarray, b: np.ndarray) -> None:

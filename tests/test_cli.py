@@ -642,6 +642,26 @@ class TestAugment:
         assert rc == EXIT_OK
         assert set(np.unique(read_label_mask(mask_out))).issubset({0, 1, 2})
 
+    @pytest.mark.parametrize("index", [2**60, -(2**60) - 1, 5 + 2**61, -(2**70)])
+    def test_index_outside_its_streams_usage(self, tmp_path, capsys, monkeypatch, index):
+        # the transform id takes the low 3 bits of a 64-bit key word, so
+        # indices equal mod 2**61 would share every stream
+        src = tmp_path / "img.pgm"
+        write_greymap(np.zeros((8, 8), np.uint8), src)
+        monkeypatch.setattr(io_formats, "read_greymap", lambda path: pytest.fail(f"{path} was read"))
+        out = tmp_path / "a.pgm"
+        assert main(["augment", "--image", str(src), "--index", str(index), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --index must lie in [-2**60, 2**60), got {index}\n"
+        assert not out.exists()
+
+    def test_index_range_ends(self, tmp_path):
+        rng = np.random.default_rng(2)
+        src = tmp_path / "img.pgm"
+        write_greymap((rng.random((16, 16)) * 255).astype(np.uint8), src)
+        out = str(tmp_path / "a.pgm")
+        for index in (-(2**60), 2**60 - 1):
+            assert main(["augment", "--image", str(src), "--index", str(index), "--out", out]) == EXIT_OK
+
     def test_mask_out_without_mask_usage(self, tmp_path, capsys, monkeypatch):
         # --mask-out names the augmented mask, so without --mask there is nothing to write there
         src = tmp_path / "img.pgm"

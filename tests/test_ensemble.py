@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry.ensemble import average, decide
+from fetalbiometry.ensemble import average, combine, decide
 from fetalbiometry.errors import DimensionMismatchError, MemberError
 from fetalbiometry.raster import PROB_SUM_TOL, validate_label_mask, validate_prob_map
 
@@ -174,6 +174,11 @@ class TestAverage:
     def test_empty_list(self):
         with pytest.raises(ValueError):
             average([])
+
+    def test_combine_no_files(self):
+        # as average says, not an IndexError from the reader's empty shape list
+        with pytest.raises(ValueError, match="at least one member"):
+            combine([], True)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 9), st.integers(0, 10_000))

@@ -3,7 +3,8 @@ all members together, as it is read.  A strip that comes near the tolerance
 is checked again member by member, and then its average, and the float32
 average written to --out is then checked whole; the files written equal what
 the public functions compute, and what checking every strip in full writes,
-and an error names the first failure in read order."""
+and an error names the first failure in read order.  ``measure`` decides an
+.fpm input as an ensemble of one, on the same strip loop."""
 
 import builtins
 import collections
@@ -18,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fetalbiometry import cli, io_formats, phantom, raster
+from fetalbiometry import cli, ensemble, io_formats, phantom, raster
 from fetalbiometry.cli import EXIT_DATA, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE, main
-from fetalbiometry.ensemble import average, decide
+from fetalbiometry.ensemble import SUM_MARGIN, average, decide, passes_with_margin
 from fetalbiometry.errors import FetalBiometryError, FormatError, MemberError
 from fetalbiometry.io_formats import read_prob_map, write_label_mask, write_prob_map
-from fetalbiometry.raster import PROB_SUM_TOL, SUM_MARGIN, passes_with_margin, validate_prob_map
+from fetalbiometry.raster import PROB_SUM_TOL, validate_prob_map
 
 ULP = 2.0**-52  # spacing of float64 just above 1
 
@@ -174,13 +175,13 @@ def prob_map_checks(monkeypatch):
 def margin_checks(monkeypatch):
     """Record the shape of each stack ``passes_with_margin`` is called on."""
     calls = []
-    real = raster.passes_with_margin
+    real = ensemble.passes_with_margin
 
     def counting(maps):
         calls.append(maps.shape)
         return real(maps)
 
-    monkeypatch.setattr(raster, "passes_with_margin", counting)
+    monkeypatch.setattr(ensemble, "passes_with_margin", counting)
     return calls
 
 
@@ -240,7 +241,9 @@ class TestChecksOnce:
         assert margin_checks == [(n, 6, 5, 3)]
         assert prob_map_checks == [(np.float32, (6, 5, 3))] * n + [(np.float64, (6, 5, 3)), (np.float32, (6, 5, 3))]
 
-    def test_measure_request(self, tmp_path, prob_map_checks):
+    def test_measure_request(self, tmp_path, prob_map_checks, margin_checks):
+        # an .fpm input is an ensemble of one: its one strip is checked once,
+        # and a map that clears the margin is decided unchecked
         labels = np.zeros((64, 64), np.uint8)
         labels[10:20, 10:30] = 1
         labels[30:60, 20:50] = 2
@@ -249,7 +252,8 @@ class TestChecksOnce:
         write_prob_map(p, fpm)
         prob_map_checks.clear()
         main(["measure", str(fpm), "--out", str(tmp_path / "r.csv")])
-        assert len(prob_map_checks) == 1
+        assert margin_checks == [(1, 64, 64, 3)]
+        assert prob_map_checks == []
 
 
 def strip_rows(width, channels):
@@ -427,11 +431,25 @@ class TestRowsCheckedOnce:
         assert [s[0] for t, s in prob_map_checks if t == np.float32] == [10] * n + written
         assert [s[0] for t, s in prob_map_checks if t == np.float64] == [10]
 
-    def test_measure(self, tmp_path, prob_map_checks):
+    def test_measure(self, tmp_path, prob_map_checks, margin_checks):
+        # an .fpm input is an ensemble of one: one margin check per strip
         (path,) = write_members(tmp_path, 1, TALL, 3)
         prob_map_checks.clear()
         main(["measure", path, "--out", str(tmp_path / "r.csv")])
-        assert [s[0] for t, s in prob_map_checks] == [10, 10, 10, 5]
+        assert margin_checks == [(1, r, *TALL[1:], 3) for r in [10, 10, 10, 5]]
+        assert prob_map_checks == []
+
+    def test_measure_near_the_tolerance(self, tmp_path, prob_map_checks, margin_checks):
+        # the third strip comes near the tolerance: its rows are checked as
+        # the member and then as their float64 mean
+        (path,) = write_members(tmp_path, 1, TALL, 3)
+        m = read_prob_map(path).copy()
+        set_sum(m, 22, 7, NEAR)
+        write_prob_map(m, path)
+        prob_map_checks.clear()
+        main(["measure", path, "--out", str(tmp_path / "r.csv")])
+        assert len(margin_checks) == 4
+        assert prob_map_checks == [(np.float32, (10, *TALL[1:], 3)), (np.float64, (10, *TALL[1:], 3))]
 
 
 def unchecked_map(path):
@@ -876,3 +894,24 @@ def test_same_as_checking_in_full(tmp_path, capsys, case, outputs):
     rc = main(["ensemble", *paths, *(arg for f in outputs for arg in (f, names[f]))])
     assert (rc, capsys.readouterr().err) == (want_rc, want_err)
     assert {p: Path(p).read_bytes() for p in names.values() if Path(p).exists()} == want_files
+
+
+@pytest.mark.parametrize("case", [c for c in FULL_CASES if c.endswith("-1")])
+def test_measure_same_as_checking_in_full(tmp_path, capsys, case):
+    # measure decides an .fpm input as an ensemble of one: the reference
+    # decides it with every check in full and measures the decided mask,
+    # which has the same stem; a failed check is the input's one error
+    (path,) = write_planted(FULL_CASES[case](), tmp_path)
+    (tmp_path / "ref").mkdir()
+    decided, report = tmp_path / "ref" / "m0.pgm", tmp_path / "ref" / "r.csv"
+    want_rc, want_err, files = full_ensemble([path], decide_out=decided)
+    if want_rc == EXIT_OK:
+        decided.write_bytes(files[decided])
+        want_rc = main(["measure", str(decided), "--out", str(report)])
+        want_err = capsys.readouterr().err.replace(str(decided), path)
+    else:
+        want_rc = EXIT_PARTIAL
+        io_formats.write_report_csv([], report)
+    rc = main(["measure", path, "--out", str(tmp_path / "r.csv")])
+    assert (rc, capsys.readouterr().err) == (want_rc, want_err)
+    assert (tmp_path / "r.csv").read_bytes() == report.read_bytes()
