@@ -3,8 +3,9 @@
 AoP is the angle at the pubic-symphysis apex between the ray back along the
 symphysis axis and the ray to the tangent contact point on the fetal-head
 shape, taking the tangent that maximizes the angle.  HSD is the minimum
-distance from the (mask-derived) symphysis apex to the fetal-head boundary,
-computed on hole-closed masks only.
+distance from the HSD apex to the fetal-head boundary, on hole-closed masks
+only.  The HSD apex is the end nearer the head of the PS closed mask's
+diameter, also when AoP uses the axis of the accepted PS ellipse.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ class BiometryResult:
     ps_proximal: Point
     tangent_point: Point
     hsd_head_point: Point
+    hsd_apex: Point  # the PS closed-mask apex that HSD is measured from
     used_ellipse_ps: bool = False
     used_ellipse_fh: bool = False
     prune_iters_ps: int = 0
@@ -68,21 +70,26 @@ def boundary_points(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.nd
     return pixel_centers(boundary_mask(mask), origin)
 
 
+def _row_ends(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> np.ndarray:
+    """Centers of each row's first and last foreground pixel, in the frame of ``boundary_points``.
+
+    Both are boundary pixels, and any other pixel lies between them on its
+    row, so these are the only boundary points that can be hull vertices."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if rows.size == 0:
+        raise EmptyShapeError("mask has no foreground")
+    fg = mask[rows] != 0
+    xs = np.r_[fg.argmax(axis=1), fg.shape[1] - 1 - fg[:, ::-1].argmax(axis=1)]
+    return np.column_stack([xs + origin[0] + 0.5, np.r_[rows, rows] + origin[1] + 0.5])
+
+
 def convex_hull(points: np.ndarray) -> np.ndarray:
     """Monotone-chain convex hull, counter-clockwise in image coordinates."""
+    # np.unique sorts the rows by (x, y), the chain's order
     pts = np.unique(np.asarray(points, dtype=np.float64), axis=0)
     if len(pts) <= 2:
         return pts
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
-    # a point strictly between two others of its row is never a strict vertex,
-    # and the chain drops collinear points anyway: keep each row's two ends
-    by_row = np.lexsort((pts[:, 0], pts[:, 1]))
-    new_row = np.flatnonzero(np.diff(pts[by_row, 1])) + 1
-    keep = np.zeros(len(pts), dtype=bool)
-    keep[by_row[np.r_[0, new_row]]] = True
-    keep[by_row[np.r_[new_row - 1, len(pts) - 1]]] = True
-    seq = pts[keep].tolist()
+    seq = pts.tolist()
 
     def build(seq):
         out = []
@@ -123,7 +130,7 @@ def _orient(p1: Point, p2: Point, fh_centroid: Point) -> tuple[Point, Point]:
 
 def _mask_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
     """(proximal, apex) of the symphysis axis taken as the closed mask's diameter."""
-    return _orient(*_diameter_endpoints(boundary_points(*ps.closed_window)), fh_centroid)
+    return _orient(*_diameter_endpoints(_row_ends(*ps.closed_window)), fh_centroid)
 
 
 def ps_axis_endpoints(ps: RefinedShape, fh_centroid: Point) -> tuple[Point, Point]:
@@ -160,7 +167,7 @@ def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, 
         t1, t2 = el.external_tangents(fh.ellipse, (apex.x, apex.y))
         tangent = max((t1, t2), key=lambda t: _angle_at(apex, proximal, t))
     else:
-        hull = convex_hull(boundary_points(*fh.closed_window))
+        hull = convex_hull(_row_ends(*fh.closed_window))
         idx = max(range(len(hull)), key=lambda i: _angle_at(apex, proximal, hull[i]))
         tangent = hull[idx]
         # supporting-line check: the hull must not straddle the apex-tangent line
@@ -174,11 +181,9 @@ def compute_aop(proximal: Point, apex: Point, fh: RefinedShape) -> tuple[float, 
     return angle, Point(float(tangent[0]), float(tangent[1]))
 
 
-def compute_hsd(fh_closed: np.ndarray, apex: Point, origin: tuple[int, int] = (0, 0)) -> tuple[float, Point]:
-    """Min distance from the apex to the fetal-head boundary, and the arg-min point.
-
-    fh_closed may be a window of the frame, its pixel (0, 0) at origin."""
-    pts = boundary_points(fh_closed, origin)
+def compute_hsd(apex: Point, fh: RefinedShape) -> tuple[float, Point]:
+    """Min distance from the apex to the fetal head's closed-mask boundary, and the arg-min point."""
+    pts = boundary_points(*fh.closed_window)
     d = np.hypot(pts[:, 0] - apex.x, pts[:, 1] - apex.y)
     i = int(np.argmin(d))
     return float(d[i]), Point(float(pts[i, 0]), float(pts[i, 1]))
@@ -209,15 +214,11 @@ def measure_frame_detailed(labels: np.ndarray) -> tuple[BiometryResult, RefinedS
     fh_ref = refine(fh_win, origin=(fh_x, fh_y), frame=frame)
 
     fh_centroid = centroid(*fh_ref.closed_window)
-    proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid)
+    # HSD is measured from the mask axis's apex; AoP uses that axis unless the PS ellipse was accepted
+    mask_proximal, hsd_apex = _mask_axis_endpoints(ps_ref, fh_centroid)
+    proximal, apex = ps_axis_endpoints(ps_ref, fh_centroid) if ps_ref.used_ellipse else (mask_proximal, hsd_apex)
     aop, tangent = compute_aop(proximal, apex, fh_ref)
-
-    # HSD landmarks always come from the hole-closed masks, which the AoP axis
-    # already used unless the PS ellipse was accepted
-    hsd_apex = apex
-    if ps_ref.used_ellipse:
-        _, hsd_apex = _mask_axis_endpoints(ps_ref, fh_centroid)
-    hsd, head_point = compute_hsd(fh_ref.closed, hsd_apex, fh_ref.box[:2])
+    hsd, head_point = compute_hsd(hsd_apex, fh_ref)
 
     result = BiometryResult(
         aop_deg=aop,
@@ -226,6 +227,7 @@ def measure_frame_detailed(labels: np.ndarray) -> tuple[BiometryResult, RefinedS
         ps_proximal=proximal,
         tangent_point=tangent,
         hsd_head_point=head_point,
+        hsd_apex=hsd_apex,
         used_ellipse_ps=ps_ref.used_ellipse,
         used_ellipse_fh=fh_ref.used_ellipse,
         prune_iters_ps=ps_ref.prune_iterations,

@@ -73,13 +73,8 @@ def sparse_sample(videos, seed: int = 0) -> SamplePlan:
             continue
         digest = hashlib.blake2b(video_id.encode(), digest_size=8).digest()
         rng = keyed_rng(seed, int.from_bytes(digest, "little"))
-        edges = np.linspace(0, length, want + 1)
-        picks = []
-        for i in range(want):
-            lo = int(np.floor(edges[i]))
-            hi = max(lo + 1, int(np.floor(edges[i + 1])))
-            picks.append(int(rng.integers(lo, hi)))
-        plan.frames[video_id] = picks
+        # integer strata edges: length >= want keeps each stratum non-empty
+        plan.frames[video_id] = [int(rng.integers(i * length // want, (i + 1) * length // want)) for i in range(want)]
     return plan
 
 

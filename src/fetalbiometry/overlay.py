@@ -65,6 +65,6 @@ def render_overlay(labels: np.ndarray, result: BiometryResult, shapes) -> np.nda
             draw_ellipse(img, shape.ellipse, color)
     draw_line(img, result.ps_proximal, result.ps_apex, YELLOW)
     draw_line(img, result.ps_apex, result.tangent_point, CYAN)
-    draw_line(img, result.ps_apex, result.hsd_head_point, WHITE)
+    draw_line(img, result.hsd_apex, result.hsd_head_point, WHITE)
     return img
 

@@ -70,8 +70,9 @@ class Perturbation:
             raise ValueError("perturbation sizes must be nonnegative, and twice the noise finite")
         if self.protrusions > MAX_PROTRUSIONS:
             raise ValueError(f"at most {MAX_PROTRUSIONS} protrusions, got {self.protrusions}")
-        if self.hole_radius[0] > self.hole_radius[1] or self.protrusion_size[0] > self.protrusion_size[1]:
-            raise ValueError("ranges must be ordered")
+        # a spur pixel's offset along the spur is divided by the spur's length
+        if self.hole_radius[0] > self.hole_radius[1] or not 0 < self.protrusion_size[0] <= self.protrusion_size[1]:
+            raise ValueError("ranges must be ordered, and protrusion lengths positive")
 
 
 def ps_apex(scene: PhantomScene) -> tuple[Point, Point]:
@@ -265,6 +266,8 @@ def _attach_protrusion(labels: np.ndarray, cid: int, rng, size_range) -> None:
     cy_, cx_ = np.nonzero(m)
     cx0, cy0 = cx_.mean(), cy_.mean()
     norm = math.hypot(bx - cx0, by - cy0)
+    if norm == 0:  # the boundary pixel is the centroid: no outward direction
+        raise InfeasiblePerturbationError(f"class {cid} has no outward direction at ({bx:.0f}, {by:.0f})")
     nx, ny = (bx - cx0) / norm, (by - cy0) / norm
     length = rng.uniform(*size_range)
     half_width = max(3.0, 0.15 * length)

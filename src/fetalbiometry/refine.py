@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from . import edges, ellipse as el, morphology
-from .errors import DegenerateInputError, EmptyShapeError, NoEdgesError
+from .errors import DegenerateInputError, EmptyShapeError
 from .raster import bounding_window, mask_set_counts, paste, pixel_centers
 
 # the paper's recipe: holes closed by a 10x10 elliptical kernel, points
@@ -115,14 +115,12 @@ def _boundary_points(mask: np.ndarray, origin: tuple[int, int]) -> np.ndarray:
     They are the centers of the largest 8-connected edge component in
     row-major order: the pixels, order and floats of
     ``edges.longest_chain(edges.extract_chains(edge_map))``, whose tie rule
-    is the component's, without building a tuple per pixel.  Fits take frame
+    is the component's, without building a tuple per pixel; an empty edge
+    map gives none, which ``el.fit_ams`` rejects.  Fits take frame
     coordinates and the fitted ellipse is never shifted: the fit must see the
     very floats a full-frame fit sees, or boundary pixels flip.
     """
-    edge_map = edges.canny(mask)
-    if not edge_map.any():
-        raise NoEdgesError("no edge pixels to fit")
-    return pixel_centers(morphology.largest_component(edge_map), origin)
+    return pixel_centers(morphology.largest_component(edges.canny(mask)), origin)
 
 
 def refine(
@@ -164,9 +162,9 @@ def refine(
     try:
         points = _boundary_points(closed, (x0, y0))
         fitted = el.fit_ams(points)
-        e_win = el.raster_window(fitted, w, h)
         # the ellipse window may overrun the crop: its pixels there count as E-only
-        if protrusion_ratio(*_joint(e_win, (x0, y0, closed))) >= 1.0:
+        joint = _joint(el.raster_window(fitted, w, h), (x0, y0, closed))
+        if protrusion_ratio(*joint) >= 1.0:
             # the plain fit that entered the loop leans toward the protrusion
             fitted = el.fit_consensus(points)
             while iterations < MAX_PRUNE:
@@ -177,11 +175,11 @@ def refine(
                 # too few kept points make fit_consensus raise DegenerateInputError
                 points = points[keep]
                 fitted = el.fit_consensus(points)
-            e_win = el.raster_window(fitted, w, h)
-    except (DegenerateInputError, NoEdgesError):
+            joint = _joint(el.raster_window(fitted, w, h), (x0, y0, closed))
+    except DegenerateInputError:
         return RefinedShape(closed, None, False, iterations, math.inf, box, (w, h))
     # decision rule against the hole-closed mask
-    only_e, only_s, both = mask_set_counts(*_joint(e_win, (x0, y0, closed)))
+    only_e, only_s, both = mask_set_counts(*joint)
     ratio = only_e / (only_s + both)
     used = ratio < ELLIPSE_ACCEPT_RATIO
     return RefinedShape(closed, fitted, used, iterations, ratio, box, (w, h))

@@ -16,6 +16,7 @@ from fetalbiometry.biometry import (
     _cross2,
     _diameter_endpoints,
     _orient,
+    _row_ends,
     boundary_points,
     compute_hsd,
     convex_hull,
@@ -124,7 +125,7 @@ class TestResult:
     @pytest.mark.parametrize("aop", [0.0, -1.0, 180.5, math.nan])
     def test_aop_outside_its_range_rejected(self, aop):
         with pytest.raises(ValueError, match="AoP"):
-            BiometryResult(aop, 1.0, Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0))
+            BiometryResult(aop, 1.0, Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0), Point(0.0, 0.0))
 
 
 class TestMeasureFrame:
@@ -165,7 +166,7 @@ class TestMeasureFrame:
         result, ps_ref, _ = measure_frame_detailed(phantom.render(phantom.random_scene(0)))
         assert result.used_ellipse_ps
         axis = _diameter_endpoints(boundary_points(*ps_ref.closed_window))
-        points = (result.ps_apex, result.ps_proximal, result.tangent_point, result.hsd_head_point, *axis)
+        points = (result.ps_apex, result.ps_proximal, result.tangent_point, result.hsd_head_point, result.hsd_apex, *axis)
         values = [result.aop_deg, result.hsd_px, *(v for p in points for v in p)]
         assert [type(v) for v in values] == [float] * len(values)
 
@@ -181,9 +182,20 @@ class TestHsdFunction:
     def test_point_to_square(self):
         fh = np.zeros((40, 40), np.uint8)
         fh[10:30, 20:35] = 1
-        d, pt = compute_hsd(fh, Point(5.0, 20.5))
+        shape = RefinedShape(fh, None, False, 0, math.inf, (0, 0, 40, 40), (40, 40))
+        d, pt = compute_hsd(Point(5.0, 20.5), shape)
         assert abs(d - 15.5) < 1e-9  # nearest boundary pixel center is (20.5, 20.5)
         assert pt.x == 20.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_measured_from_the_hsd_apex(self, seed):
+        # with a protrusion the PS ellipse's apex and the mask's apex part
+        # ways; HSD is the distance from the latter
+        labels = phantom.perturb(
+            phantom.render(phantom.random_scene(seed)), phantom.Perturbation(protrusions=1, seed=seed)
+        )
+        r = measure_frame(labels)
+        assert math.dist(r.hsd_apex, r.hsd_head_point) == pytest.approx(r.hsd_px, rel=1e-12)
 
 
 class TestApexInside:
@@ -357,6 +369,7 @@ def ref_measure_frame_detailed(labels):
         ps_proximal=proximal,
         tangent_point=tangent,
         hsd_head_point=head_point,
+        hsd_apex=hsd_apex,
         used_ellipse_ps=ps_ref.used_ellipse,
         used_ellipse_fh=fh_ref.used_ellipse,
         prune_iters_ps=ps_ref.prune_iterations,
@@ -491,6 +504,37 @@ class TestHullMatchesChain:
     @given(hull_points())
     def test_same_vertices_in_the_same_order(self, pts):
         assert_same_array(convex_hull(pts), ref_convex_hull(pts))
+
+
+@st.composite
+def placed_masks(draw):
+    """(mask, origin, frame): a binary mask with single-pixel rows, one-row and
+    one-column shapes and foreground on the window edge, at an origin inside a
+    frame that holds it."""
+    kind = draw(st.sampled_from(["free", "row", "column", "pixel"]))
+    h = 1 if kind in ("row", "pixel") else draw(st.integers(1, 12))
+    w = 1 if kind in ("column", "pixel") else draw(st.integers(1, 12))
+    m = draw(arrays(np.uint8, (h, w), elements=st.integers(0, 1)))
+    m[draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))] = 1
+    x0, y0 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    frame = (x0 + w + draw(st.integers(0, 5)), y0 + h + draw(st.integers(0, 5)))
+    return m, (x0, y0), frame
+
+
+class TestRowEndsMatchBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(placed_masks())
+    def test_same_hull_and_diameter(self, placed):
+        m, (x0, y0), (fw, fh) = placed
+        full = np.zeros((fh, fw), np.uint8)
+        full[y0 : y0 + m.shape[0], x0 : x0 + m.shape[1]] = m
+        ends, boundary = _row_ends(m, (x0, y0)), ref_boundary_points(full)
+        assert_same_array(convex_hull(ends), ref_convex_hull(boundary))
+        assert outcome(_diameter_endpoints, ends) == outcome(ref_diameter_endpoints, boundary)
+
+    def test_empty_mask(self):
+        with pytest.raises(EmptyShapeError):
+            _row_ends(np.zeros((3, 4), np.uint8))
 
 
 class TestDiameterMatchesScan:

@@ -57,6 +57,19 @@ class TestSparseSample:
         b = sparse_sample(list(reversed(self.VIDEOS)), seed=5)
         assert a.frames == b.frames
 
+    @pytest.mark.parametrize("length", [2**62 - 1, 2**63 - 1])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_last_stratum_ends_inside_long_videos(self, monkeypatch, length, label):
+        # the last stratum ends at the video's last frame, however long the video
+        class LastOfEachStratum:
+            def integers(self, lo, hi):
+                return hi - 1
+
+        monkeypatch.setattr(dataprep, "keyed_rng", lambda *words: LastOfEachStratum())
+        picks = sparse_sample([("long", length, label)]).frames["long"]
+        assert picks[-1] == length - 1
+        assert picks == sorted(set(picks))
+
     def test_short_video_warns_and_takes_all(self):
         with pytest.warns(UserWarning, match="fewer"):
             plan = sparse_sample([("tiny", 3, 1)])

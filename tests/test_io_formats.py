@@ -20,7 +20,7 @@ from fetalbiometry.raster import PROB_SUM_TOL, Point, validate_prob_map
 
 def result(aop, hsd, used_ps=False, used_fh=False, iters_ps=0, iters_fh=0):
     """A BiometryResult with these report fields and placeholder landmarks."""
-    pts = Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0)
+    pts = Point(0.0, 0.0), Point(1.0, 0.0), Point(2.0, 2.0), Point(3.0, 3.0), Point(0.0, 0.0)
     return BiometryResult(aop, hsd, *pts, used_ps, used_fh, iters_ps, iters_fh)
 
 

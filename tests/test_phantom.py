@@ -186,6 +186,20 @@ class TestPerturb:
         with pytest.raises(ValueError):
             Perturbation(hole_radius=(5.0, 2.0))
 
+    @pytest.mark.parametrize("size", [(0.0, 0.0), (-1.0, 5.0), (math.nan, 5.0)])
+    def test_nonpositive_protrusion_length_rejected(self, size):
+        with pytest.raises(ValueError, match="protrusion lengths positive"):
+            Perturbation(protrusion_size=size)
+
+    def test_protrusion_on_a_one_pixel_structure_raises(self):
+        from fetalbiometry.errors import InfeasiblePerturbationError
+
+        labels = np.zeros((16, 16), np.uint8)
+        labels[8, 8] = FH
+        # its only boundary pixel is its centroid, so it has no outward direction
+        with pytest.raises(InfeasiblePerturbationError, match="no outward direction"):
+            perturb(labels, Perturbation(protrusions=1, classes=(FH,)))
+
 
 def test_structure_boundary_ignores_image_border():
     labels = np.zeros((6, 7), np.uint8)
