@@ -24,9 +24,9 @@ from .raster import validate_label_mask, validate_prob_map
 
 # display palette for P5 masks; raw {0,1,2} is accepted too
 _PALETTE = {0: 0, 127: 1, 255: 2, 1: 1, 2: 2}
-# byte -> label; bytes outside the palette decode to 3, above every label
-_DECODE = np.full(256, 3, dtype=np.uint8)
-_DECODE[list(_PALETTE)] = list(_PALETTE.values())
+# byte -> label, as a ``bytes.translate`` table; bytes outside the palette
+# decode to 3, above every label
+_DECODE = bytes(_PALETTE.get(b, 3) for b in range(256))
 
 
 @dataclass
@@ -102,7 +102,8 @@ def _read_p5(path) -> tuple[np.ndarray, int]:
 
 def read_label_mask(path) -> np.ndarray:
     raw, off = _read_p5(path)
-    labels = np.take(_DECODE, raw)
+    # a byte-for-byte table lookup into a writable copy: the labels of the palette, exactly
+    labels = np.frombuffer(bytearray(raw).translate(_DECODE), np.uint8).reshape(raw.shape)
     if labels.max() > 2:
         flat = int(np.argmax(labels.ravel() > 2))
         raise FormatError(

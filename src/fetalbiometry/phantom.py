@@ -56,6 +56,13 @@ MAX_PROTRUSIONS = 100
 
 @dataclass(frozen=True)
 class Perturbation:
+    """Seeded perturbations of a rendered scene.
+
+    Each hole is a disk whose radius is drawn from ``hole_radius``, a finite,
+    nonnegative and ordered range; a radius below 1, ``(0.0, 0.0)`` too,
+    carves a one-pixel hole.
+    """
+
     holes: int = 0
     hole_radius: tuple[float, float] = (2.0, 4.0)
     protrusions: int = 0
@@ -70,9 +77,14 @@ class Perturbation:
             raise ValueError("perturbation sizes must be nonnegative, and twice the noise finite")
         if self.protrusions > MAX_PROTRUSIONS:
             raise ValueError(f"at most {MAX_PROTRUSIONS} protrusions, got {self.protrusions}")
-        # a spur pixel's offset along the spur is divided by the spur's length
-        if self.hole_radius[0] > self.hole_radius[1] or not 0 < self.protrusion_size[0] <= self.protrusion_size[1]:
-            raise ValueError("ranges must be ordered, and protrusion lengths positive")
+        # a hole's radius sizes the disk it carves, and a spur pixel's offset
+        # along the spur is divided by the spur's length; written so that NaN fails
+        if not (0 <= self.hole_radius[0] <= self.hole_radius[1] < math.inf) or not (
+            0 < self.protrusion_size[0] <= self.protrusion_size[1]
+        ):
+            raise ValueError(
+                "ranges must be ordered, hole radii finite and nonnegative, and protrusion lengths positive"
+            )
 
 
 def ps_apex(scene: PhantomScene) -> tuple[Point, Point]:

@@ -152,11 +152,16 @@ def paste(window: tuple[int, int, np.ndarray], box: tuple[int, int, int, int]) -
 
 def centroid(mask: np.ndarray, origin: tuple[int, int] = (0, 0)) -> Point:
     """Mean pixel center of the foreground, in the frame of ``pixel_centers``."""
-    ys, xs = np.nonzero(mask)
-    if xs.size == 0:
+    fg = np.asarray(mask, dtype=bool)
+    cols, rows = fg.sum(axis=0), fg.sum(axis=1)
+    n = int(rows.sum())
+    if n == 0:
         raise ValueError("centroid of an empty mask is undefined")
-    # shift the integer indices, not the mean, so a window gives the frame's floats
-    return Point(float((xs + origin[0]).mean() + 0.5), float((ys + origin[1]).mean() + 0.5))
+    # exact integer coordinate sums, then one division: the float64 mean of the
+    # integer coordinates is exact too while its sums stay below 2**53, so the bits agree
+    sx = int(cols @ np.arange(origin[0], origin[0] + cols.size, dtype=np.int64))
+    sy = int(rows @ np.arange(origin[1], origin[1] + rows.size, dtype=np.int64))
+    return Point(sx / n + 0.5, sy / n + 0.5)
 
 
 def keyed_rng(*words: int) -> np.random.Generator:

@@ -60,6 +60,20 @@ def hole_probe(margin):
     return StructuringElement(2 * margin + 1, 2 * margin + 1, offsets)
 
 
+@st.composite
+def run_kernels(draw):
+    """(kernel, its runs): rows of several horizontal runs, lengths 1-13, at
+    least one column apart, so that each drawn run is one of ``runs``."""
+    runs = []
+    for dy in sorted(draw(st.sets(st.integers(-8, 8), min_size=1, max_size=5))):
+        x = draw(st.integers(-24, 4))
+        for gap, n in draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 13)), min_size=1, max_size=4)):
+            runs.append((dy, x, n))
+            x += n + gap
+    offsets = [(dx, dy) for dy, x, n in runs for dx in range(x, x + n)]
+    return StructuringElement(1, 1, tuple(draw(st.permutations(offsets)))), tuple(runs)
+
+
 kernels = st.one_of(
     st.builds(elliptical_kernel, st.integers(1, 12), st.integers(1, 12)),
     st.builds(hole_probe, st.integers(1, 25)),
@@ -67,6 +81,8 @@ kernels = st.one_of(
     st.lists(st.tuples(st.integers(-45, 45), st.integers(-45, 45)), min_size=1, max_size=12).map(
         lambda offsets: StructuringElement(1, 1, tuple(offsets))
     ),
+    # rows of several runs whose lengths are mostly not powers of two
+    run_kernels().map(lambda kr: kr[0]),
 )
 
 
@@ -96,6 +112,27 @@ class TestKernel:
     def test_reach_kept_after_the_first_read(self):
         k = elliptical_kernel(10, 10)
         assert k.reach == 5 and vars(k)["reach"] == 5
+
+    def test_runs_of_the_10x10_default(self):
+        k = elliptical_kernel(10, 10)
+        assert k.runs == (
+            (-5, -1, 1), (-4, -3, 6), (-3, -4, 8), (-2, -5, 10), (-1, -5, 10),
+            (0, -5, 10), (1, -5, 10), (2, -4, 8), (3, -3, 6), (4, -1, 1),
+        )
+        assert vars(k)["runs"] is k.runs
+
+    def test_runs_of_the_hole_probe(self):
+        assert hole_probe(3).runs == tuple((dy, x, 1) for dy in (-3, 0, 3) for x in (-3, 0, 3))
+
+    def test_runs_merge_duplicates_and_adjacent_offsets(self):
+        k = StructuringElement(1, 1, ((2, 0), (0, 0), (1, 0), (0, 0), (-1, 1), (1, 1)))
+        assert k.runs == ((0, 0, 3), (1, -1, 1), (1, 1, 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_kernels())
+    def test_runs_are_the_drawn_runs(self, kr):
+        k, runs = kr
+        assert k.runs == runs
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -191,6 +191,21 @@ class TestPerturb:
         with pytest.raises(ValueError, match="protrusion lengths positive"):
             Perturbation(protrusion_size=size)
 
+    # below -1 no disk can be drawn, in (-1, 0) a pixel would be carved, and a
+    # NaN or infinite bound overflows the radius draw
+    @pytest.mark.parametrize(
+        "radius", [(-5.0, -2.0), (-0.5, -0.2), (1.0, math.nan), (math.nan, math.nan), (1.0, math.inf)]
+    )
+    def test_hole_radius_outside_its_range_rejected(self, radius):
+        with pytest.raises(ValueError, match="hole radii finite and nonnegative"):
+            Perturbation(holes=2, hole_radius=radius, classes=(FH,))
+
+    def test_zero_hole_radius_carves_one_pixel_per_hole(self):
+        labels = render(random_scene(0))
+        out = perturb(labels, Perturbation(holes=2, hole_radius=(0.0, 0.0), classes=(FH,)))
+        removed = (labels == FH) & (out == 0)
+        assert np.count_nonzero(removed) == 2 and np.array_equal(out == PS, labels == PS)
+
     def test_protrusion_on_a_one_pixel_structure_raises(self):
         from fetalbiometry.errors import InfeasiblePerturbationError
 

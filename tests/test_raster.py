@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,8 @@ from fetalbiometry.biometry import measure_frame
 from fetalbiometry.errors import DimensionMismatchError
 from fetalbiometry.raster import (
     PS,
+    Point,
+    centroid,
     keyed_rng,
     mask_set_counts,
     validate_binary_mask,
@@ -58,6 +60,34 @@ def test_cli_import_leaves_the_other_commands_modules_unloaded():
     r = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
+
+
+def ref_centroid(mask, origin):
+    """The mean of the foreground's pixel coordinates, over every pixel."""
+    ys, xs = np.nonzero(mask)
+    return Point(float((xs + origin[0]).mean() + 0.5), float((ys + origin[1]).mean() + 0.5))
+
+
+class TestCentroid:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 64), st.integers(1, 64)).flatmap(
+            lambda shape: arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 1, 2]))
+        ),
+        st.tuples(st.integers(-(2**20), 2**20), st.integers(-(2**20), 2**20)),
+    )
+    def test_bit_identical_to_the_mean(self, m, origin):
+        if not m.any():
+            m[-1, -1] = 1
+        got = centroid(m, origin)
+        assert type(got.x) is float and type(got.y) is float
+        want = ref_centroid(m, origin)
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex())
+
+    @pytest.mark.parametrize("m", [np.zeros((1, 1), np.uint8), np.zeros((5, 3), bool)])
+    def test_empty_mask_rejected(self, m):
+        with pytest.raises(ValueError, match="empty mask"):
+            centroid(m, (4, -2))
 
 
 class TestMaskSetCounts:
